@@ -35,6 +35,7 @@ from .graph6 import graph6_decode, graph6_encode
 from .indices import gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
 from .steiner import steiner_all_subsets
 from .verify import (
+    ENUMERATION_CAP,
     EnumerationSpec,
     enumerate_graphs,
     find_extremal,
@@ -142,10 +143,14 @@ def build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> Tuple[str, str]:
-    if path == "-":
-        return "stdin", sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return path, fh.read()
+    label = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return label, sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return label, fh.read()
+    except UnicodeDecodeError as exc:
+        raise SteinerGutError(f"{label}: not ASCII text (byte offset {exc.start})") from None
 
 
 def _parse_edgelist(label: str, text: str) -> Graph:
@@ -284,6 +289,8 @@ def _skip_reason(group: str, g: Graph, co_conn: bool) -> Optional[str]:
 def _cmd_bounds(args, out, err) -> int:
     ids = _bound_ids(args.bound_set)
     decimal = args.decimal
+    if decimal is not None and decimal < 0:
+        raise _UsageError(f"--decimal must be at least 0, got {decimal}")
     found_violation = False
     records = []
     csv_rows = []
@@ -339,8 +346,10 @@ def _cmd_bounds(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     ids = _bound_ids(args.bound_set)
-    if args.n_max < 1:
-        raise _UsageError("--n-max must be at least 1")
+    if not 1 <= args.n_max <= ENUMERATION_CAP:
+        raise _UsageError(f"--n-max must lie in 1..{ENUMERATION_CAP}, got {args.n_max}")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.k == "all":
         k_range = "all"
     else:

@@ -9,17 +9,23 @@ subsets S:
 * gutman: the classical k = 2 case, computed independently from the BFS
   distance matrix as a cross-check target.
 
-All values are exact ints.  Subsets are enumerated in ascending mask order
-and accumulated in that fixed order.
+All values are exact ints.  One pass over the Steiner table gives all three
+indices for every k at once: the vertices split into a low and a high half,
+the degree product, degree sum and size of a subset factor into per-half
+values, and each high-half row of the table is summed per low-popcount
+bucket.  The result is cached on the table, keyed by the degree tuple, so
+further calls for any k are lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from math import comb
+from operator import itemgetter, mul
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange
-from .graph import Graph, is_connected, iter_bits
+from .graph import Graph, is_connected
 from .steiner import SteinerTable, pairwise_distances, steiner_all_subsets
 
 
@@ -54,19 +60,75 @@ def _table(g: Graph, table: Optional[SteinerTable]) -> SteinerTable:
     return table
 
 
+class _Sums(NamedTuple):
+    """Index values for every k = 0..n, each tuple indexed by k."""
+
+    sgut: Tuple[int, ...]
+    sw: Tuple[int, ...]
+    sdd: Tuple[int, ...]
+
+
+def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """Degree product, degree sum and popcount of every mask over ``degs``."""
+    prod, total, size = [1], [0], [0]
+    for d in degs:
+        prod += [p * d for p in prod]
+        total += [t + d for t in total]
+        size += [c + 1 for c in size]
+    return prod, total, size
+
+
+def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
+    """sgut, sw and sdd for every k in one pass over the table.
+
+    A mask splits into a low part over vertices 0..h-1 and a high part over
+    the rest, so its degree product, degree sum and size factor into
+    per-half values.  For each high part, its 2^h row of ``dist`` is
+    reordered by low popcount once; every popcount bucket then contributes
+    one dot product per index to k = bucket + popcount(high).
+    """
+    h = n // 2 + 1
+    lo_prod, lo_sum, lo_size = _half_weights(degs[:h])
+    hi_prod, hi_sum, hi_size = _half_weights(degs[h:])
+    width = 1 << h
+    by_size = itemgetter(*sorted(range(width), key=lo_size.__getitem__))
+    sorted_prod, sorted_sum = by_size(lo_prod), by_size(lo_sum)
+    buckets = []
+    start = 0
+    for j in range(h + 1):
+        stop = start + comb(h, j)
+        buckets.append((j, start, stop, sorted_prod[start:stop], sorted_sum[start:stop]))
+        start = stop
+    sgut = [0] * (n + 1)
+    sw = [0] * (n + 1)
+    sdd = [0] * (n + 1)
+    for hi, (hp, hs, hc) in enumerate(zip(hi_prod, hi_sum, hi_size)):
+        row = by_size(dist[hi * width : (hi + 1) * width])
+        for j, a, b, bucket_prods, bucket_sums in buckets:
+            part = row[a:b]
+            w = sum(part)
+            k = j + hc
+            sgut[k] += hp * sum(map(mul, bucket_prods, part))
+            sw[k] += w
+            sdd[k] += hs * w + sum(map(mul, bucket_sums, part))
+    return _Sums(tuple(sgut), tuple(sw), tuple(sdd))
+
+
+def _sums(g: Graph, table: Optional[SteinerTable]) -> _Sums:
+    """The all-k sums of ``g``, computed once per table and degree tuple."""
+    tb = _table(g, table)
+    degs = g.degrees
+    found = tb.sums.get(degs)
+    if found is None:
+        found = tb.sums[degs] = _all_k_sums(tb.dist, g.n, degs)
+    return found
+
+
 def steiner_gutman(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-product weighted Steiner k-distance sum."""
     _require_connected(g)
     _require_k(g, k)
-    dist = _table(g, table).dist
-    degs = g.degrees
-    total = 0
-    for mask in k_subset_masks(g.n, k):
-        p = 1
-        for v in iter_bits(mask):
-            p *= degs[v]
-        total += p * int(dist[mask])
-    return total
+    return _sums(g, table).sgut[k]
 
 
 def steiner_wiener(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
@@ -75,26 +137,14 @@ def steiner_wiener(g: Graph, k: int, *, table: Optional[SteinerTable] = None) ->
     _require_k(g, k, lo=1)
     if k == 1:
         return 0
-    dist = _table(g, table).dist
-    total = 0
-    for mask in k_subset_masks(g.n, k):
-        total += int(dist[mask])
-    return total
+    return _sums(g, table).sw[k]
 
 
 def steiner_degree_distance(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-sum weighted Steiner k-distance sum."""
     _require_connected(g)
     _require_k(g, k)
-    dist = _table(g, table).dist
-    degs = g.degrees
-    total = 0
-    for mask in k_subset_masks(g.n, k):
-        s = 0
-        for v in iter_bits(mask):
-            s += degs[v]
-        total += s * int(dist[mask])
-    return total
+    return _sums(g, table).sdd[k]
 
 
 def gutman(g: Graph) -> int:

@@ -7,8 +7,12 @@ a set meeting several components gets INF.
 
 Three algorithms that share no code path:
 
-* steiner_all_subsets: mark every connected induced subset with |T| - 1,
-  then a superset-min zeta sweep gives the whole table at once.
+* steiner_all_subsets: bit-parallel over the subset lattice.  Each family
+  of vertex sets is one 2^n-bit int.  The connected sets are grown size by
+  size (add a neighbor outside the set), the down-closure of the connected
+  sets of size at most s + 1 is the family of sets within distance s (a
+  zeta transform by shift-or), and dist[S] is the number of such families
+  that miss S, stored one byte per mask.
 * DreyfusWagner / steiner_single: terminal-subset DP with merge and
   tree-grow transitions, for one query set at a time.
 * steiner_oracle: literal transcription of the definition, supersets by
@@ -17,51 +21,112 @@ Three algorithms that share no code path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from .errors import EmptySet, IndexOutOfRange, OrderTooLarge
-from .graph import Graph, _flood, induced_connected
+from .graph import Graph, induced_connected, iter_bits
 
 INF = float("inf")
 
 # 2^n table entries; beyond this the full table stops being a desk job.
 DEFAULT_TABLE_CAP = 20
 
+# '0'/'1' digits of a binary string to the byte values 0/1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class SteinerTable:
     """dist[mask] is the Steiner distance of the vertex set ``mask``.
 
-    Index 0 (the empty set) is stored as 0 and has no meaning.
+    Index 0 (the empty set) is stored as 0 and has no meaning.  ``dist`` is
+    ``bytes`` for a connected graph and a tuple holding INF for the sets
+    that meet several components otherwise.  ``sums`` caches the one-pass
+    index sums of ``indices``, keyed by the degree tuple they were weighted
+    with.
     """
 
     n: int
-    dist: Tuple[float, ...]
+    dist: Union[bytes, Tuple[float, ...]]
+    sums: Dict[Tuple[int, ...], Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+
+@lru_cache(maxsize=None)
+def _member_families(n: int) -> Tuple[int, ...]:
+    """Per vertex v, the 2^n-bit family of the masks that contain v."""
+    size = 1 << n
+    full = (1 << size) - 1
+    nbytes = max(size >> 3, 1)
+    fams = []
+    for v in range(n):
+        # one period of the pattern, bit t set iff t has bit v, little-endian
+        if v < 3:
+            block = bytes((0xAA, 0xCC, 0xF0)[v : v + 1])
+        else:
+            half = 1 << (v - 3)
+            block = b"\x00" * half + b"\xff" * half
+        fams.append(int.from_bytes(block * (nbytes // len(block)), "little") & full)
+    return tuple(fams)
+
+
+def _down_closure(fam: int, has: Tuple[int, ...]) -> int:
+    """Every subset of a member of ``fam``: drop each vertex in turn."""
+    for v, with_v in enumerate(has):
+        fam |= (fam & with_v) >> (1 << v)
+    return fam
 
 
 def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
-    """Steiner distances of every nonempty vertex subset of ``g``."""
+    """Steiner distances of every nonempty vertex subset of ``g``.
+
+    A family of vertex sets is one 2^n-bit int, bit t standing for mask t,
+    so each step below handles all 2^n masks in a few big-int operations.
+    Level s holds the connected sets of size s + 1: a connected set minus a
+    non-cut vertex v is a connected set adjacent to v, so level s + 1 is the
+    union over v of level s, restricted to the masks without v that meet
+    N(v), shifted by 2^v.  The down-closure of levels 0..s is the family of
+    sets with Steiner distance at most s, and dist[S] counts the levels whose
+    closure misses S.
+    """
     n = g.n
     if n > cap:
         raise OrderTooLarge(f"full table wants n <= {cap}, got {n}")
-    adj = g.adj
     size = 1 << n
-    dist = [INF] * size
-    dist[0] = 0
-    for t in range(1, size):
-        low = t & -t
-        if _flood(adj, low, t) == t:
-            dist[t] = t.bit_count() - 1
-    for v in range(n):
-        bit = 1 << v
-        for t in range(size):
-            if not t & bit:
-                cand = dist[t | bit]
-                if cand < dist[t]:
-                    dist[t] = cand
-    return SteinerTable(n, tuple(dist))
+    full = (1 << size) - 1
+    has = _member_families(n)
+    # grow[v]: the masks without v that meet N(v), so adding v keeps them connected
+    grow = []
+    for v, row in enumerate(g.adj):
+        meets = 0
+        for u in iter_bits(row):
+            meets |= has[u]
+        grow.append(meets & ~has[v])
+    level = sum(1 << (1 << v) for v in range(n))
+    within = _down_closure(level, has)
+    counts = 0
+    levels = 0
+    while True:
+        missing = full ^ within
+        if not missing:
+            break
+        counts += int.from_bytes(format(missing, "b").encode().translate(_BIT_BYTES), "big")
+        levels += 1
+        nxt = 0
+        for v, gv in enumerate(grow):
+            nxt |= (level & gv) << (1 << v)
+        level = nxt
+        if not level:
+            break
+        within = _down_closure(within | level, has)
+    dist = counts.to_bytes(size, "little")
+    if missing:
+        # disconnected: the sets no level reached were counted at every level
+        return SteinerTable(n, tuple(INF if d == levels else d for d in dist))
+    return SteinerTable(n, dist)
 
 
 def _bfs_row(g: Graph, src: int) -> List[float]:

@@ -269,3 +269,42 @@ def test_indices_validation(tmp_path):
 def test_help_exits_zero():
     code, _, _ = run(["--help"])
     assert code == 0
+
+
+def test_bounds_rejects_negative_decimal(tmp_path):
+    path = write(tmp_path, "g.g6", "Dhc\n")
+    code, out, err = run(["bounds", "--graph", path, "--k", "5", "--decimal", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "--decimal" in err
+
+
+def test_non_ascii_input_is_an_input_error(tmp_path):
+    p = tmp_path / "g.g6"
+    p.write_bytes("Dhc\n# café\n".encode("utf-8"))
+    for sub in ("compute", "bounds"):
+        code, out, err = run([sub, "--graph", str(p)])
+        assert code == 1, sub
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "not ASCII" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "4", "--jobs", "0"],
+        ["verify", "--n-max", "4", "--jobs", "-2"],
+        ["verify", "--n-max", "9"],
+        ["verify", "--n-max", "9", "--coconnected", "--jobs", "2"],
+    ],
+)
+def test_verify_limits_fail_before_any_order_runs(argv):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    # one usage line and no per-order progress line: nothing was swept
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1

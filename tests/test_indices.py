@@ -1,3 +1,7 @@
+import random
+from itertools import combinations
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from steinergut import (
     KOutOfRange,
     from_edge_list,
     gutman,
+    is_connected,
     index_report,
     k_subset_masks,
     steiner_all_subsets,
@@ -113,3 +118,55 @@ def test_index_report_bundles_everything():
     rep3 = index_report(path(3), 3)
     assert rep3.gut is None
     assert rep3.sgut == 4
+
+
+def _direct_sums(g, table, k):
+    """sgut, sw and sdd at k by a literal k-subset sum over the table."""
+    degs = g.degrees
+    sgut = sw = sdd = 0
+    for verts in combinations(range(g.n), k):
+        d = table.dist[sum(1 << v for v in verts)]
+        sgut += prod(degs[v] for v in verts) * d
+        sw += d
+        sdd += sum(degs[v] for v in verts) * d
+    return sgut, sw, sdd
+
+
+def _seeded_connected(rng, n):
+    p = rng.uniform(0.2, 0.9)
+    while True:
+        g = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_all_k_sums_match_direct_subset_sums(n):
+    rng = random.Random(n)
+    for _ in range(4):
+        g = _seeded_connected(rng, n)
+        table = steiner_all_subsets(g)
+        assert steiner_wiener(g, 1, table=table) == 0
+        for k in range(2, n + 1):
+            got = (
+                steiner_gutman(g, k, table=table),
+                steiner_wiener(g, k, table=table),
+                steiner_degree_distance(g, k, table=table),
+            )
+            assert got == _direct_sums(g, table, k), (n, k)
+
+
+def test_reused_table_with_other_degrees_is_not_stale():
+    # a 6-cycle and a 6-path with a chord share an order; the cycle's table is
+    # reused for the path, so the sums must follow the degrees passed in
+    c6 = cycle(6)
+    other = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+    assert c6.degrees != other.degrees
+    table = steiner_all_subsets(c6)
+    for k in range(2, 7):
+        first = steiner_gutman(c6, k, table=table), steiner_degree_distance(c6, k, table=table)
+        reused = steiner_gutman(other, k, table=table), steiner_degree_distance(other, k, table=table)
+        assert first == _direct_sums(c6, table, k)[::2]
+        assert reused == _direct_sums(other, table, k)[::2]
+        assert reused != first
+        assert steiner_gutman(c6, k, table=table) == first[0]

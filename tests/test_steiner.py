@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from steinergut import (
     from_edge_list,
     induced_connected,
     iter_bits,
+    mask_of,
     pairwise_distances,
     steiner_all_subsets,
     steiner_oracle,
@@ -114,3 +117,42 @@ def test_pairwise_distances_match_networkx(g):
     for u in range(g.n):
         for v in range(g.n):
             assert dm[u][v] == spl[u].get(v, INF)
+
+
+def _seeded_graph(seed, n, p):
+    rng = random.Random(seed)
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def _sampled_subsets(seed, n, count, max_size):
+    rng = random.Random(seed)
+    return [mask_of(rng.sample(range(n), rng.randint(1, max_size))) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "seed,n,p",
+    [(1, 10, 0.3), (2, 11, 0.5), (3, 12, 0.25), (4, 13, 0.4), (5, 14, 0.35)],
+)
+def test_table_matches_dreyfus_wagner_on_sampled_subsets(seed, n, p):
+    g = _seeded_graph(seed, n, p)
+    t = steiner_all_subsets(g)
+    dw = DreyfusWagner(g)
+    for s in _sampled_subsets(seed, n, 120, 6):
+        assert t.dist[s] == dw.distance(s), bin(s)
+
+
+def test_disconnected_table_keeps_inf_for_sets_across_components():
+    # a 5-cycle, a 4-path and an isolated vertex: order 10, three components
+    g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8)])
+    t = steiner_all_subsets(g)
+    assert isinstance(t.dist, tuple)
+    dw = DreyfusWagner(g)
+    comps = (0b0000011111, 0b0111100000, 0b1000000000)
+    inside = [s for c in comps for s in range(1, c + 1) if s & c == s]
+    for s in inside + _sampled_subsets(6, 10, 200, 6) + [g.full_mask, 0b1111100000]:
+        d = t.dist[s]
+        assert d == dw.distance(s)
+        meets = sum(1 for c in comps if s & c)
+        assert (d == INF) == (meets > 1)
+        if meets == 1:
+            assert type(d) is int
