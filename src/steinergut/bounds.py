@@ -29,8 +29,8 @@ from .errors import (
 )
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, degree_profile, is_connected, is_k_connected, is_regular
-from .indices import k_subset_masks, steiner_gutman
-from .steiner import SteinerTable, steiner_all_subsets
+from .indices import _sums, _table, steiner_gutman
+from .steiner import SteinerTable
 
 BOUND_IDS = (
     "prop21.upper",
@@ -497,16 +497,16 @@ def diagnose_equality(
     _require_connected(g)
     _require_k(g, k)
     n = g.n
-    tb = table if table is not None else steiner_all_subsets(g)
-    minimal = all(tb.dist[mask] == k - 1 for mask in k_subset_masks(n, k))
+    # every k-set has Steiner distance at least k - 1, with equality exactly
+    # when it induces a connected subgraph, so one cached sum decides all
+    all_minimal = (k - 1) * comb(n, k)
+    minimal = _sums(g, _table(g, table)).sw[k] == all_minimal
 
     gbar = complement(g)
     both_minimal = False
     if is_connected(gbar):
-        co_tb = co_table if co_table is not None else steiner_all_subsets(gbar)
-        both_minimal = minimal and all(
-            co_tb.dist[mask] == k - 1 for mask in k_subset_masks(n, k)
-        )
+        co_minimal = _sums(gbar, _table(gbar, co_table)).sw[k] == all_minimal
+        both_minimal = minimal and co_minimal
 
     path = _is_path(g)
     return EqualityWitness(

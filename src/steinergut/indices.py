@@ -13,8 +13,8 @@ All values are exact ints.  One pass over the Steiner table gives all three
 indices for every k at once: the vertices split into a low and a high half,
 the degree product, degree sum and size of a subset factor into per-half
 values, and each high-half row of the table is summed per low-popcount
-bucket.  The result is cached on the table, keyed by the degree tuple, so
-further calls for any k are lookups.
+bucket.  The result is cached on the table, which is bound to the graph it
+was built from, so further calls for any k are lookups.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def k_subset_masks(n: int, k: int) -> Iterator[int]:
         c = ripple | (((c ^ ripple) >> 2) // low)
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise Disconnected("invariant defined for connected graphs only")
-
-
 def _require_k(g: Graph, k: int, lo: int = 2) -> None:
     if not lo <= k <= g.n:
         raise KOutOfRange(f"k must satisfy {lo} <= k <= {g.n}, got {k}")
@@ -55,9 +50,22 @@ def _require_k(g: Graph, k: int, lo: int = 2) -> None:
 def _table(g: Graph, table: Optional[SteinerTable]) -> SteinerTable:
     if table is None:
         return steiner_all_subsets(g)
-    if table.n != g.n:
-        raise KOutOfRange("precomputed table is for a different order")
+    if table.adj != g.adj:
+        raise KOutOfRange("precomputed table is for a different graph")
     return table
+
+
+def _checked_table(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2) -> SteinerTable:
+    """The table of ``g`` once ``g`` is known connected and ``k`` in range.
+
+    Only a connected graph's table stores ``dist`` as bytes, so connectivity
+    is read off the table instead of flooding the graph on every call.
+    """
+    tb = _table(g, table)
+    if not isinstance(tb.dist, bytes):
+        raise Disconnected("invariant defined for connected graphs only")
+    _require_k(g, k, lo)
+    return tb
 
 
 class _Sums(NamedTuple):
@@ -114,42 +122,35 @@ def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
     return _Sums(tuple(sgut), tuple(sw), tuple(sdd))
 
 
-def _sums(g: Graph, table: Optional[SteinerTable]) -> _Sums:
-    """The all-k sums of ``g``, computed once per table and degree tuple."""
-    tb = _table(g, table)
-    degs = g.degrees
-    found = tb.sums.get(degs)
-    if found is None:
-        found = tb.sums[degs] = _all_k_sums(tb.dist, g.n, degs)
-    return found
+def _sums(g: Graph, tb: SteinerTable) -> _Sums:
+    """The all-k sums of ``g`` from its table ``tb``, computed once per table."""
+    if not tb.sums:
+        tb.sums.append(_all_k_sums(tb.dist, g.n, g.degrees))
+    return tb.sums[0]
 
 
 def steiner_gutman(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-product weighted Steiner k-distance sum."""
-    _require_connected(g)
-    _require_k(g, k)
-    return _sums(g, table).sgut[k]
+    return _sums(g, _checked_table(g, table, k)).sgut[k]
 
 
 def steiner_wiener(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Plain Steiner k-distance sum; k = 1 is allowed and gives 0."""
-    _require_connected(g)
-    _require_k(g, k, lo=1)
+    tb = _checked_table(g, table, k, lo=1)
     if k == 1:
         return 0
-    return _sums(g, table).sw[k]
+    return _sums(g, tb).sw[k]
 
 
 def steiner_degree_distance(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-sum weighted Steiner k-distance sum."""
-    _require_connected(g)
-    _require_k(g, k)
-    return _sums(g, table).sdd[k]
+    return _sums(g, _checked_table(g, table, k)).sdd[k]
 
 
 def gutman(g: Graph) -> int:
     """Classical Gutman index from the BFS distance matrix (no Steiner table)."""
-    _require_connected(g)
+    if not is_connected(g):
+        raise Disconnected("invariant defined for connected graphs only")
     if g.n < 2:
         raise KOutOfRange("the Gutman index needs at least 2 vertices")
     dm = pairwise_distances(g)

@@ -43,16 +43,16 @@ class SteinerTable:
 
     Index 0 (the empty set) is stored as 0 and has no meaning.  ``dist`` is
     ``bytes`` for a connected graph and a tuple holding INF for the sets
-    that meet several components otherwise.  ``sums`` caches the one-pass
-    index sums of ``indices``, keyed by the degree tuple they were weighted
-    with.
+    that meet several components otherwise, so the type alone tells whether
+    the graph is connected.  ``adj`` holds the adjacency rows the table was
+    built from; ``indices`` refuses the table for any other graph.  ``sums``
+    holds, once computed, the one-pass index sums of ``indices``.
     """
 
     n: int
     dist: Union[bytes, Tuple[float, ...]]
-    sums: Dict[Tuple[int, ...], Any] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    adj: Tuple[int, ...]
+    sums: List[Any] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +125,8 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     dist = counts.to_bytes(size, "little")
     if missing:
         # disconnected: the sets no level reached were counted at every level
-        return SteinerTable(n, tuple(INF if d == levels else d for d in dist))
-    return SteinerTable(n, dist)
+        return SteinerTable(n, tuple(INF if d == levels else d for d in dist), g.adj)
+    return SteinerTable(n, dist, g.adj)
 
 
 def _bfs_row(g: Graph, src: int) -> List[float]:

@@ -8,10 +8,14 @@ whose preconditions a graph fails to meet (too small an order, disconnected
 complement) are skipped quietly and never counted as run.
 
 Enumeration is capped at order 8.  Deduped enumeration builds each level by
-attaching one new vertex to every canonical graph of the previous level and
-keeping one canonical representative per isomorphism class; labeled
-enumeration streams edge bitmasks in ascending order and is only meant for
-small orders (it visits 2^21 graphs already at order 7).
+attaching one new vertex to every canonical graph of the previous level.  A
+parent's automorphisms (the optimal orderings of its canonical search) map
+attachment masks to masks giving isomorphic children, so only the least mask
+of each orbit is tried.  Children are deduped by ``canon.certificate``, a
+refinement-restricted lex-min key, and the full lex-min canon runs once per
+new class to relabel its first child into the canonical representative.
+Labeled enumeration streams edge bitmasks in ascending order and is only
+meant for small orders (it visits 2^21 graphs already at order 7).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .bounds import (
     evaluate_bounds,
     expand_bound_ids,
 )
-from .canon import canonical_key_and_perms, relabel_rows
+from .canon import canonical_key_and_perms, certificate, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
@@ -64,6 +68,28 @@ def _k_values(spec: EnumerationSpec) -> List[int]:
     return sorted(set(ks))
 
 
+def _orbit_minima(auts: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[int]:
+    """The least mask of each orbit of ``auts`` on the masks lo..2^width - 1.
+
+    Masks are visited in ascending order, so the first mask of an orbit met
+    is its least; its whole orbit is then marked.  ``lo`` is 0 or 1, and the
+    empty mask is a one-mask orbit, so the range is a union of orbits.
+    """
+    covered = bytearray(1 << width)
+    minima = []
+    for mask in range(lo, 1 << width):
+        if covered[mask]:
+            continue
+        minima.append(mask)
+        bits = list(iter_bits(mask))
+        for seq in auts:
+            image = 0
+            for v in bits:
+                image |= 1 << seq[v]
+            covered[image] = 1
+    return minima
+
+
 @lru_cache(maxsize=None)
 def _canonical_graphs(n: int, connected_only: bool) -> Tuple[Graph, ...]:
     """All order-n graphs up to isomorphism, in canonical labeling.
@@ -72,6 +98,9 @@ def _canonical_graphs(n: int, connected_only: bool) -> Tuple[Graph, ...]:
     when both are connected the new vertex can be chosen non-cut so the
     parent is connected and the attachment nonempty.  Sweeping all masks
     over all parents of the previous level therefore hits every class.
+    Masks in one orbit of the parent's automorphism group give isomorphic
+    children, so only the least mask of each orbit is attached.  Children are
+    deduped by ``certificate``; the lex-min canon runs once per new class.
     """
     if n == 1:
         return (Graph(1, (0,), 0),)
@@ -80,16 +109,19 @@ def _canonical_graphs(n: int, connected_only: bool) -> Tuple[Graph, ...]:
     seen: Dict[Tuple[int, ...], Graph] = {}
     top = 1 << (n - 1)
     for parent in parents:
+        # a canonical graph's optimal orderings are its automorphisms
+        auts = canonical_key_and_perms(parent.adj)[1]
         base = list(parent.adj) + [0]
-        for mask in range(lo, 1 << (n - 1)):
+        for mask in _orbit_minima(auts, lo, n - 1):
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
-            key, perms = canonical_key_and_perms(rows)
-            if key not in seen:
-                seen[key] = Graph(n, relabel_rows(rows, perms[0]), parent.m + mask.bit_count())
+            cert = certificate(rows)
+            if cert not in seen:
+                perms = canonical_key_and_perms(rows)[1]
+                seen[cert] = Graph(n, relabel_rows(rows, perms[0]), parent.m + mask.bit_count())
     return tuple(sorted(seen.values(), key=lambda g: (g.m, edge_mask(g))))
 
 

@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from steinergut import (
     DreyfusWagner,
     EnumerationSpec,
@@ -23,7 +21,6 @@ from steinergut import (
     closed_form_complete_corrected,
     closed_form_star,
     complement,
-    enumerate_graphs,
     evaluate_bounds,
     from_edge_list,
     generate,
@@ -43,12 +40,6 @@ from steinergut import (
 )
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
-
-
-@pytest.fixture(scope="module")
-def universe():
-    """Connected graphs up to isomorphism, orders 1..8."""
-    return {n: enumerate_graphs(EnumerationSpec(n=n)) for n in range(1, 9)}
 
 
 def criterion(num, label):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from steinergut import (
     expand_bound_ids,
     from_edge_list,
     graph6_decode,
+    induced_connected,
     is_connected,
     lem22,
     prop21,
@@ -299,3 +301,21 @@ def test_prop21_lower_tight_on_kn_minus_matching():
     assert steiner_gutman(g, 3) == 2 * 4**3 * comb(6, 3)
     _, lo = prop21(g, 3)
     assert lo.case_label == "min_deg>=2" and lo.tight
+
+
+def test_steiner_minimality_matches_a_direct_subset_scan(connected_by_order):
+    def every_k_set_connected(g, k):
+        return all(
+            induced_connected(g, sum(1 << v for v in verts))
+            for verts in combinations(range(g.n), k)
+        )
+
+    for n, graphs in connected_by_order.items():
+        for g in graphs:
+            gbar = complement(g)
+            for k in range(2, n + 1):
+                w = diagnose_equality(g, k)
+                minimal = every_k_set_connected(g, k)
+                assert w.all_k_subsets_induce_connected == minimal
+                both = minimal and is_connected(gbar) and every_k_set_connected(gbar, k)
+                assert w.steiner_minimal_in_both == both

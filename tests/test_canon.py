@@ -1,14 +1,20 @@
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinergut import (
+    OrderTooLarge,
     canonical_graph,
     canonical_key,
     canonical_key_and_perms,
+    edge_mask,
     from_edge_list,
+    from_edge_mask,
     relabel,
 )
-from steinergut.canon import relabel_rows
+from steinergut.canon import CANON_CAP, certificate, relabel_rows
 from strategies import graphs
 
 
@@ -68,3 +74,68 @@ def test_perms_all_achieve_the_key():
         rows = relabel_rows(g.adj, seq)
         # every optimal ordering lands on the same canonical adjacency
         assert rows == relabel_rows(g.adj, perms[0])
+
+
+def _complete(n):
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_complete_graph_above_the_cap_is_rejected_at_once():
+    k10 = _complete(CANON_CAP + 1)
+    start = time.monotonic()
+    for search in (canonical_key_and_perms, canonical_key, certificate):
+        with pytest.raises(OrderTooLarge):
+            search(k10.adj)
+    with pytest.raises(OrderTooLarge):
+        canonical_graph(k10)
+    assert time.monotonic() - start < 1.0
+
+
+def test_path_at_the_cap_still_canonicalizes():
+    p9 = from_edge_list(CANON_CAP, [(i, i + 1) for i in range(CANON_CAP - 1)])
+    cg = canonical_graph(p9)
+    assert cg.m == CANON_CAP - 1
+    assert len(canonical_key_and_perms(cg.adj)[1]) == 2
+    assert canonical_graph(relabel(p9, [(2 * i + 1) % CANON_CAP for i in range(CANON_CAP)])) == cg
+
+
+@given(graphs(max_n=7), st.data())
+@settings(max_examples=120)
+def test_certificate_is_isomorphism_invariant(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert certificate(relabel(g, perm).adj) == certificate(g.adj)
+
+
+@given(graphs(max_n=7), st.data())
+@settings(max_examples=200)
+def test_certificates_agree_exactly_when_canonical_keys_do(g, data):
+    # the second graph is a relabeled copy of the first, possibly with one
+    # edge toggled, so isomorphic and near-isomorphic pairs both turn up
+    toggle = data.draw(st.integers(min_value=-1, max_value=g.n * (g.n - 1) // 2 - 1))
+    em = edge_mask(g) ^ (1 << toggle if toggle >= 0 else 0)
+    h = relabel(from_edge_mask(g.n, em), data.draw(st.permutations(range(g.n))))
+    same_key = canonical_key(g.adj) == canonical_key(h.adj)
+    assert (certificate(g.adj) == certificate(h.adj)) == same_key
+    assert same_key == (toggle < 0)
+
+
+def test_certificate_partitions_every_labeled_graph_like_the_canon():
+    for n in range(1, 6):
+        keys_of = {}
+        for em in range(1 << (n * (n - 1) // 2)):
+            adj = from_edge_mask(n, em).adj
+            keys_of.setdefault(certificate(adj), set()).add(canonical_key(adj))
+        assert all(len(keys) == 1 for keys in keys_of.values())
+        assert len(set.union(*keys_of.values())) == len(keys_of)
+
+
+def test_certificate_separates_graphs_refinement_cannot_split():
+    # both cubic: color refinement leaves each as one cell of six vertices
+    k33 = from_edge_list(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    prism = from_edge_list(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    assert certificate(k33.adj) != certificate(prism.adj)
+    swapped = relabel(k33, [0, 3, 1, 4, 2, 5])
+    assert swapped != k33
+    assert certificate(swapped.adj) == certificate(k33.adj)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +312,17 @@ def test_verify_limits_fail_before_any_order_runs(argv):
     assert "Traceback" not in err
     # one usage line and no per-order progress line: nothing was swept
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write(tmp_path, "g.g6", "Dhc\n")
+    argv = ["compute", "--graph", path, "--k", "all"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinergut", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, err = run(argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert proc.stderr == err == ""

@@ -156,17 +156,33 @@ def test_all_k_sums_match_direct_subset_sums(n):
             assert got == _direct_sums(g, table, k), (n, k)
 
 
-def test_reused_table_with_other_degrees_is_not_stale():
-    # a 6-cycle and a 6-path with a chord share an order; the cycle's table is
-    # reused for the path, so the sums must follow the degrees passed in
+def test_reused_table_for_another_graph_is_rejected():
+    # a 6-cycle and a 6-path with a chord share an order but not their rows:
+    # the cycle's table must not yield sums for the path
     c6 = cycle(6)
     other = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
-    assert c6.degrees != other.degrees
     table = steiner_all_subsets(c6)
+    for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
+        for k in range(2, 7):
+            with pytest.raises(KOutOfRange) as exc:
+                index(other, k, table=table)
+            assert "\n" not in str(exc.value)
     for k in range(2, 7):
-        first = steiner_gutman(c6, k, table=table), steiner_degree_distance(c6, k, table=table)
-        reused = steiner_gutman(other, k, table=table), steiner_degree_distance(other, k, table=table)
-        assert first == _direct_sums(c6, table, k)[::2]
-        assert reused == _direct_sums(other, table, k)[::2]
-        assert reused != first
-        assert steiner_gutman(c6, k, table=table) == first[0]
+        assert steiner_gutman(c6, k, table=table) == _direct_sums(c6, table, k)[0]
+    with pytest.raises(KOutOfRange):
+        index_report(other, 2, table=table)
+
+
+def test_every_index_rejects_a_disconnected_graph():
+    g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
+    table = steiner_all_subsets(g)
+    for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
+        for k in range(2, 6):
+            for tb in (None, table):
+                with pytest.raises(Disconnected):
+                    index(g, k, table=tb)
+        # a bad k on a disconnected graph still reports the disconnection first
+        with pytest.raises(Disconnected):
+            index(g, 9)
+    with pytest.raises(Disconnected):
+        steiner_wiener(g, 1)

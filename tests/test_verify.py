@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 from math import factorial
@@ -17,6 +18,7 @@ from steinergut import (
     enumerate_graphs,
     find_extremal,
     graph6_decode,
+    graph6_encode,
     is_connected,
     merge_reports,
     report_to_dict,
@@ -30,6 +32,32 @@ from steinergut import (
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
+# sha256 of the newline-joined graph6 names of each order's representatives,
+# in enumeration order, pinned from the per-child lex-min enumeration
+CONNECTED_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "793d826705427d48099864697d779a56feabe3d271d508c46495e5732b005cea",
+    5: "3e2a71e573c986a7460921ec7fdbdf2f1e7ed12e1b3490a38d3e79e10809a8c5",
+    6: "30079fbe2d81deb1476c8098a5a321848c107d1bcd798cd8bc168867680430fb",
+    7: "ca6b4ad8755f94d7d4d2eb47d90fa60f1e97b85b976eb92460be9743b6e7a2ca",
+    8: "a5c0451bd1a09f0219924ff8d94a244dc198183f9d18b7697c142816f08cf6a5",
+}
+ALL_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "e80193a84d2a93d526ada7efd07a3e90013a71123468484c6cecd652d73c7781",
+    5: "f0873ff2845aaf3a2361070b33817be75aaf7ce26ab7d6ddbaa2ef10f74da8a7",
+    6: "8c2ac94669060bf7f71857ea64a41bd9c3d6c84703ad060e1f15313499329546",
+    7: "117dd47c6d5b4f85505258fc80bf8392edc69caa6a7d088d3ff05c8bdced692b",
+}
+
+
+def _names_digest(graphs):
+    return hashlib.sha256("\n".join(graph6_encode(g) for g in graphs).encode()).hexdigest()
+
 
 def test_connected_class_counts(connected_by_order):
     for n, expected in CONNECTED_COUNTS.items():
@@ -40,6 +68,17 @@ def test_all_class_counts():
     for n, expected in ALL_COUNTS.items():
         got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False))
         assert len(got) == expected
+
+
+def test_connected_representatives_match_golden_digests(universe):
+    for n, digest in CONNECTED_SHA256.items():
+        assert _names_digest(universe[n]) == digest, n
+
+
+def test_all_graph_representatives_match_golden_digests():
+    for n, digest in ALL_SHA256.items():
+        got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False))
+        assert _names_digest(got) == digest, n
 
 
 def test_representatives_are_pairwise_nonisomorphic(connected_by_order):
