@@ -1,15 +1,26 @@
 """Exact bound checks for the Steiner Gutman index.
 
-Every bound is evaluated in exact rational arithmetic and returned as a
-BoundCheck carrying the bound value, the exact invariant value, whether the
-inequality holds, and whether it is an equality.  Bound identifiers are
-short stable tokens (see BOUND_IDS); the formula behind each token is in its
-evaluator's docstring and in the README table.
+Every bound value depends only on k and the degree signature (n, m, d, D, p):
+order, size, minimum and maximum degree, number of pendant vertices.  Each
+group is one formula function of the signature (``_prop21`` ... ``_amgm``,
+the formulas in their docstrings and in the README table) returning its
+(case label, exact value) rows in BOUND_IDS order.  Corollary 4.1 is Theorem
+3.2 with the size eliminated through 2m >= nd, n(n-1)-2m >= n(n-1-D) and
+2m(n(n-1)-2m) <= n^2(n-1)^2/4, so ``_thm32`` and ``_cor41`` feed one
+``_paired``; cor41 keeps the printed s1 = min(D, n-d-1) where thm32 has the
+max, and sweeps report how the min variant behaves rather than repair it.
 
-Single-graph bounds need a connected graph; the paired bounds compare a
-graph against its complement and need both connected.  Lower bounds with a
-half-integer exponent are represented as an exact SquareRoot and compared by
-squaring, never through floats.
+One evaluator, ``evaluate_bounds``, computes SGut_k(G) once and, only when a
+paired group is wanted, reads the complement's connectivity and SGut_k off
+its Steiner table.  A bound id names the side (upper, lower) and the operand
+(SGut_k(G), the sum or the product with the complement's index) of its
+check.  The six group functions are thin wrappers around it.  Whether a
+group applies is decided by ``skip_reason`` alone; the guards fire in a
+fixed order: Disconnected, k outside 2..n (KOutOfRange), the group's least
+order (KOutOfRange), a disconnected complement (ComplementDisconnected).
+
+Values stay exact: Fractions, and for the one half-integer exponent an exact
+SquareRoot compared by squaring, never through floats.
 """
 
 from __future__ import annotations
@@ -19,17 +30,10 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    ComplementDisconnected,
-    DegenerateDegrees,
-    Disconnected,
-    KOutOfRange,
-    NoCaseApplies,
-    NotTight,
-)
+from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
-from .graph import Graph, complement, degree_profile, is_connected, is_k_connected, is_regular
-from .indices import _sums, _table, steiner_gutman
+from .graph import Graph, complement, is_connected, is_k_connected, is_regular
+from .indices import _checked_table, _sums, _table, steiner_gutman
 from .steiner import SteinerTable
 
 BOUND_IDS = (
@@ -53,6 +57,15 @@ BOUND_IDS = (
 
 BOUND_GROUPS = ("prop21", "lem22", "thm32", "cor41", "ps", "amgm")
 
+# groups that compare a graph against its complement
+PAIRED_GROUPS = ("thm32", "cor41", "ps", "amgm")
+
+_GROUP_IDS = {
+    group: tuple(b for b in BOUND_IDS if b.split(".")[0] == group) for group in BOUND_GROUPS
+}
+_LEAST_ORDER = {"prop21": 3, "cor41": 4}
+_CO_DISCONNECTED = "complement is disconnected"
+
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -64,147 +77,86 @@ class BoundCheck:
     tight: bool
 
 
-def _upper(bound_id: str, case: str, bound: Scalar, actual: int) -> BoundCheck:
-    if isinstance(bound, SquareRoot):
-        holds = bound.ge_squared(actual)
-        tight = bound.eq_squared(actual)
-    else:
-        holds = actual <= bound
-        tight = actual == bound
-    return BoundCheck(bound_id, case, bound, actual, holds, tight)
+def skip_reason(group: str, n: int, co_connected: bool) -> Optional[str]:
+    """Why ``group`` does not apply to a connected order-n graph, or None.
+
+    The least order is checked first, then the complement's connectivity,
+    which only the paired groups need.
+    """
+    least = _LEAST_ORDER.get(group, 0)
+    if n < least:
+        return f"needs order at least {least}"
+    if group in PAIRED_GROUPS and not co_connected:
+        return _CO_DISCONNECTED
+    return None
 
 
-def _lower(bound_id: str, case: str, bound: Scalar, actual: int) -> BoundCheck:
-    if isinstance(bound, SquareRoot):
-        holds = bound.le_squared(actual)
-        tight = bound.eq_squared(actual)
-    else:
-        holds = actual >= bound
-        tight = actual == bound
-    return BoundCheck(bound_id, case, bound, actual, holds, tight)
+_Row = Tuple[str, Scalar]
+_Table = Optional[SteinerTable]
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise Disconnected("bounds are defined for connected graphs")
-
-
-def _require_k(g: Graph, k: int) -> None:
-    if not 2 <= k <= g.n:
-        raise KOutOfRange(f"k must satisfy 2 <= k <= {g.n}, got {k}")
-
-
-def _sgut(g: Graph, k: int, table: Optional[SteinerTable]) -> int:
-    return steiner_gutman(g, k, table=table)
-
-
-def prop21(
-    g: Graph, k: int, *, table: Optional[SteinerTable] = None
-) -> Tuple[BoundCheck, BoundCheck]:
+def _prop21(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """Degree-extreme bounds on the index of one connected graph, order >= 3.
 
-    Upper: 2m(n-1)C(n-1,k-1)D^(k-1)/k with D the max degree.  Lower for min
-    degree >= 2: 2m(k-1)C(n-1,k-1)d^(k-1)/k.  Lower for min degree 1, with p
-    pendant vertices and q = max(k-p, 1): kC(p,k) + 2^q (k-1)(C(n,k)-C(p,k)).
+    Upper: 2m(n-1)C(n-1,k-1)D^(k-1)/k.  Lower for d >= 2:
+    2m(k-1)C(n-1,k-1)d^(k-1)/k.  Lower for d = 1, with p pendant vertices and
+    q = max(k-p, 1): kC(p,k) + 2^q (k-1)(C(n,k)-C(p,k)).
     """
-    _require_connected(g)
-    _require_k(g, k)
-    n, m = g.n, g.m
-    if n < 3:
-        raise KOutOfRange(f"these bounds start at order 3, got {n}")
-    prof = degree_profile(g)
-    actual = _sgut(g, k, table)
-
-    up = Fraction(2 * m * (n - 1) * comb(n - 1, k - 1) * prof.max_degree ** (k - 1), k)
-    upper = _upper("prop21.upper", "", up, actual)
-
-    if prof.min_degree >= 2:
-        lo = Fraction(2 * m * (k - 1) * comb(n - 1, k - 1) * prof.min_degree ** (k - 1), k)
-        lower = _lower("prop21.lower", "min_deg>=2", lo, actual)
-    else:
-        p = prof.pendant_count
-        q = max(k - p, 1)
-        lo = k * comb(p, k) + 2**q * (k - 1) * (comb(n, k) - comb(p, k))
-        lower = _lower("prop21.lower", "min_deg=1", Fraction(lo), actual)
-    return upper, lower
+    c = comb(n - 1, k - 1)
+    upper = ("", Fraction(2 * m * (n - 1) * c * D ** (k - 1), k))
+    if d >= 2:
+        return upper, ("min_deg>=2", Fraction(2 * m * (k - 1) * c * d ** (k - 1), k))
+    q = max(k - p, 1)
+    return upper, ("min_deg=1", k * comb(p, k) + 2**q * (k - 1) * (comb(n, k) - comb(p, k)))
 
 
-def lem22(
-    g: Graph, k: int, *, table: Optional[SteinerTable] = None
-) -> Tuple[BoundCheck, BoundCheck]:
+def _lem22(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """Mean-degree bounds on the index of one connected graph.
 
-    Upper: (n-1)(2m/k)^k C(n-1,k-1)^k.  Lower: 2m(k-1)C(n-1,k-1) when the min
-    degree is >= 2, else (k-1)C(n,k).
+    Upper: (n-1)(2m/k)^k C(n-1,k-1)^k.  Lower: 2m(k-1)C(n-1,k-1) when d >= 2,
+    else (k-1)C(n,k).
     """
-    _require_connected(g)
-    _require_k(g, k)
-    n, m = g.n, g.m
-    prof = degree_profile(g)
-    actual = _sgut(g, k, table)
+    c = comb(n - 1, k - 1)
+    upper = ("", (n - 1) * Fraction(2 * m, k) ** k * c**k)
+    if d >= 2:
+        return upper, ("min_deg>=2", 2 * m * (k - 1) * c)
+    return upper, ("min_deg=1", (k - 1) * comb(n, k))
 
-    up = (n - 1) * Fraction(2 * m, k) ** k * comb(n - 1, k - 1) ** k
-    upper = _upper("lem22.upper", "", up, actual)
 
-    if prof.min_degree >= 2:
-        lo = 2 * m * (k - 1) * comb(n - 1, k - 1)
-        case = "min_deg>=2"
+def _paired(
+    n: int, k: int, d: int, D: int, a: int, abar: int, cap: int, s1: int
+) -> Tuple[_Row, _Row, _Row, _Row]:
+    """Sum upper, product upper, sum lower and product lower rows of thm32.
+
+    ``a`` and ``abar`` stand for 2m and 2m-bar = n(n-1)-2m and ``cap`` for an
+    upper bound on a * abar; the lower bounds are cased by d >= 2 or d = 1
+    and by D <= n-3 or D = n-2 (a connected complement forces D <= n-2).
+    """
+    cnk, c = comb(n, k), comb(n - 1, k - 1)
+    dk, rk = d ** (k - 1), (n - D - 1) ** (k - 1)
+    sum_up = (n - 1) ** 2 * cnk * s1 ** (k - 1)
+    prod_up = Fraction(cap * (n - 1) ** 2 * c**2 * D ** (k - 1) * (n - d - 1) ** (k - 1), k * k)
+    if d >= 2 and D <= n - 3:
+        sum_lo = (n - 1) * (k - 1) * cnk * min(d, n - D - 1) ** (k - 1)
+        prod_lo = Fraction(a * abar * (k - 1) ** 2 * c**2 * dk * rk, k * k)
+    elif d >= 2:
+        sum_lo = Fraction(a * (k - 1) * c * dk, k) + k * cnk
+        prod_lo = a * (k - 1) * cnk * c * dk
+    elif D <= n - 3:
+        sum_lo = k * cnk + Fraction(abar * (k - 1) * c * rk, k)
+        prod_lo = abar * (k - 1) * cnk * c * rk
     else:
-        lo = (k - 1) * comb(n, k)
-        case = "min_deg=1"
-    lower = _lower("lem22.lower", case, Fraction(lo), actual)
-    return upper, lower
+        sum_lo = 2 * k * cnk
+        prod_lo = (k * cnk) ** 2
+    case = "min_deg>=2" if d >= 2 else "min_deg=1"
+    case += ",max_deg<=n-3" if D <= n - 3 else ",max_deg=n-2"
+    return ("", sum_up), ("", prod_up), (case, sum_lo), (case, prod_lo)
 
 
-def _pair_setup(
-    g: Graph,
-    k: int,
-    table: Optional[SteinerTable],
-    co_table: Optional[SteinerTable],
-) -> Tuple[int, int, int, int, int, int, int]:
-    """Shared guards and data for the graph/complement bound pairs.
-
-    Returns (n, m, min_deg, max_deg, index, co_index, case) where case is one
-    of the four min/max degree splits used by the cased bounds.
-    """
-    _require_connected(g)
-    _require_k(g, k)
-    gbar = complement(g)
-    if not is_connected(gbar):
-        raise ComplementDisconnected("the complement must be connected as well")
-    n, m = g.n, g.m
-    prof = degree_profile(g)
-    sg = _sgut(g, k, table)
-    sgbar = steiner_gutman(gbar, k, table=co_table)
-    return n, m, prof.min_degree, prof.max_degree, sg, sgbar, 0
-
-
-_CASE_LABELS = {
-    (True, True): "min_deg>=2,max_deg<=n-3",
-    (True, False): "min_deg>=2,max_deg=n-2",
-    (False, True): "min_deg=1,max_deg<=n-3",
-    (False, False): "min_deg=1,max_deg=n-2",
-}
-
-
-def _degree_case(n: int, dmin: int, dmax: int) -> Tuple[bool, bool, str]:
-    # complement connectivity already forces dmax <= n - 2
-    if dmax > n - 2:
-        raise NoCaseApplies(f"max degree {dmax} leaves no room on {n} vertices")
-    key = (dmin >= 2, dmax <= n - 3)
-    return key[0], key[1], _CASE_LABELS[key]
-
-
-def thm32(
-    g: Graph,
-    k: int,
-    *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
-) -> List[BoundCheck]:
+def _thm32(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row, _Row, _Row]:
     """Bounds on index(G) + index(co-G) and index(G) * index(co-G).
 
-    With degree extremes d, D and s1 = max(D, n-d-1), t1 = min(d, n-D-1):
+    With s1 = max(D, n-d-1), t1 = min(d, n-D-1):
 
     sum upper:      (n-1)^2 C(n,k) s1^(k-1)
     product upper:  2m(n^2-n-2m)(n-1)^2 C(n-1,k-1)^2 D^(k-1) (n-d-1)^(k-1) / k^2
@@ -219,60 +171,15 @@ def thm32(
       d=1,  D<=n-3:  (n(n-1)-2m)(k-1)C(n,k)C(n-1,k-1)(n-D-1)^(k-1)
       d=1,  D=n-2:   k^2 C(n,k)^2
     """
-    n, m, dmin, dmax, sg, sgbar, _ = _pair_setup(g, k, table, co_table)
-    big_min, small_max, case = _degree_case(n, dmin, dmax)
-    ssum = sg + sgbar
-    sprod = sg * sgbar
-    cnk = comb(n, k)
-    cn1k1 = comb(n - 1, k - 1)
-
-    s1 = max(dmax, n - dmin - 1)
-    sum_up = Fraction((n - 1) ** 2 * cnk * s1 ** (k - 1))
-    prod_up = Fraction(
-        2 * m * (n * n - n - 2 * m) * (n - 1) ** 2 * cn1k1**2
-        * dmax ** (k - 1) * (n - dmin - 1) ** (k - 1),
-        k * k,
-    )
-
-    if big_min and small_max:
-        t1 = min(dmin, n - dmax - 1)
-        sum_lo = Fraction((n - 1) * (k - 1) * cnk * t1 ** (k - 1))
-        prod_lo = Fraction(
-            2 * m * (n * n - n - 2 * m) * (k - 1) ** 2 * cn1k1**2
-            * dmin ** (k - 1) * (n - dmax - 1) ** (k - 1),
-            k * k,
-        )
-    elif big_min:
-        sum_lo = Fraction(2 * m * (k - 1) * cn1k1 * dmin ** (k - 1), k) + k * cnk
-        prod_lo = Fraction(2 * m * (k - 1) * cnk * cn1k1 * dmin ** (k - 1))
-    elif small_max:
-        mbar2 = n * (n - 1) - 2 * m
-        sum_lo = k * cnk + Fraction(mbar2 * (k - 1) * cn1k1 * (n - dmax - 1) ** (k - 1), k)
-        prod_lo = Fraction(mbar2 * (k - 1) * cnk * cn1k1 * (n - dmax - 1) ** (k - 1))
-    else:
-        sum_lo = Fraction(2 * k * cnk)
-        prod_lo = Fraction(k * k * cnk**2)
-
-    return [
-        _upper("thm32.1.sum_upper", "", sum_up, ssum),
-        _upper("thm32.1.product_upper", "", prod_up, sprod),
-        _lower("thm32.2.sum_lower", case, sum_lo, ssum),
-        _lower("thm32.3.product_lower", case, prod_lo, sprod),
-    ]
+    a, abar = 2 * m, n * (n - 1) - 2 * m
+    return _paired(n, k, d, D, a, abar, a * abar, max(D, n - d - 1))
 
 
-def cor41(
-    g: Graph,
-    k: int,
-    *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
-) -> List[BoundCheck]:
+def _cor41(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row, _Row, _Row]:
     """Size-free variants of the paired bounds, order >= 4.
 
-    These replace 2m via n*d <= 2m <= n(n-1)/2.  The sum upper bound is kept
-    exactly as printed with s1 = min(D, n-d-1); the companion in thm32 uses
-    max, and sweeps report how the min variant behaves rather than repair it.
+    thm32 with 2m >= nd, n(n-1)-2m >= n(n-1-D) and their product at most
+    n^2(n-1)^2/4; the sum upper bound keeps s1 = min(D, n-d-1) as printed.
 
     sum upper:      (n-1)^2 C(n,k) s1^(k-1),  s1 = min(D, n-d-1)
     product upper:  n^2 C(n-1,k-1)^2 D^(k-1) (n-d-1)^(k-1) (n-1)^4 / (4k^2)
@@ -287,123 +194,94 @@ def cor41(
       d=1,  D<=n-3:  n(k-1)C(n,k)C(n-1,k-1)(n-D-1)^k
       d=1,  D=n-2:   k^2 C(n,k)^2
     """
-    if g.n < 4:
-        raise KOutOfRange(f"these bounds start at order 4, got {g.n}")
-    n, m, dmin, dmax, sg, sgbar, _ = _pair_setup(g, k, table, co_table)
-    big_min, small_max, case = _degree_case(n, dmin, dmax)
-    ssum = sg + sgbar
-    sprod = sg * sgbar
-    cnk = comb(n, k)
-    cn1k1 = comb(n - 1, k - 1)
-
-    s1 = min(dmax, n - dmin - 1)
-    sum_up = Fraction((n - 1) ** 2 * cnk * s1 ** (k - 1))
-    prod_up = Fraction(
-        n * n * cn1k1**2 * dmax ** (k - 1) * (n - dmin - 1) ** (k - 1) * (n - 1) ** 4,
-        4 * k * k,
+    cap = (n * (n - 1) // 2) ** 2
+    sum_up, prod_up, sum_lo, prod_lo = _paired(
+        n, k, d, D, n * d, n * (n - 1 - D), cap, min(D, n - d - 1)
     )
-
-    if big_min and small_max:
-        t1 = min(dmin, n - dmax - 1)
-        sum_lo = Fraction((n - 1) * (k - 1) * cnk * t1 ** (k - 1))
-        prod_lo = Fraction(
-            n * n * (k - 1) ** 2 * cn1k1**2 * dmin**k * (n - dmax - 1) ** k, k * k
-        )
-    elif big_min:
-        sum_lo = Fraction(n * (k - 1) * cn1k1 * dmin**k, k) + k * cnk
-        prod_lo = Fraction(n * (k - 1) * cnk * cn1k1 * dmin**k)
-    elif small_max:
-        sum_lo = k * cnk + Fraction(n * (k - 1) * cn1k1 * (n - dmax - 1) ** k, k)
-        prod_lo = Fraction(n * (k - 1) * cnk * cn1k1 * (n - dmax - 1) ** k)
-    else:
-        sum_lo = Fraction(2 * k * cnk)
-        prod_lo = Fraction(k * k * cnk**2)
-
-    return [
-        _upper("cor41.1.sum_upper", "", sum_up, ssum),
-        _lower("cor41.1.sum_lower", case, sum_lo, ssum),
-        _upper("cor41.2.product_upper", "", prod_up, sprod),
-        _lower("cor41.2.product_lower", case, prod_lo, sprod),
-    ]
+    return sum_up, sum_lo, prod_up, prod_lo
 
 
-def _branch(n: int, dmin: int, dmax: int) -> Tuple[int, str]:
+def _branch(n: int, d: int, D: int) -> Tuple[int, str]:
     """Pick the degree branch for the product/sum extremal bounds.
 
     Returns (base, label) with base = d(n-d-1) on the low branch and
-    D(n-D-1) on the high branch.  On the boundary max+min = n-1 the two
+    D(n-D-1) on the high branch.  On the boundary D+d = n-1 the two
     coincide identically, so either branch reports the same value.
     """
-    if dmax + dmin < n - 1:
-        return dmin * (n - dmin - 1), "min+max<n-1"
-    if dmax + dmin > n - 1:
-        return dmax * (n - dmax - 1), "min+max>n-1"
-    both = dmin * (n - dmin - 1)
-    assert both == dmax * (n - dmax - 1)
+    if D + d < n - 1:
+        return d * (n - d - 1), "min+max<n-1"
+    if D + d > n - 1:
+        return D * (n - D - 1), "min+max>n-1"
+    both = d * (n - d - 1)
+    assert both == D * (n - D - 1)
     return both, "min+max=n-1"
 
 
-def ps_product(
-    g: Graph,
-    k: int,
-    *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
-) -> Tuple[BoundCheck, BoundCheck]:
+def _ps(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """Polya-Szego style bounds on index(G) * index(co-G).
 
-    Lower: (k-1)^2 base^k C(n,k)^2 with base from the degree branch.  Upper:
-    ((n-1)/2)^(2k+2) C(n,k)^2 (r^k + r^(-k) + 2) where r is the ratio
-    D(n-d-1) / (d(n-D-1)); needs min degree >= 1 and max degree <= n-2.
+    Upper: ((n-1)/2)^(2k+2) C(n,k)^2 (r^k + r^(-k) + 2) where r is the ratio
+    D(n-d-1) / (d(n-D-1)).  Lower: (k-1)^2 base^k C(n,k)^2 with base from
+    the degree branch.
     """
-    n, m, dmin, dmax, sg, sgbar, _ = _pair_setup(g, k, table, co_table)
-    if dmin < 1 or dmax > n - 2 or dmin * (n - dmax - 1) == 0:
-        raise DegenerateDegrees("degree extremes collapse the ratio bound")
-    sprod = sg * sgbar
     cnk = comb(n, k)
-
-    base, label = _branch(n, dmin, dmax)
-    lo = Fraction((k - 1) ** 2 * base**k * cnk**2)
-    lower = _lower("ps.product_lower", label, lo, sprod)
-
-    r = Fraction(dmax * (n - dmin - 1), dmin * (n - dmax - 1))
-    up = Fraction((n - 1) ** (2 * k + 2), 2 ** (2 * k + 2)) * cnk**2 * (r**k + 1 / r**k + 2)
-    upper = _upper("ps.product_upper", "", up, sprod)
-    return upper, lower
+    base, label = _branch(n, d, D)
+    r = Fraction(D * (n - d - 1), d * (n - D - 1))
+    upper = Fraction((n - 1) ** (2 * k + 2), 2 ** (2 * k + 2)) * cnk**2 * (r**k + 1 / r**k + 2)
+    return ("", upper), (label, (k - 1) ** 2 * base**k * cnk**2)
 
 
-def amgm_sum(
-    g: Graph,
-    k: int,
-    *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
-) -> Tuple[BoundCheck, BoundCheck]:
+def _amgm(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """Mean-inequality bounds on index(G) + index(co-G).
 
-    Lower: 2(k-1) base^(k/2) C(n,k); for odd k with base not a perfect
-    square this is an exact SquareRoot compared by squaring.  Upper:
-    (n-1)(D^k + (n-d-1)^k) C(n,k).
+    Upper: (n-1)(D^k + (n-d-1)^k) C(n,k).  Lower: 2(k-1) base^(k/2) C(n,k);
+    for odd k with base not a perfect square this is an exact SquareRoot
+    compared by squaring.
     """
-    n, m, dmin, dmax, sg, sgbar, _ = _pair_setup(g, k, table, co_table)
-    ssum = sg + sgbar
     cnk = comb(n, k)
-
-    base, label = _branch(n, dmin, dmax)
+    base, label = _branch(n, d, D)
     factor = 2 * (k - 1) * cnk
+    root = isqrt(base)
+    lower: Scalar
     if k % 2 == 0:
-        lo: Scalar = Fraction(factor * base ** (k // 2))
+        lower = factor * base ** (k // 2)
+    elif root * root == base:
+        lower = factor * root**k
     else:
-        root = isqrt(base)
-        if root * root == base:
-            lo = Fraction(factor * root**k)
-        else:
-            lo = SquareRoot(Fraction(factor**2 * base**k))
-    lower = _lower("amgm.sum_lower", label, lo, ssum)
+        lower = SquareRoot(Fraction(factor**2 * base**k))
+    return ("", (n - 1) * (D**k + (n - d - 1) ** k) * cnk), (label, lower)
 
-    up = Fraction((n - 1) * (dmax**k + (n - dmin - 1) ** k) * cnk)
-    upper = _upper("amgm.sum_upper", "", up, ssum)
-    return upper, lower
+
+_FORMULAS = {
+    "prop21": _prop21,
+    "lem22": _lem22,
+    "thm32": _thm32,
+    "cor41": _cor41,
+    "ps": _ps,
+    "amgm": _amgm,
+}
+
+
+def _check(bound_id: str, case: str, bound: Scalar, sg: int, sgbar: Optional[int]) -> BoundCheck:
+    """Compare ``bound`` with the operand and on the side its id names."""
+    kind = bound_id.rsplit(".", 1)[1]
+    if kind.startswith("sum"):
+        actual = sg + sgbar
+    elif kind.startswith("product"):
+        actual = sg * sgbar
+    else:
+        actual = sg
+    upper = kind.endswith("upper")
+    if isinstance(bound, SquareRoot):
+        holds = bound.ge_squared(actual) if upper else bound.le_squared(actual)
+        tight = bound.eq_squared(actual)
+    else:
+        # integer cross-multiplication: the same verdict as comparing Fractions
+        scaled, num = actual * bound.denominator, bound.numerator
+        holds = scaled <= num if upper else scaled >= num
+        tight = scaled == num
+        bound = Fraction(bound) if isinstance(bound, int) else bound
+    return BoundCheck(bound_id, case, bound, actual, holds, tight)
 
 
 def evaluate_bounds(
@@ -411,26 +289,39 @@ def evaluate_bounds(
     k: int,
     bound_ids: Optional[Sequence[str]] = None,
     *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
+    table: _Table = None,
+    co_table: _Table = None,
 ) -> List[BoundCheck]:
     """Evaluate the requested bound checks in the canonical BOUND_IDS order.
 
     ``bound_ids`` may mix full identifiers and group prefixes ("thm32");
-    None means everything.  Guards fire as usual: asking for a paired bound
-    on a graph with a disconnected complement raises.
+    None means everything.  A requested group that ``skip_reason`` rules
+    out raises; the first such group in BOUND_GROUPS order decides which.
     """
     wanted = expand_bound_ids(bound_ids)
-    out: List[BoundCheck] = []
-    for group in BOUND_GROUPS:
-        ids = [b for b in wanted if b.split(".")[0] == group]
-        if not ids:
-            continue
-        if group in ("prop21", "lem22"):
-            checks = list(_GROUP_FNS[group](g, k, table=table))
-        else:
-            checks = list(_GROUP_FNS[group](g, k, table=table, co_table=co_table))
-        out.extend(c for c in checks if c.bound_id in ids)
+    groups = [group for group in BOUND_GROUPS if any(b in wanted for b in _GROUP_IDS[group])]
+    if not groups:
+        return []
+    sg = steiner_gutman(g, k, table=table)  # Disconnected, then KOutOfRange
+    sgbar = None
+    if any(group in PAIRED_GROUPS for group in groups):
+        gbar = complement(g)
+        co_tb = _table(gbar, co_table)
+        # only a connected graph's table stores dist as bytes
+        if isinstance(co_tb.dist, bytes):
+            sgbar = _sums(gbar, co_tb).sgut[k]
+    for group in groups:
+        reason = skip_reason(group, g.n, sgbar is not None)
+        if reason is not None:
+            error = ComplementDisconnected if reason == _CO_DISCONNECTED else KOutOfRange
+            raise error(f"{group}: {reason}")
+    degs = g.degrees
+    signature = (g.n, g.m, min(degs), max(degs), degs.count(1), k)
+    out = []
+    for group in groups:
+        for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](*signature)):
+            if bound_id in wanted:
+                out.append(_check(bound_id, case, value, sg, sgbar))
     return out
 
 
@@ -442,7 +333,7 @@ def expand_bound_ids(bound_ids: Optional[Sequence[str]]) -> List[str]:
         if token == "all":
             return list(BOUND_IDS)
         if token in BOUND_GROUPS:
-            wanted.extend(b for b in BOUND_IDS if b.split(".")[0] == token)
+            wanted.extend(_GROUP_IDS[token])
         elif token in BOUND_IDS:
             wanted.append(token)
         else:
@@ -451,14 +342,42 @@ def expand_bound_ids(bound_ids: Optional[Sequence[str]]) -> List[str]:
     return [b for b in BOUND_IDS if b in wanted]
 
 
-_GROUP_FNS = {
-    "prop21": prop21,
-    "lem22": lem22,
-    "thm32": thm32,
-    "cor41": cor41,
-    "ps": ps_product,
-    "amgm": amgm_sum,
-}
+def prop21(g: Graph, k: int, *, table: _Table = None) -> Tuple[BoundCheck, BoundCheck]:
+    """Proposition 2.1's upper and lower checks (formulas in ``_prop21``)."""
+    return tuple(evaluate_bounds(g, k, ["prop21"], table=table))
+
+
+def lem22(g: Graph, k: int, *, table: _Table = None) -> Tuple[BoundCheck, BoundCheck]:
+    """Lemma 2.2's upper and lower checks (formulas in ``_lem22``)."""
+    return tuple(evaluate_bounds(g, k, ["lem22"], table=table))
+
+
+def thm32(
+    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
+) -> List[BoundCheck]:
+    """Theorem 3.2's four paired checks (formulas in ``_thm32``)."""
+    return evaluate_bounds(g, k, ["thm32"], table=table, co_table=co_table)
+
+
+def cor41(
+    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
+) -> List[BoundCheck]:
+    """Corollary 4.1's four size-free paired checks (formulas in ``_cor41``)."""
+    return evaluate_bounds(g, k, ["cor41"], table=table, co_table=co_table)
+
+
+def ps_product(
+    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
+) -> Tuple[BoundCheck, BoundCheck]:
+    """The Polya-Szego product checks, upper then lower (formulas in ``_ps``)."""
+    return tuple(evaluate_bounds(g, k, ["ps"], table=table, co_table=co_table))
+
+
+def amgm_sum(
+    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
+) -> Tuple[BoundCheck, BoundCheck]:
+    """The mean-inequality sum checks, upper then lower (formulas in ``_amgm``)."""
+    return tuple(evaluate_bounds(g, k, ["amgm"], table=table, co_table=co_table))
 
 
 @dataclass(frozen=True)
@@ -494,13 +413,11 @@ def diagnose_equality(
     co_table: Optional[SteinerTable] = None,
 ) -> EqualityWitness:
     """Evaluate every tightness predicate; no bound needs to be involved."""
-    _require_connected(g)
-    _require_k(g, k)
     n = g.n
     # every k-set has Steiner distance at least k - 1, with equality exactly
     # when it induces a connected subgraph, so one cached sum decides all
     all_minimal = (k - 1) * comb(n, k)
-    minimal = _sums(g, _table(g, table)).sw[k] == all_minimal
+    minimal = _sums(g, _checked_table(g, table, k)).sw[k] == all_minimal
 
     gbar = complement(g)
     both_minimal = False

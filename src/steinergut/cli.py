@@ -26,7 +26,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import IO, List, Optional, Tuple
 
-from .bounds import evaluate_bounds, expand_bound_ids
+from .bounds import evaluate_bounds, expand_bound_ids, skip_reason
 from .errors import SteinerGutError
 from .exact import decimal_str, value_str
 from .families import FamilySpec, generate, audit_formulas
@@ -36,6 +36,7 @@ from .indices import gutman, steiner_degree_distance, steiner_gutman, steiner_wi
 from .steiner import steiner_all_subsets
 from .verify import (
     ENUMERATION_CAP,
+    OBJECTIVES,
     EnumerationSpec,
     enumerate_graphs,
     find_extremal,
@@ -57,8 +58,6 @@ FAMILY_NAMES = {
     "complete": "complete",
     "kn-minus-matching": "complete_minus_perfect_matching",
 }
-
-CLI_OBJECTIVES = ("max-product", "max-sum", "max-sgut", "min-sgut")
 
 
 class _UsageError(Exception):
@@ -135,7 +134,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extremal", help="graphs attaining an extreme index value")
     p.add_argument("--n", required=True, type=int, help="number of vertices")
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--objective", required=True, choices=CLI_OBJECTIVES)
+    p.add_argument("--objective", required=True, choices=OBJECTIVES)
     p.add_argument("--coconnected", action="store_true")
     p.set_defaults(func=_cmd_extremal)
 
@@ -276,16 +275,6 @@ def _cmd_family(args, out, err) -> int:
     return 0
 
 
-def _skip_reason(group: str, g: Graph, co_conn: bool) -> Optional[str]:
-    if group == "prop21" and g.n < 3:
-        return "needs order at least 3"
-    if group == "cor41" and g.n < 4:
-        return "needs order at least 4"
-    if group in ("thm32", "cor41", "ps", "amgm") and not co_conn:
-        return "complement is disconnected"
-    return None
-
-
 def _cmd_bounds(args, out, err) -> int:
     ids = _bound_ids(args.bound_set)
     decimal = args.decimal
@@ -299,15 +288,10 @@ def _cmd_bounds(args, out, err) -> int:
         gbar = complement(g)
         co_conn = is_connected(gbar)
         co_table = steiner_all_subsets(gbar) if co_conn else None
-        skipped = []
-        runnable = []
-        for b in ids:
-            group = b.split(".")[0]
-            reason = _skip_reason(group, g, co_conn)
-            if reason is None:
-                runnable.append(b)
-            elif not any(s["group"] == group for s in skipped):
-                skipped.append({"group": group, "reason": reason})
+        groups = dict.fromkeys(b.split(".")[0] for b in ids)
+        reasons = {grp: skip_reason(grp, g.n, co_conn) for grp in groups}
+        skipped = [{"group": grp, "reason": r} for grp, r in reasons.items() if r is not None]
+        runnable = [b for b in ids if reasons[b.split(".")[0]] is None]
         for k in _k_list(args.k, g.n):
             checks = []
             for c in (evaluate_bounds(g, k, runnable, table=table, co_table=co_table)
@@ -477,3 +461,7 @@ def run_cli(argv, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] = 
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,7 +5,8 @@ default, optionally complement-connected, deduped by isomorphism or raw
 labeled), evaluates the requested bound checks for every admissible k, and
 collects violations and equality cases into a VerificationReport.  Bounds
 whose preconditions a graph fails to meet (too small an order, disconnected
-complement) are skipped quietly and never counted as run.
+complement; see ``bounds.skip_reason``) are skipped quietly and never
+counted as run.
 
 Enumeration is capped at order 8.  Deduped enumeration builds each level by
 attaching one new vertex to every canonical graph of the previous level.  A
@@ -26,10 +27,12 @@ from functools import lru_cache
 from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import (
+    PAIRED_GROUPS,
     EqualityWitness,
     diagnose_equality,
     evaluate_bounds,
     expand_bound_ids,
+    skip_reason,
 )
 from .canon import canonical_key_and_perms, certificate, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
@@ -41,9 +44,6 @@ from .indices import steiner_gutman
 from .steiner import steiner_all_subsets
 
 ENUMERATION_CAP = 8
-
-# groups that compare a graph against its complement
-_PAIRED = frozenset(("thm32", "cor41", "ps", "amgm"))
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,6 @@ class VerificationReport:
     checks: Tuple[CheckRow, ...]
 
 
-def _applicable(group: str, n: int, co_connected: bool) -> bool:
-    if group == "prop21":
-        return n >= 3
-    if group == "lem22":
-        return True
-    if group == "cor41":
-        return co_connected and n >= 4
-    return co_connected
-
-
 def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
     if n < 2:
         return ()
@@ -228,7 +218,7 @@ def sweep(
     violations: List[Violation] = []
     tights: List[TightCase] = []
     rows: List[CheckRow] = []
-    need_pair = any(b.split(".")[0] in _PAIRED for b in ids)
+    need_pair = any(b.split(".")[0] in PAIRED_GROUPS for b in ids)
 
     for g in graphs:
         g6 = graph6_encode(g)
@@ -236,7 +226,7 @@ def sweep(
         gbar = complement(g)
         co_conn = is_connected(gbar)
         co_table = steiner_all_subsets(gbar) if (co_conn and need_pair) else None
-        runnable = [b for b in ids if _applicable(b.split(".")[0], g.n, co_conn)]
+        runnable = [b for b in ids if skip_reason(b.split(".")[0], g.n, co_conn) is None]
         if not runnable:
             continue
         witness_cache: Dict[int, EqualityWitness] = {}

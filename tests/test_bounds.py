@@ -8,11 +8,13 @@ from steinergut import (
     BOUND_GROUPS,
     BOUND_IDS,
     ComplementDisconnected,
+    Disconnected,
     KOutOfRange,
     NotTight,
     SquareRoot,
     amgm_sum,
     complement,
+    cor41,
     diagnose_equality,
     equality_witness,
     evaluate_bounds,
@@ -319,3 +321,46 @@ def test_steiner_minimality_matches_a_direct_subset_scan(connected_by_order):
                 assert w.all_k_subsets_induce_connected == minimal
                 both = minimal and is_connected(gbar) and every_k_set_connected(gbar, k)
                 assert w.steiner_minimal_in_both == both
+
+
+GUARDED = {
+    "prop21": prop21,
+    "lem22": lem22,
+    "thm32": thm32,
+    "cor41": cor41,
+    "ps": ps_product,
+    "amgm": amgm_sum,
+    "evaluate_bounds": evaluate_bounds,
+    "diagnose_equality": diagnose_equality,
+}
+D, K, C = Disconnected, KOutOfRange, ComplementDisconnected
+
+
+@pytest.mark.parametrize(
+    "edges, n, k, expected",
+    [
+        # 2K2: disconnected comes first for every entry point
+        ([(0, 1), (2, 3)], 4, 2, [D, D, D, D, D, D, D, D]),
+        # P3 with k = 5: connected, then k out of range
+        ([(0, 1), (1, 2)], 3, 5, [K, K, K, K, K, K, K, K]),
+        # P2: below prop21's and cor41's least order, complement disconnected
+        ([(0, 1)], 2, 2, [K, None, C, K, C, C, K, None]),
+        # K3: the order guard of cor41 fires before its complement guard
+        ([(0, 1), (0, 2), (1, 2)], 3, 2, [None, None, C, K, C, C, C, None]),
+        # K1,3: order 4, so only the complement guard remains
+        ([(0, 1), (0, 2), (0, 3)], 4, 2, [None, None, C, C, C, C, C, None]),
+        # K2 + K1: disconnected before cor41's least order
+        ([(0, 1)], 3, 2, [D, D, D, D, D, D, D, D]),
+    ],
+    ids=["2K2", "P3-k5", "P2", "K3", "K1,3", "K2+K1"],
+)
+def test_guard_order(edges, n, k, expected):
+    g = from_edge_list(n, edges)
+    for (name, fn), error in zip(GUARDED.items(), expected):
+        try:
+            fn(g, k)
+        except Exception as exc:
+            raised = type(exc)
+        else:
+            raised = None
+        assert raised is error, name

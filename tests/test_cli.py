@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from steinergut import run_cli
+from steinergut import EnumerationSpec, find_extremal, graph6_encode, run_cli
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -326,3 +327,49 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert proc.stderr == err == ""
+
+
+def test_python_dash_m_on_the_cli_module_runs_the_cli():
+    argv = ["family", "--name", "cycle", "--n", "5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinergut.cli", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, _ = run(argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out == "Dhc\n"
+
+
+@pytest.mark.parametrize("objective", ["min-sum", "min-product"])
+def test_extremal_offers_every_library_objective(objective):
+    code, out, _ = run(
+        ["extremal", "--n", "6", "--k", "3", "--objective", objective, "--coconnected"]
+    )
+    assert code == 0
+    res = find_extremal(EnumerationSpec(n=6, require_coconnected=True), 3, objective)
+    doc = json.loads(out)
+    assert (doc["objective"], doc["value"], doc["graph6s"]) == (
+        objective, res.value, list(res.graph6s)
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "eb530e99397488bd8d8733d2c0a67fc3d8b811f756afd059b681c5c66c74807c"),
+        (
+            ["--out", "csv", "--decimal", "6"],
+            "4ae70e34df7e2ca39833133ac9e7450698646bd42d9f28f973817cfb7efb5515",
+        ),
+    ],
+    ids=["json", "csv-decimal"],
+)
+def test_bounds_report_bytes_match_golden_digests(tmp_path, connected_by_order, extra, digest):
+    # every connected graph of orders 2..6: skipped records, all four degree
+    # cases and SquareRoot decimals all appear
+    names = [graph6_encode(g) for n in range(2, 7) for g in connected_by_order[n]]
+    path = write(tmp_path, "all.g6", "".join(f"{s}\n" for s in names))
+    code, out, _ = run(["bounds", "--graph", path, "--k", "all", "--set", "all", *extra])
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from itertools import combinations
 from math import factorial
@@ -22,6 +23,7 @@ from steinergut import (
     is_connected,
     merge_reports,
     report_to_dict,
+    run_cli,
     shard_graphs,
     steiner_gutman,
     sweep,
@@ -249,3 +251,17 @@ def test_find_extremal_guards():
         find_extremal(EnumerationSpec(n=4), 2, "max-girth")
     with pytest.raises(KOutOfRange):
         find_extremal(EnumerationSpec(n=4), 5, "max-sgut")
+
+
+def test_verify_report_bytes_match_golden_digests(tmp_path):
+    # the order-7 co-connected all-bounds sweep: JSON on stdout, CSV to a file
+    csv_path = tmp_path / "checks.csv"
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--n-max", "7", "--coconnected", "--set", "all", "--csv", str(csv_path)]
+    assert run_cli(argv, stdout=out, stderr=err) == 2
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "37b05eb6d0a923199000e56291b535d7263995623f0c95f49a6f848c981c5511"
+    )
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "3948b21259f37cbd0e3e7a0623deb5360f79ca1724def9b20f40c2e7f75d36bf"
+    )
