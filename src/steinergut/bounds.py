@@ -10,14 +10,22 @@ the formulas in their docstrings and in the README table) returning its
 ``_paired``; cor41 keeps the printed s1 = min(D, n-d-1) where thm32 has the
 max, and sweeps report how the min variant behaves rather than repair it.
 
-One evaluator, ``evaluate_bounds``, computes SGut_k(G) once and, only when a
-paired group is wanted, reads the complement's connectivity and SGut_k off
-its Steiner table.  A bound id names the side (upper, lower) and the operand
-(SGut_k(G), the sum or the product with the complement's index) of its
-check.  The six group functions are thin wrappers around it.  Whether a
-group applies is decided by ``skip_reason`` alone; the guards fire in a
-fixed order: Disconnected, k outside 2..n (KOutOfRange), the group's least
-order (KOutOfRange), a disconnected complement (ComplementDisconnected).
+Two cached layers sit on the formulas.  ``_bound_rows`` memoizes one group's
+rows per (signature, k), each with the integers its check compares: the
+value's numerator and denominator (of the square, for a SquareRoot), the
+operand and the side.  A ``GraphContext`` holds what one graph contributes:
+G, the complement, its connectivity, the signature and both Steiner tables
+(the complement's built on first use), which carry the all-k index sums.
+Its ``checks`` is the one evaluator; a check is ``actual * den <= num`` (or
+``>=``, with actual squared for a SquareRoot), so no Fraction is built per
+check.  ``evaluate_bounds``, the six group functions and the witnesses are
+thin builders of a context.
+
+A bound id names the side (upper, lower) and the operand (SGut_k(G), the sum
+or the product with the complement's index) of its check.  Whether a group
+applies is decided by ``skip_reason`` alone; the guards fire in a fixed
+order: Disconnected, k outside 2..n (KOutOfRange), the group's least order
+(KOutOfRange), a disconnected complement (ComplementDisconnected).
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -27,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb, isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
@@ -262,26 +271,122 @@ _FORMULAS = {
 }
 
 
-def _check(bound_id: str, case: str, bound: Scalar, sg: int, sgbar: Optional[int]) -> BoundCheck:
-    """Compare ``bound`` with the operand and on the side its id names."""
-    kind = bound_id.rsplit(".", 1)[1]
-    if kind.startswith("sum"):
-        actual = sg + sgbar
-    elif kind.startswith("product"):
-        actual = sg * sgbar
-    else:
-        actual = sg
-    upper = kind.endswith("upper")
-    if isinstance(bound, SquareRoot):
-        holds = bound.ge_squared(actual) if upper else bound.le_squared(actual)
-        tight = bound.eq_squared(actual)
-    else:
-        # integer cross-multiplication: the same verdict as comparing Fractions
-        scaled, num = actual * bound.denominator, bound.numerator
-        holds = scaled <= num if upper else scaled >= num
-        tight = scaled == num
-        bound = Fraction(bound) if isinstance(bound, int) else bound
-    return BoundCheck(bound_id, case, bound, actual, holds, tight)
+class _Prepared(NamedTuple):
+    """One bound at one signature and k, with the integers its check compares."""
+
+    bound_id: str
+    case: str
+    value: Scalar  # a Fraction or a SquareRoot, as BoundCheck reports it
+    num: int
+    den: int
+    squared: bool  # a SquareRoot: compare actual^2 * den with num
+    operand: int  # 0: SGut_k(G), 1: the sum, 2: the product with SGut_k(co-G)
+    upper: bool
+
+
+@lru_cache(maxsize=None)
+def _plan(wanted: Tuple[str, ...]) -> Tuple[Tuple[str, ...], FrozenSet[str], bool]:
+    """The groups ``wanted`` touches, ``wanted`` as a set, and whether one is paired."""
+    groups = tuple(group for group in BOUND_GROUPS if set(_GROUP_IDS[group]) & set(wanted))
+    return groups, frozenset(wanted), bool(set(groups) & set(PAIRED_GROUPS))
+
+
+@lru_cache(maxsize=None)
+def _bound_rows(
+    group: str, n: int, m: int, d: int, D: int, p: int, k: int
+) -> Tuple[_Prepared, ...]:
+    """The rows of ``group`` at signature (n, m, d, D, p) and k, computed once."""
+    rows = []
+    for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](n, m, d, D, p, k)):
+        squared = isinstance(value, SquareRoot)
+        exact = value.square if squared else Fraction(value)
+        kind = bound_id.rsplit(".", 1)[1]  # the operand, then the side
+        operand = {"sum": 1, "product": 2}.get(kind.split("_")[0], 0)
+        rows.append(
+            _Prepared(bound_id, case, value if squared else exact, exact.numerator,
+                      exact.denominator, squared, operand, kind.endswith("upper"))
+        )
+    return tuple(rows)
+
+
+# a check as a tuple in BoundCheck's field order
+_Verdict = Tuple[str, str, Scalar, int, bool, bool]
+
+
+class GraphContext:
+    """What the bound layer reads about one graph, computed once per graph.
+
+    G's Steiner table is built (or checked against G) at once, the
+    complement and its connectivity too; the complement's table only when
+    first read, which a paired group or an equality witness does.  The
+    all-k index sums are cached on each table.
+    """
+
+    def __init__(self, g: Graph, table: _Table = None, co_table: _Table = None) -> None:
+        self.g = g
+        self.table = _table(g, table)
+        self.gbar = complement(g)
+        self.co_connected = is_connected(self.gbar)
+        self._co_table = co_table
+        degs = g.degrees
+        self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
+
+    @cached_property
+    def co_table(self) -> SteinerTable:
+        return _table(self.gbar, self._co_table)
+
+    def checks(self, k: int, wanted: Sequence[str]) -> List[_Verdict]:
+        """The checks of the bound ids ``wanted`` at ``k``, in BOUND_IDS order.
+
+        Each is a tuple in BoundCheck's field order.  A requested group that
+        ``skip_reason`` rules out raises; the first such group in
+        BOUND_GROUPS order decides which.
+        """
+        groups, wanted_set, paired = _plan(tuple(wanted))
+        sg = steiner_gutman(self.g, k, table=self.table)  # Disconnected, then KOutOfRange
+        for group in groups:
+            reason = skip_reason(group, self.g.n, self.co_connected)
+            if reason is not None:
+                error = ComplementDisconnected if reason == _CO_DISCONNECTED else KOutOfRange
+                raise error(f"{group}: {reason}")
+        operands = (sg,)
+        if paired:
+            # the guards above checked k and the complement's connectivity
+            sgbar = _sums(self.gbar, self.co_table).sgut[k]
+            operands = (sg, sg + sgbar, sg * sgbar)
+        out = []
+        for group in groups:
+            for bound_id, case, value, num, den, squared, operand, upper in _bound_rows(
+                group, *self.signature, k
+            ):
+                if bound_id in wanted_set:
+                    actual = operands[operand]
+                    scaled = (actual * actual if squared else actual) * den
+                    holds = scaled <= num if upper else scaled >= num
+                    out.append((bound_id, case, value, actual, holds, scaled == num))
+        return out
+
+    def witness(self, k: int) -> EqualityWitness:
+        """Every tightness predicate at ``k``; no bound needs to be involved."""
+        g, n = self.g, self.g.n
+        # every k-set has Steiner distance at least k - 1, with equality exactly
+        # when it induces a connected subgraph, so one cached sum decides all
+        all_minimal = (k - 1) * comb(n, k)
+        minimal = _sums(g, _checked_table(g, self.table, k)).sw[k] == all_minimal
+        both_minimal = (
+            minimal and self.co_connected
+            and _sums(self.gbar, self.co_table).sw[k] == all_minimal
+        )
+        path = _is_path(g)
+        return EqualityWitness(
+            regular=is_regular(g),
+            k_equals_n=(k == n),
+            n_minus_k_plus_1_connected=is_k_connected(g, n - k + 1),
+            all_k_subsets_induce_connected=minimal,
+            steiner_minimal_in_both=both_minimal,
+            path_with_k_equals_n=(path and k == n),
+            p3_with_k_2=(path and n == 3 and k == 2),
+        )
 
 
 def evaluate_bounds(
@@ -295,34 +400,12 @@ def evaluate_bounds(
     """Evaluate the requested bound checks in the canonical BOUND_IDS order.
 
     ``bound_ids`` may mix full identifiers and group prefixes ("thm32");
-    None means everything.  A requested group that ``skip_reason`` rules
-    out raises; the first such group in BOUND_GROUPS order decides which.
+    None means everything.  The checks are ``GraphContext.checks``.
     """
     wanted = expand_bound_ids(bound_ids)
-    groups = [group for group in BOUND_GROUPS if any(b in wanted for b in _GROUP_IDS[group])]
-    if not groups:
+    if not wanted:
         return []
-    sg = steiner_gutman(g, k, table=table)  # Disconnected, then KOutOfRange
-    sgbar = None
-    if any(group in PAIRED_GROUPS for group in groups):
-        gbar = complement(g)
-        co_tb = _table(gbar, co_table)
-        # only a connected graph's table stores dist as bytes
-        if isinstance(co_tb.dist, bytes):
-            sgbar = _sums(gbar, co_tb).sgut[k]
-    for group in groups:
-        reason = skip_reason(group, g.n, sgbar is not None)
-        if reason is not None:
-            error = ComplementDisconnected if reason == _CO_DISCONNECTED else KOutOfRange
-            raise error(f"{group}: {reason}")
-    degs = g.degrees
-    signature = (g.n, g.m, min(degs), max(degs), degs.count(1), k)
-    out = []
-    for group in groups:
-        for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](*signature)):
-            if bound_id in wanted:
-                out.append(_check(bound_id, case, value, sg, sgbar))
-    return out
+    return [BoundCheck(*check) for check in GraphContext(g, table, co_table).checks(k, wanted)]
 
 
 def expand_bound_ids(bound_ids: Optional[Sequence[str]]) -> List[str]:
@@ -413,35 +496,15 @@ def diagnose_equality(
     co_table: Optional[SteinerTable] = None,
 ) -> EqualityWitness:
     """Evaluate every tightness predicate; no bound needs to be involved."""
-    n = g.n
-    # every k-set has Steiner distance at least k - 1, with equality exactly
-    # when it induces a connected subgraph, so one cached sum decides all
-    all_minimal = (k - 1) * comb(n, k)
-    minimal = _sums(g, _checked_table(g, table, k)).sw[k] == all_minimal
-
-    gbar = complement(g)
-    both_minimal = False
-    if is_connected(gbar):
-        co_minimal = _sums(gbar, _table(gbar, co_table)).sw[k] == all_minimal
-        both_minimal = minimal and co_minimal
-
-    path = _is_path(g)
-    return EqualityWitness(
-        regular=is_regular(g),
-        k_equals_n=(k == n),
-        n_minus_k_plus_1_connected=is_k_connected(g, n - k + 1),
-        all_k_subsets_induce_connected=minimal,
-        steiner_minimal_in_both=both_minimal,
-        path_with_k_equals_n=(path and k == n),
-        p3_with_k_2=(path and n == 3 and k == 2),
-    )
+    return GraphContext(g, table, co_table).witness(k)
 
 
 def equality_witness(g: Graph, k: int, bound_id: str) -> EqualityWitness:
     """Diagnose a tight bound; raises NotTight when the bound is not an equality."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    check = evaluate_bounds(g, k, [bound_id])[0]
-    if not check.tight:
-        raise NotTight(f"{bound_id} is strict here: {check.actual} vs {check.bound_value}")
-    return diagnose_equality(g, k)
+    ctx = GraphContext(g)
+    _, _, value, actual, _, tight = ctx.checks(k, [bound_id])[0]
+    if not tight:
+        raise NotTight(f"{bound_id} is strict here: {actual} vs {value}")
+    return ctx.witness(k)

@@ -26,11 +26,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import IO, List, Optional, Tuple
 
-from .bounds import evaluate_bounds, expand_bound_ids, skip_reason
+from .bounds import GraphContext, expand_bound_ids, skip_reason
 from .errors import SteinerGutError
 from .exact import decimal_str, value_str
 from .families import FamilySpec, generate, audit_formulas
-from .graph import Graph, complement, from_edge_list, is_connected
+from .graph import Graph, from_edge_list
 from .graph6 import graph6_decode, graph6_encode
 from .indices import gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
 from .steiner import steiner_all_subsets
@@ -284,33 +284,31 @@ def _cmd_bounds(args, out, err) -> int:
     records = []
     csv_rows = []
     for g6, g in _load_graphs(args):
-        table = steiner_all_subsets(g)
-        gbar = complement(g)
-        co_conn = is_connected(gbar)
-        co_table = steiner_all_subsets(gbar) if co_conn else None
+        ctx = GraphContext(g)
         groups = dict.fromkeys(b.split(".")[0] for b in ids)
-        reasons = {grp: skip_reason(grp, g.n, co_conn) for grp in groups}
+        reasons = {grp: skip_reason(grp, g.n, ctx.co_connected) for grp in groups}
         skipped = [{"group": grp, "reason": r} for grp, r in reasons.items() if r is not None]
         runnable = [b for b in ids if reasons[b.split(".")[0]] is None]
         for k in _k_list(args.k, g.n):
             checks = []
-            for c in (evaluate_bounds(g, k, runnable, table=table, co_table=co_table)
-                      if runnable else ()):
-                if not c.holds:
+            for bound_id, case, value, actual, holds, tight in (
+                ctx.checks(k, runnable) if runnable else ()
+            ):
+                if not holds:
                     found_violation = True
                 item = {
-                    "bound_id": c.bound_id,
-                    "case_label": c.case_label,
-                    "bound_value": value_str(c.bound_value),
-                    "actual": c.actual,
-                    "holds": c.holds,
-                    "tight": c.tight,
+                    "bound_id": bound_id,
+                    "case_label": case,
+                    "bound_value": value_str(value),
+                    "actual": actual,
+                    "holds": holds,
+                    "tight": tight,
                 }
-                row = [g6, g.n, k, c.bound_id, c.case_label, value_str(c.bound_value)]
+                row = [g6, g.n, k, bound_id, case, value_str(value)]
                 if decimal is not None:
-                    item["decimal"] = decimal_str(c.bound_value, decimal)
+                    item["decimal"] = decimal_str(value, decimal)
                     row.append(item["decimal"])
-                row += [c.actual, int(c.holds), int(c.tight)]
+                row += [actual, int(holds), int(tight)]
                 checks.append(item)
                 csv_rows.append(row)
             records.append({"graph6": g6, "n": g.n, "k": k, "checks": checks,

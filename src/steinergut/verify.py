@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
-from .bounds import (
-    PAIRED_GROUPS,
-    EqualityWitness,
-    diagnose_equality,
-    evaluate_bounds,
-    expand_bound_ids,
-    skip_reason,
-)
+from .bounds import EqualityWitness, GraphContext, expand_bound_ids, skip_reason
 from .canon import canonical_key_and_perms, certificate, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
@@ -41,7 +34,6 @@ from .families import FormulaAudit, audit_for_order
 from .graph import Graph, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
 from .indices import steiner_gutman
-from .steiner import steiner_all_subsets
 
 ENUMERATION_CAP = 8
 
@@ -218,44 +210,27 @@ def sweep(
     violations: List[Violation] = []
     tights: List[TightCase] = []
     rows: List[CheckRow] = []
-    need_pair = any(b.split(".")[0] in PAIRED_GROUPS for b in ids)
 
     for g in graphs:
-        g6 = graph6_encode(g)
-        table = steiner_all_subsets(g)
-        gbar = complement(g)
-        co_conn = is_connected(gbar)
-        co_table = steiner_all_subsets(gbar) if (co_conn and need_pair) else None
-        runnable = [b for b in ids if skip_reason(b.split(".")[0], g.n, co_conn) is None]
+        ctx = GraphContext(g)
+        runnable = [b for b in ids if skip_reason(b.split(".")[0], g.n, ctx.co_connected) is None]
         if not runnable:
             continue
+        g6 = graph6_encode(g)
         witness_cache: Dict[int, EqualityWitness] = {}
 
         for k in ks:
-            for check in evaluate_bounds(g, k, runnable, table=table, co_table=co_table):
+            for check in ctx.checks(k, runnable):
+                bound_id, case, value, actual, holds, tight = check
                 checks_run += 1
                 if collect_checks:
-                    rows.append(
-                        CheckRow(
-                            g.n, g6, k, check.bound_id, check.case_label,
-                            check.bound_value, check.actual, check.holds, check.tight,
-                        )
-                    )
-                if not check.holds:
-                    violations.append(
-                        Violation(
-                            g6, k, check.bound_id, check.case_label,
-                            check.bound_value, check.actual,
-                        )
-                    )
-                elif check.tight:
+                    rows.append(CheckRow(g.n, g6, k, *check))
+                if not holds:
+                    violations.append(Violation(g6, k, bound_id, case, value, actual))
+                elif tight:
                     if k not in witness_cache:
-                        witness_cache[k] = diagnose_equality(
-                            g, k, table=table, co_table=co_table
-                        )
-                    tights.append(
-                        TightCase(g6, k, check.bound_id, check.case_label, witness_cache[k])
-                    )
+                        witness_cache[k] = ctx.witness(k)
+                    tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
 
     audit = _audit_findings(spec.n) if include_formula_audit else ()
     return VerificationReport(
@@ -349,16 +324,13 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     best: Optional[int] = None
     hits: List[str] = []
     for g in enumerate_graphs(spec):
-        table = steiner_all_subsets(g)
-        if quantity == "sgut":
-            val = steiner_gutman(g, k, table=table)
-        else:
-            gbar = complement(g)
-            if not is_connected(gbar):
+        ctx = GraphContext(g)
+        val = steiner_gutman(g, k, table=ctx.table)
+        if quantity != "sgut":
+            if not ctx.co_connected:
                 continue
-            a = steiner_gutman(g, k, table=table)
-            b = steiner_gutman(gbar, k, table=steiner_all_subsets(gbar))
-            val = a + b if quantity == "sum" else a * b
+            co_val = steiner_gutman(ctx.gbar, k, table=ctx.co_table)
+            val = val + co_val if quantity == "sum" else val * co_val
         if best is None or (val > best if sense == "max" else val < best):
             best = val
             hits = [graph6_encode(g)]

@@ -364,3 +364,66 @@ def test_guard_order(edges, n, k, expected):
         else:
             raised = None
         assert raised is error, name
+
+
+def _literal_checks(g, k):
+    """Every applicable bound of ``g`` at ``k``, compared as Fractions or SquareRoots."""
+    from steinergut.bounds import _FORMULAS, _GROUP_IDS, BoundCheck, skip_reason
+
+    degs = g.degrees
+    signature = (g.n, g.m, min(degs), max(degs), degs.count(1), k)
+    gbar = complement(g)
+    co_connected = is_connected(gbar)
+    sg = steiner_gutman(g, k)
+    sgbar = steiner_gutman(gbar, k) if co_connected else None
+    out = []
+    for group in BOUND_GROUPS:
+        if skip_reason(group, g.n, co_connected) is not None:
+            continue
+        for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](*signature)):
+            kind = bound_id.rsplit(".", 1)[1]
+            if kind.startswith("sum"):
+                actual = sg + sgbar
+            elif kind.startswith("product"):
+                actual = sg * sgbar
+            else:
+                actual = sg
+            upper = kind.endswith("upper")
+            if isinstance(value, SquareRoot):
+                holds = value.ge_squared(actual) if upper else value.le_squared(actual)
+                tight = value.eq_squared(actual)
+            else:
+                value = Fraction(value)
+                holds = actual <= value if upper else actual >= value
+                tight = actual == value
+            out.append(BoundCheck(bound_id, case, value, actual, holds, tight))
+    return out
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=60)
+def test_memoized_rows_match_a_literal_recomputation(g):
+    # labeled graphs: the rows are shared by signature, the actuals are not
+    for k in range(2, g.n + 1):
+        expected = _literal_checks(g, k)
+        got = evaluate_bounds(g, k, [c.bound_id for c in expected])
+        assert got == expected
+        assert [type(c.bound_value) for c in got] == [type(c.bound_value) for c in expected]
+
+
+def test_graphs_sharing_a_signature_share_rows_not_verdicts():
+    from steinergut.bounds import _bound_rows
+
+    first, second = graph6_decode("E?NO"), graph6_decode("E@QW")
+    for g in (first, second):
+        degs = g.degrees
+        assert (g.n, g.m, min(degs), max(degs), degs.count(1)) == (6, 5, 1, 3, 3)
+    _bound_rows.cache_clear()
+    a = evaluate_bounds(first, 3)
+    hits = _bound_rows.cache_info().hits
+    b = evaluate_bounds(second, 3)
+    assert _bound_rows.cache_info().hits == hits + len(BOUND_GROUPS)
+    assert [c.bound_value for c in a] == [c.bound_value for c in b]
+    assert (a[0].actual, b[0].actual) == (233, 223)
+    assert a == _literal_checks(first, 3)
+    assert b == _literal_checks(second, 3)

@@ -373,3 +373,18 @@ def test_bounds_report_bytes_match_golden_digests(tmp_path, connected_by_order, 
     code, out, _ = run(["bounds", "--graph", path, "--k", "all", "--set", "all", *extra])
     assert code == 2
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound_set, tables", [("lem22", 1), ("prop21", 1), ("all", 2)])
+def test_bounds_builds_the_complement_table_only_for_a_paired_group(
+    tmp_path, count_calls, bound_set, tables
+):
+    # C5 is self-complementary, so both tables could be built; only a
+    # runnable paired group reads the complement's
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "steiner_all_subsets")
+    path = write(tmp_path, "c5.g6", "Dhc\n")
+    code, _, _ = run(["bounds", "--graph", path, "--k", "all", "--set", bound_set])
+    assert code == 0
+    assert len(calls) == tables

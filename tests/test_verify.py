@@ -265,3 +265,38 @@ def test_verify_report_bytes_match_golden_digests(tmp_path):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "3948b21259f37cbd0e3e7a0623deb5360f79ca1724def9b20f40c2e7f75d36bf"
     )
+
+
+def test_sweep_builds_each_invariant_once_per_graph(count_calls):
+    from steinergut import graph, indices, steiner
+
+    specs = [EnumerationSpec(n=n, require_coconnected=True) for n in range(2, 8)]
+    pools = [enumerate_graphs(spec) for spec in specs]
+    tables = count_calls(steiner, "steiner_all_subsets")
+    sums = count_calls(indices, "_all_k_sums")
+    complements = count_calls(graph, "complement")
+    scanned = checks = 0
+    for spec, pool in zip(specs, pools):
+        report = sweep(spec, ["all"], graphs=pool)
+        scanned += report.graphs_scanned
+        checks += report.checks_run
+    assert (scanned, checks) == (739, 69552)
+    # G's and the complement's table per graph, plus the formula audit's
+    # family members; each table's all-k sums are computed once
+    assert len(tables) == len(sums) == 1496
+    assert len(complements) == scanned
+
+
+def test_order_eight_coconnected_sweep_matches_golden_totals(universe):
+    spec = EnumerationSpec(n=8, require_coconnected=True)
+    pool = [g for g in universe[8] if is_connected(complement(g))]
+    report = sweep(spec, ["all"], graphs=pool)
+    assert report.graphs_scanned == 9888
+    assert report.checks_run == 1107456
+    assert len(report.violations) == 3588
+    assert {v.bound_id for v in report.violations} == {"cor41.1.sum_upper"}
+    assert len(report.tight_cases) == 353
+    text = json.dumps(report_to_dict(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7b600b33bc956d168e133a6b88247c0ef47dbc11a73e085d2ec08de411f59c88"
+    )
