@@ -23,7 +23,9 @@ import argparse
 import csv as _csv
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import IO, List, Optional, Tuple
 
 from .bounds import GraphContext, expand_bound_ids, skip_reason
@@ -43,12 +45,14 @@ from .verify import (
     merge_reports,
     report_to_dict,
     shard_graphs,
-    sweep,
     sweep_shard,
     write_checks_csv,
 )
 
 INDEX_NAMES = ("sgut", "sw", "sdd", "gut")
+
+# Most worker processes `verify --jobs` may start; the pool lives for the whole run.
+MAX_JOBS = 64
 
 # CLI family names to library family identifiers
 FAMILY_NAMES = {
@@ -330,8 +334,8 @@ def _cmd_verify(args, out, err) -> int:
     ids = _bound_ids(args.bound_set)
     if not 1 <= args.n_max <= ENUMERATION_CAP:
         raise _UsageError(f"--n-max must lie in 1..{ENUMERATION_CAP}, got {args.n_max}")
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise _UsageError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
     if args.k == "all":
         k_range = "all"
     else:
@@ -340,31 +344,34 @@ def _cmd_verify(args, out, err) -> int:
             raise _UsageError(f"--k must lie in 2..{args.n_max}")
     collect = args.csv is not None
     reports = []
-    for n in range(2, args.n_max + 1):
-        spec = EnumerationSpec(
-            n=n,
-            require_connected=True,
-            require_coconnected=args.coconnected,
-            dedup_isomorphism=args.dedup,
-            k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
-        )
-        if args.jobs > 1:
-            graphs = enumerate_graphs(spec)
+    # one pool serves every order's enumeration phases and sweep shards
+    pooled = args.jobs > 1
+    with ProcessPoolExecutor(max_workers=args.jobs) if pooled else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for n in range(2, args.n_max + 1):
+            spec = EnumerationSpec(
+                n=n,
+                require_connected=True,
+                require_coconnected=args.coconnected,
+                dedup_isomorphism=args.dedup,
+                k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
+            )
+            start = time.perf_counter()
+            graphs = enumerate_graphs(spec, mapper, args.jobs)
+            enumerated = time.perf_counter()
             payloads = [
                 (spec, tuple(shard), tuple(ids), collect)
                 for shard in shard_graphs(graphs, args.jobs)
             ]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                shards = list(pool.map(sweep_shard, payloads))
-            report = merge_reports(spec, shards)
-        else:
-            report = sweep(spec, ids, collect_checks=collect)
-        reports.append(report)
-        print(
-            f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
-            f"{len(report.violations)} violations, {len(report.tight_cases)} tight",
-            file=err,
-        )
+            report = merge_reports(spec, list(mapper(sweep_shard, payloads)))
+            swept = time.perf_counter()
+            reports.append(report)
+            print(
+                f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
+                f"{len(report.violations)} violations, {len(report.tight_cases)} tight "
+                f"(enumerate {enumerated - start:.2f} s, sweep {swept - enumerated:.2f} s)",
+                file=err,
+            )
 
     total_viol = sum(len(r.violations) for r in reports)
     doc = {

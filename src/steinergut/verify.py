@@ -15,6 +15,17 @@ attachment masks to masks giving isomorphic children, so only the least mask
 of each orbit is tried.  Children are deduped by ``canon.certificate``, a
 refinement-restricted lex-min key, and the full lex-min canon runs once per
 new class to relabel its first child into the canonical representative.
+
+A level is built in two phases, each mapped over contiguous slices with the
+caller's ``map``: the builtin one in process, or a process pool's.  The
+children phase turns each slice of parents into a certificate -> first
+child map, and the maps are merged in slice order; the canon phase
+canonises the unique children, one full canon per class.  A class's
+canonical rows do not depend on which child found it and the level is
+sorted by (edge count, edge mask), so every slicing yields the same level.
+Built levels are kept in one cache for the life of the process, whichever
+map built them.
+
 Labeled enumeration streams edge bitmasks in ascending order and is only
 meant for small orders (it visits 2^21 graphs already at order 7).
 """
@@ -23,11 +34,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids, skip_reason
-from .canon import canonical_key_and_perms, certificate, relabel_rows
+from .canon import Key, canonical_key_and_perms, certificate, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
@@ -36,6 +46,8 @@ from .graph6 import graph6_encode
 from .indices import steiner_gutman
 
 ENUMERATION_CAP = 8
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -82,52 +94,103 @@ def _orbit_minima(auts: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[
     return minima
 
 
-@lru_cache(maxsize=None)
-def _canonical_graphs(n: int, connected_only: bool) -> Tuple[Graph, ...]:
-    """All order-n graphs up to isomorphism, in canonical labeling.
+Rows = Tuple[int, ...]
 
-    Every order-n graph is some order-(n-1) graph plus one new vertex, and
-    when both are connected the new vertex can be chosen non-cut so the
-    parent is connected and the attachment nonempty.  Sweeping all masks
-    over all parents of the previous level therefore hits every class.
-    Masks in one orbit of the parent's automorphism group give isomorphic
-    children, so only the least mask of each orbit is attached.  Children are
-    deduped by ``certificate``; the lex-min canon runs once per new class.
+# Every level built so far, keyed by (order, connected only); shared by all
+# callers in the process whatever map built the level.
+_LEVELS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
+
+
+def _level_children(payload: Tuple[Tuple[Rows, ...], int, int]) -> Dict[Key, Rows]:
+    """Children phase, one slice of parents: certificate -> first child's rows.
+
+    Each parent's optimal orderings are its automorphisms, because parents
+    are canonical; only the least attachment mask of each orbit is tried.
     """
-    if n == 1:
-        return (Graph(1, (0,), 0),)
-    parents = _canonical_graphs(n - 1, connected_only)
-    lo = 1 if connected_only else 0
-    seen: Dict[Tuple[int, ...], Graph] = {}
+    parents, n, lo = payload
     top = 1 << (n - 1)
+    found: Dict[Key, Rows] = {}
     for parent in parents:
-        # a canonical graph's optimal orderings are its automorphisms
-        auts = canonical_key_and_perms(parent.adj)[1]
-        base = list(parent.adj) + [0]
+        auts = canonical_key_and_perms(parent)[1]
+        base = list(parent) + [0]
         for mask in _orbit_minima(auts, lo, n - 1):
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
-            cert = certificate(rows)
-            if cert not in seen:
-                perms = canonical_key_and_perms(rows)[1]
-                seen[cert] = Graph(n, relabel_rows(rows, perms[0]), parent.m + mask.bit_count())
-    return tuple(sorted(seen.values(), key=lambda g: (g.m, edge_mask(g))))
+            found.setdefault(certificate(rows), rows)
+    return found
 
 
-def enumerate_graphs(spec: EnumerationSpec) -> List[Graph]:
+def _canonise(children: Sequence[Rows]) -> List[Rows]:
+    """Canon phase, one slice of classes: each child relabeled into canonical rows."""
+    return [relabel_rows(rows, canonical_key_and_perms(rows)[1][0]) for rows in children]
+
+
+def _build_level(
+    parents: Sequence[Graph], n: int, connected_only: bool, mapper: Callable, jobs: int
+) -> Tuple[Graph, ...]:
+    """The order-n classes grown from the order-(n-1) classes ``parents``.
+
+    Every order-n graph is some order-(n-1) graph plus one new vertex, and
+    when both are connected the new vertex can be chosen non-cut so the
+    parent is connected and the attachment nonempty.  Sweeping all masks
+    over all parents of the previous level therefore hits every class.
+
+    Two phases, each ``mapper``-ped over ``jobs`` contiguous slices: the
+    children phase maps each slice of parents to certificate -> first child,
+    and the maps are merged with ``setdefault``; the canon phase relabels the
+    unique children, so every class gets exactly one full canon.  The
+    canonical rows of a class do not depend on which child found it, and
+    the result is sorted by (m, edge mask), so neither the slicing nor the
+    merge order can change the output.
+    """
+    lo = 1 if connected_only else 0
+    payloads = [
+        (tuple(g.adj for g in part), n, lo) for part in shard_graphs(parents, jobs)
+    ]
+    seen: Dict[Key, Rows] = {}
+    for found in mapper(_level_children, payloads):
+        for cert, rows in found.items():
+            seen.setdefault(cert, rows)
+    graphs = [
+        Graph(n, rows, sum(row.bit_count() for row in rows) // 2)
+        for part in mapper(_canonise, shard_graphs(list(seen.values()), jobs))
+        for rows in part
+    ]
+    return tuple(sorted(graphs, key=lambda g: (g.m, edge_mask(g))))
+
+
+def _canonical_graphs(
+    n: int, connected_only: bool, mapper: Callable = map, jobs: int = 1
+) -> Tuple[Graph, ...]:
+    """All order-n graphs up to isomorphism, in canonical labeling, cached per level."""
+    key = (n, connected_only)
+    if key not in _LEVELS:
+        if n == 1:
+            _LEVELS[key] = (Graph(1, (0,), 0),)
+        else:
+            parents = _canonical_graphs(n - 1, connected_only, mapper, jobs)
+            _LEVELS[key] = _build_level(parents, n, connected_only, mapper, jobs)
+    return _LEVELS[key]
+
+
+def enumerate_graphs(
+    spec: EnumerationSpec, mapper: Callable = map, jobs: int = 1
+) -> List[Graph]:
     """Materialize the graphs selected by ``spec``, in deterministic order.
 
     Deduped mode orders canonical representatives by (edge count, edge
-    bitmask); labeled mode orders by ascending edge bitmask.
+    bitmask); labeled mode orders by ascending edge bitmask.  Levels not yet
+    cached are built with ``mapper`` (the builtin ``map``, or a process
+    pool's ``map``) over ``jobs`` slices; the result does not depend on either.
     """
     n = spec.n
     if not 1 <= n <= ENUMERATION_CAP:
         raise OrderTooLarge(f"enumeration handles orders 1..{ENUMERATION_CAP}, got {n}")
     if spec.dedup_isomorphism:
-        pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected)
+        pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper, jobs)
     else:
         pool = [from_edge_mask(n, em) for em in range(1 << (n * (n - 1) // 2))]
         if spec.require_connected:
@@ -245,8 +308,11 @@ def sweep(
     )
 
 
-def shard_graphs(graphs: Sequence[Graph], jobs: int) -> List[List[Graph]]:
-    """Split into ``jobs`` contiguous slices of near-equal size, order kept."""
+def shard_graphs(graphs: Sequence[T], jobs: int) -> List[List[T]]:
+    """Split into ``jobs`` contiguous slices of near-equal size, order kept.
+
+    Used for graphs, parents' rows and unique children alike.
+    """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     total = len(graphs)

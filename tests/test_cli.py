@@ -315,6 +315,20 @@ def test_verify_limits_fail_before_any_order_runs(argv):
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("jobs", ["65", "5000"])
+def test_verify_jobs_above_the_cap_start_no_pool(jobs, monkeypatch):
+    from steinergut import cli
+
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **kw: made.append(kw))
+    code, out, err = run(["verify", "--n-max", "4", "--jobs", jobs])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+    assert "--jobs" in err
+    assert made == []
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     path = write(tmp_path, "g.g6", "Dhc\n")
     argv = ["compute", "--graph", path, "--k", "all"]

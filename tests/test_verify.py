@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import re
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from math import factorial
 
@@ -30,6 +32,7 @@ from steinergut import (
     sweep_shard,
     write_checks_csv,
 )
+from steinergut import cli, verify
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -55,6 +58,31 @@ ALL_SHA256 = {
     6: "8c2ac94669060bf7f71857ea64a41bd9c3d6c84703ad060e1f15313499329546",
     7: "117dd47c6d5b4f85505258fc80bf8392edc69caa6a7d088d3ff05c8bdced692b",
 }
+
+
+# sha256 of `verify --n-max 7 --coconnected --set all` stdout and its --csv file
+ORDER_SEVEN_REPORT_SHA256 = "37b05eb6d0a923199000e56291b535d7263995623f0c95f49a6f848c981c5511"
+ORDER_SEVEN_CSV_SHA256 = "3948b21259f37cbd0e3e7a0623deb5360f79ca1724def9b20f40c2e7f75d36bf"
+
+
+@pytest.fixture
+def fresh_levels(monkeypatch):
+    """An empty level cache, so that enumeration builds every level again."""
+    monkeypatch.setattr(verify, "_LEVELS", {})
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Record each construction of the CLI's process pool; the pools stay real."""
+    made = []
+
+    class Counted(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Counted)
+    return made
 
 
 def _names_digest(graphs):
@@ -259,12 +287,67 @@ def test_verify_report_bytes_match_golden_digests(tmp_path):
     out, err = io.StringIO(), io.StringIO()
     argv = ["verify", "--n-max", "7", "--coconnected", "--set", "all", "--csv", str(csv_path)]
     assert run_cli(argv, stdout=out, stderr=err) == 2
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-        "37b05eb6d0a923199000e56291b535d7263995623f0c95f49a6f848c981c5511"
-    )
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "3948b21259f37cbd0e3e7a0623deb5360f79ca1724def9b20f40c2e7f75d36bf"
-    )
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == ORDER_SEVEN_CSV_SHA256
+
+
+def test_pooled_verify_matches_golden_digests_with_one_pool(tmp_path, fresh_levels, counted_pools):
+    # the fresh cache makes the pool build every level, not only sweep it
+    csv_path = tmp_path / "checks.csv"
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--n-max", "7", "--coconnected", "--set", "all", "--jobs", "2",
+            "--csv", str(csv_path)]
+    assert run_cli(argv, stdout=out, stderr=err) == 2
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == ORDER_SEVEN_CSV_SHA256
+    assert counted_pools == [{"max_workers": 2}]
+
+
+@pytest.mark.parametrize("jobs,pools", [("1", 0), ("2", 1)])
+def test_verify_opens_at_most_one_pool_per_run(jobs, pools, fresh_levels, counted_pools):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--n-max", "5", "--set", "lem22", "--jobs", jobs]
+    assert run_cli(argv, stdout=out, stderr=err) == 0
+    assert len(counted_pools) == pools
+    lines = err.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["n=2", "n=3", "n=4", "n=5"]
+    for line in lines:
+        assert re.fullmatch(r"n=\d+: .* tight \(enumerate \d+\.\d\d s, sweep \d+\.\d\d s\)", line)
+
+
+def test_pool_enumeration_matches_golden_digests(fresh_levels):
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for n, digest in CONNECTED_SHA256.items():
+            got = enumerate_graphs(EnumerationSpec(n=n), pool.map, 2)
+            assert _names_digest(got) == digest, n
+        for n, digest in ALL_SHA256.items():
+            got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False), pool.map, 2)
+            assert _names_digest(got) == digest, n
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_slicing_does_not_change_any_level(connected, monkeypatch):
+    levels = []
+    for jobs in (1, 2, 3):
+        monkeypatch.setattr(verify, "_LEVELS", {})
+        spec = EnumerationSpec(n=7, require_connected=connected)
+        enumerate_graphs(spec, map, jobs)
+        levels.append(dict(verify._LEVELS))
+    assert levels[0] == levels[1] == levels[2]
+    assert sorted(levels[0]) == [(n, connected) for n in range(1, 8)]
+
+
+def test_enumeration_canonises_each_class_once(fresh_levels, count_calls):
+    from steinergut import canon
+
+    canons = count_calls(canon, "canonical_key_and_perms")
+    certificates = count_calls(canon, "certificate")
+    for n in range(1, 9):
+        enumerate_graphs(EnumerationSpec(n=n), map, 2)
+    # one canon per parent (its automorphisms) and one per class, through
+    # order 8; one certificate per orbit-minimum child; both as before sharding
+    assert len(canons) == 13108
+    assert len(certificates) == 71300
 
 
 def test_sweep_builds_each_invariant_once_per_graph(count_calls):
