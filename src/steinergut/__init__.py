@@ -103,11 +103,9 @@ from .verify import (
     Violation,
     enumerate_graphs,
     find_extremal,
-    merge_reports,
     report_to_dict,
     shard_graphs,
     sweep,
-    sweep_shard,
     write_checks_csv,
 )
 

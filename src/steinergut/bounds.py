@@ -12,8 +12,9 @@ max, and sweeps report how the min variant behaves rather than repair it.
 
 Two cached layers sit on the formulas.  ``_bound_rows`` memoizes one group's
 rows per (signature, k), each with the integers its check compares: the
-value's numerator and denominator (of the square, for a SquareRoot), the
-operand and the side.  A ``GraphContext`` holds what one graph contributes:
+value's numerator and denominator (of the square, for a SquareRoot).  What a
+bound id fixes, its operand and side, is kept once per group in ``_KINDS``
+and zipped with the rows.  A ``GraphContext`` holds what one graph contributes:
 G, the complement, its connectivity, the signature and both Steiner tables
 (the complement's built on first use), which carry the all-k index sums.
 Its ``checks`` is the one evaluator; a check is ``actual * den <= num`` (or
@@ -271,17 +272,25 @@ _FORMULAS = {
 }
 
 
+def _kind(bound_id: str) -> Tuple[str, int, bool]:
+    """(bound id, operand, upper); the operand is 0 for SGut_k(G), 1 for the
+    sum and 2 for the product with SGut_k(co-G)."""
+    kind = bound_id.rsplit(".", 1)[1]  # the operand, then the side
+    return bound_id, {"sum": 1, "product": 2}.get(kind.split("_")[0], 0), kind.endswith("upper")
+
+
+# per group, what its bound ids fix: id, operand and side, in BOUND_IDS order
+_KINDS = {group: tuple(map(_kind, ids)) for group, ids in _GROUP_IDS.items()}
+
+
 class _Prepared(NamedTuple):
     """One bound at one signature and k, with the integers its check compares."""
 
-    bound_id: str
     case: str
     value: Scalar  # a Fraction or a SquareRoot, as BoundCheck reports it
     num: int
     den: int
     squared: bool  # a SquareRoot: compare actual^2 * den with num
-    operand: int  # 0: SGut_k(G), 1: the sum, 2: the product with SGut_k(co-G)
-    upper: bool
 
 
 @lru_cache(maxsize=None)
@@ -295,17 +304,14 @@ def _plan(wanted: Tuple[str, ...]) -> Tuple[Tuple[str, ...], FrozenSet[str], boo
 def _bound_rows(
     group: str, n: int, m: int, d: int, D: int, p: int, k: int
 ) -> Tuple[_Prepared, ...]:
-    """The rows of ``group`` at signature (n, m, d, D, p) and k, computed once."""
+    """The rows of ``group`` at signature (n, m, d, D, p) and k, computed once;
+    row i belongs to the bound ``_KINDS[group][i]``."""
     rows = []
-    for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](n, m, d, D, p, k)):
+    for case, value in _FORMULAS[group](n, m, d, D, p, k):
         squared = isinstance(value, SquareRoot)
         exact = value.square if squared else Fraction(value)
-        kind = bound_id.rsplit(".", 1)[1]  # the operand, then the side
-        operand = {"sum": 1, "product": 2}.get(kind.split("_")[0], 0)
-        rows.append(
-            _Prepared(bound_id, case, value if squared else exact, exact.numerator,
-                      exact.denominator, squared, operand, kind.endswith("upper"))
-        )
+        num, den = exact.as_integer_ratio()
+        rows.append(_Prepared(case, value if squared else exact, num, den, squared))
     return tuple(rows)
 
 
@@ -356,8 +362,8 @@ class GraphContext:
             operands = (sg, sg + sgbar, sg * sgbar)
         out = []
         for group in groups:
-            for bound_id, case, value, num, den, squared, operand, upper in _bound_rows(
-                group, *self.signature, k
+            for (bound_id, operand, upper), (case, value, num, den, squared) in zip(
+                _KINDS[group], _bound_rows(group, *self.signature, k)
             ):
                 if bound_id in wanted_set:
                     actual = operands[operand]

@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from typing import IO, List, Optional, Tuple
 
 from .bounds import GraphContext, expand_bound_ids, skip_reason
@@ -42,10 +43,8 @@ from .verify import (
     EnumerationSpec,
     enumerate_graphs,
     find_extremal,
-    merge_reports,
     report_to_dict,
-    shard_graphs,
-    sweep_shard,
+    sweep,
     write_checks_csv,
 )
 
@@ -343,62 +342,63 @@ def _cmd_verify(args, out, err) -> int:
         if any(k < 2 or k > args.n_max for k in k_range):
             raise _UsageError(f"--k must lie in 2..{args.n_max}")
     collect = args.csv is not None
-    reports = []
-    # one pool serves every order's enumeration phases and sweep shards
-    pooled = args.jobs > 1
-    with ProcessPoolExecutor(max_workers=args.jobs) if pooled else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        for n in range(2, args.n_max + 1):
-            spec = EnumerationSpec(
-                n=n,
-                require_connected=True,
-                require_coconnected=args.coconnected,
-                dedup_isomorphism=args.dedup,
-                k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
-            )
-            start = time.perf_counter()
-            graphs = enumerate_graphs(spec, mapper, args.jobs)
-            enumerated = time.perf_counter()
-            payloads = [
-                (spec, tuple(shard), tuple(ids), collect)
-                for shard in shard_graphs(graphs, args.jobs)
-            ]
-            report = merge_reports(spec, list(mapper(sweep_shard, payloads)))
-            swept = time.perf_counter()
-            reports.append(report)
-            print(
-                f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
-                f"{len(report.violations)} violations, {len(report.tight_cases)} tight "
-                f"(enumerate {enumerated - start:.2f} s, sweep {swept - enumerated:.2f} s)",
-                file=err,
-            )
+    with ExitStack() as files:
+        # opened before any order runs, so an unwritable path fails at once
+        report_fh = out
+        if args.out != "-":
+            report_fh = files.enter_context(open(args.out, "w", encoding="utf-8"))
+        if collect:
+            csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
+            if report_fh is not out and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno()):
+                raise _UsageError("--out and --csv name the same file")
+        reports = []
+        # one pool serves every order's enumeration phases and sweep slices
+        pooled = args.jobs > 1
+        with ProcessPoolExecutor(max_workers=args.jobs) if pooled else nullcontext() as pool:
+            mapper = map if pool is None else pool.map
+            for n in range(2, args.n_max + 1):
+                spec = EnumerationSpec(
+                    n=n,
+                    require_connected=True,
+                    require_coconnected=args.coconnected,
+                    dedup_isomorphism=args.dedup,
+                    k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
+                )
+                start = time.perf_counter()
+                graphs = enumerate_graphs(spec, mapper, args.jobs)
+                enumerated = time.perf_counter()
+                report = sweep(
+                    spec, ids, graphs=graphs, collect_checks=collect, mapper=mapper, jobs=args.jobs
+                )
+                swept = time.perf_counter()
+                reports.append(report)
+                print(
+                    f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
+                    f"{len(report.violations)} violations, {len(report.tight_cases)} tight "
+                    f"(enumerate {enumerated - start:.2f} s, sweep {swept - enumerated:.2f} s)",
+                    file=err,
+                )
 
-    total_viol = sum(len(r.violations) for r in reports)
-    doc = {
-        "n_max": args.n_max,
-        "bound_set": list(ids),
-        "k": args.k,
-        "require_connected": True,
-        "require_coconnected": args.coconnected,
-        "dedup_isomorphism": args.dedup,
-        "totals": {
-            "graphs_scanned": sum(r.graphs_scanned for r in reports),
-            "checks_run": sum(r.checks_run for r in reports),
-            "violations": total_viol,
-            "tight_cases": sum(len(r.tight_cases) for r in reports),
-            "formula_audit_findings": sum(len(r.formula_audit_findings) for r in reports),
-        },
-        "reports": [report_to_dict(r) for r in reports],
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out == "-":
-        print(text, file=out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if collect:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            write_checks_csv([row for r in reports for row in r.checks], fh)
+        total_viol = sum(len(r.violations) for r in reports)
+        doc = {
+            "n_max": args.n_max,
+            "bound_set": list(ids),
+            "k": args.k,
+            "require_connected": True,
+            "require_coconnected": args.coconnected,
+            "dedup_isomorphism": args.dedup,
+            "totals": {
+                "graphs_scanned": sum(r.graphs_scanned for r in reports),
+                "checks_run": sum(r.checks_run for r in reports),
+                "violations": total_viol,
+                "tight_cases": sum(len(r.tight_cases) for r in reports),
+                "formula_audit_findings": sum(len(r.formula_audit_findings) for r in reports),
+            },
+            "reports": [report_to_dict(r) for r in reports],
+        }
+        print(json.dumps(doc, indent=2), file=report_fh)
+        if collect:
+            write_checks_csv([row for r in reports for row in r.checks], csv_fh)
     return 2 if total_viol else 0
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional
 
-from .errors import InvalidFamilyOrder, KOutOfRange
+from .errors import InvalidFamilyOrder, KOutOfRange, OrderTooLarge
 from .graph import Graph, from_edge_list
 from .indices import steiner_gutman
-from .steiner import steiner_all_subsets
+from .steiner import DEFAULT_TABLE_CAP, steiner_all_subsets
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_minus_perfect_matching")
 
@@ -116,9 +116,14 @@ def audit_for_order(n: int) -> List[FormulaAudit]:
 
 
 def audit_formulas(n_max: int) -> List[FormulaAudit]:
-    """Audit the printed closed forms for every 2 <= n <= n_max."""
+    """Audit the printed closed forms for every 2 <= n <= n_max.
+
+    An n_max above the Steiner table cap is refused before any order is audited.
+    """
     if n_max < 2:
         raise InvalidFamilyOrder(f"n_max must be at least 2, got {n_max}")
+    if n_max > DEFAULT_TABLE_CAP:
+        raise OrderTooLarge(f"full table wants n <= {DEFAULT_TABLE_CAP}, got {n_max}")
     out: List[FormulaAudit] = []
     for n in range(2, n_max + 1):
         out.extend(audit_for_order(n))

@@ -26,6 +26,12 @@ sorted by (edge count, edge mask), so every slicing yields the same level.
 Built levels are kept in one cache for the life of the process, whichever
 map built them.
 
+A sweep is sliced like a level: ``sweep`` maps ``_sweep_slice`` over
+contiguous slices of the graphs with the same ``map`` and joins the slices'
+check counts, violations, tight cases and check rows in slice order, so
+every slicing yields the same report; the formula audit runs once, in the
+caller's process.
+
 Labeled enumeration streams edge bitmasks in ascending order and is only
 meant for small orders (it visits 2^21 graphs already at order 7).
 """
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids, skip_reason
@@ -250,25 +257,11 @@ def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
     return tuple(a for a in audit_for_order(n) if not a.agrees)
 
 
-def sweep(
-    spec: EnumerationSpec,
-    bound_set: Optional[Sequence[str]] = None,
-    *,
-    graphs: Optional[Sequence[Graph]] = None,
-    collect_checks: bool = False,
-    include_formula_audit: bool = True,
-) -> VerificationReport:
-    """Run every requested bound check over every enumerated graph.
-
-    ``graphs`` overrides enumeration (used by the parallel driver to hand a
-    contiguous slice to each worker; slices merged in order reproduce the
-    single-process report exactly).
-    """
-    ids = expand_bound_ids(list(bound_set) if bound_set is not None else None)
-    if graphs is None:
-        graphs = enumerate_graphs(spec)
-    ks = _k_values(spec)
-
+def _sweep_slice(
+    payload: Tuple[Sequence[Graph], Tuple[str, ...], List[int], bool]
+) -> Tuple[int, List[Violation], List[TightCase], List[CheckRow]]:
+    """One contiguous slice of graphs: checks run, violations, tight cases, check rows."""
+    graphs, ids, ks, collect_checks = payload
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
@@ -295,16 +288,42 @@ def sweep(
                         witness_cache[k] = ctx.witness(k)
                     tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
 
-    audit = _audit_findings(spec.n) if include_formula_audit else ()
+    return checks_run, violations, tights, rows
+
+
+def sweep(
+    spec: EnumerationSpec,
+    bound_set: Optional[Sequence[str]] = None,
+    *,
+    graphs: Optional[Sequence[Graph]] = None,
+    collect_checks: bool = False,
+    mapper: Callable = map,
+    jobs: int = 1,
+) -> VerificationReport:
+    """Run every requested bound check over every enumerated graph.
+
+    ``graphs`` overrides enumeration.  The graphs are cut into ``jobs``
+    contiguous slices, each swept by ``mapper`` (the builtin ``map``, or a
+    process pool's ``map``), and the slices are joined in order, so the
+    report does not depend on either; enumeration, when needed, uses the
+    same pair.
+    """
+    ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
+    if graphs is None:
+        graphs = enumerate_graphs(spec, mapper, jobs)
+    ks = _k_values(spec)
+
+    payloads = [(part, ids, ks, collect_checks) for part in shard_graphs(graphs, jobs)]
+    runs, violations, tights, rows = zip(*mapper(_sweep_slice, payloads))
     return VerificationReport(
         spec=spec,
-        bound_set=tuple(ids),
+        bound_set=ids,
         graphs_scanned=len(graphs),
-        checks_run=checks_run,
-        violations=tuple(violations),
-        tight_cases=tuple(tights),
-        formula_audit_findings=audit,
-        checks=tuple(rows),
+        checks_run=sum(runs),
+        violations=tuple(chain.from_iterable(violations)),
+        tight_cases=tuple(chain.from_iterable(tights)),
+        formula_audit_findings=_audit_findings(spec.n),
+        checks=tuple(chain.from_iterable(rows)),
     )
 
 
@@ -323,46 +342,6 @@ def shard_graphs(graphs: Sequence[T], jobs: int) -> List[List[T]]:
         out.append(list(graphs[start:stop]))
         start = stop
     return out
-
-
-def sweep_shard(payload: Tuple[EnumerationSpec, Tuple[Graph, ...], Tuple[str, ...], bool]):
-    """Worker entry point for process pools; audit findings left to the merge."""
-    spec, graphs, bound_set, collect = payload
-    return sweep(
-        spec, bound_set, graphs=graphs, collect_checks=collect, include_formula_audit=False
-    )
-
-
-def merge_reports(
-    spec: EnumerationSpec,
-    shards: Sequence[VerificationReport],
-    *,
-    include_formula_audit: bool = True,
-) -> VerificationReport:
-    """Concatenate shard reports in shard order into one report."""
-    bound_set = shards[0].bound_set if shards else tuple(expand_bound_ids(None))
-    violations: List[Violation] = []
-    tights: List[TightCase] = []
-    rows: List[CheckRow] = []
-    scanned = 0
-    run = 0
-    for rep in shards:
-        scanned += rep.graphs_scanned
-        run += rep.checks_run
-        violations.extend(rep.violations)
-        tights.extend(rep.tight_cases)
-        rows.extend(rep.checks)
-    audit = _audit_findings(spec.n) if include_formula_audit else ()
-    return VerificationReport(
-        spec=spec,
-        bound_set=bound_set,
-        graphs_scanned=scanned,
-        checks_run=run,
-        violations=tuple(violations),
-        tight_cases=tuple(tights),
-        formula_audit_findings=audit,
-        checks=tuple(rows),
-    )
 
 
 OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")

@@ -163,9 +163,7 @@ def test_criterion_06_prop21_soundness_and_tightness(universe):
 def test_criterion_07_paired_sweep(universe):
     violations = []
     for n in range(2, 8):
-        report = sweep(
-            EnumerationSpec(n=n, require_coconnected=True), include_formula_audit=False
-        )
+        report = sweep(EnumerationSpec(n=n, require_coconnected=True))
         violations.extend(report.violations)
     assert violations, "the min-aggregate anomaly is expected to show up"
     assert all(v.bound_id == "cor41.1.sum_upper" for v in violations)

@@ -2,11 +2,14 @@ import hashlib
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from steinergut import EnumerationSpec, find_extremal, graph6_encode, run_cli
 
@@ -402,3 +405,130 @@ def test_bounds_builds_the_complement_table_only_for_a_paired_group(
     code, _, _ = run(["bounds", "--graph", path, "--k", "all", "--set", bound_set])
     assert code == 0
     assert len(calls) == tables
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_verify_unwritable_output_fails_before_any_order_runs(tmp_path, monkeypatch, flag):
+    from steinergut import cli
+
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **kw: made.append(kw))
+    target = str(tmp_path / "missing" / "x.out")
+    code, out, err = run(["verify", "--n-max", "3", "--jobs", "2", flag, target])
+    assert code == 1
+    assert out == ""
+    # one error line, no per-order progress line and no pool: nothing ran
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "missing" in err
+    assert made == []
+
+
+def test_verify_rejects_one_file_for_report_and_csv(tmp_path):
+    path = str(tmp_path / "both")
+    code, out, err = run(["verify", "--n-max", "3", "--out", path, "--csv", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def test_audit_formulas_above_the_table_cap_builds_no_table(count_calls):
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "steiner_all_subsets")
+    code, out, err = run(["audit-formulas", "--n-max", "21"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "n <= 20" in err
+    assert calls == []
+
+
+# argv fuzz: each subcommand's options, mostly with values it accepts, some
+# with free text or small integers, then one token inserted or dropped; no
+# order above 4 is ever swept or searched
+_FUZZ_OPTIONS = {
+    "compute": {
+        "--format": ["g6", "edgelist"],
+        "--k": ["all", "2", "3", "9"],
+        "--indices": ["sgut,sw,sdd,gut", "gut", "sw,x", ""],
+        "--out": ["json", "csv"],
+    },
+    "bounds": {
+        "--format": ["g6", "edgelist"],
+        "--k": ["all", "2", "3", "9"],
+        "--set": ["all", "lem22", "thm32,ps", "cor41.1.sum_upper", "x"],
+        "--out": ["json", "csv"],
+        "--decimal": ["0", "4", "-1"],
+    },
+    "family": {
+        "--name": ["path", "cycle", "star", "complete", "kn-minus-matching"],
+        "--n": ["1", "2", "4", "7", "0", "-1"],
+        "--emit": ["g6", "edgelist"],
+    },
+    "extremal": {
+        "--n": ["4", "3", "2", "1"],
+        "--k": ["2", "3", "4", "5"],
+        "--objective": ["max-sgut", "min-sgut", "max-sum", "min-sum", "max-product"],
+        "--coconnected": None,
+    },
+    "verify": {
+        "--n-max": ["1", "2", "3", "4", "0"],
+        "--k": ["all", "2", "4", "5"],
+        "--set": ["all", "lem22", "thm32,ps", "cor41.1.sum_upper", "x"],
+        "--labeled": None,
+        "--coconnected": None,
+        "--out": ["r.json", "-", "no/r.json"],
+        "--csv": ["c.csv", "no/c.csv"],
+    },
+}
+_FUZZ_REQUIRED = {
+    "family": ("--name", "--n"), "extremal": ("--n", "--k", "--objective"), "verify": ("--n-max",),
+}
+_FUZZ_TEXT = st.text(alphabet=string.ascii_letters + string.punctuation + " ", max_size=6)
+_FUZZ_LINES = {
+    "g6": ["Dhc", "DBg", "Bw", "C~", "A_", "E?NO", "CF", "# c", ""],
+    "edgelist": ["3", "0 1", "1 2", "2 0", "2 3", "# c", ""],
+}
+_FUZZ_LINE_TEXT = st.text(alphabet=string.printable.strip() + " ", max_size=8)
+
+
+@st.composite
+def _cli_calls(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [sub]
+    for flag, values in _FUZZ_OPTIONS[sub].items():
+        if flag not in _FUZZ_REQUIRED.get(sub, ()) and not draw(st.booleans()):
+            continue
+        argv.append(flag)
+        if values is None:
+            continue
+        if draw(st.integers(0, 3)) < 3:
+            argv.append(draw(st.sampled_from(values)))
+        else:
+            argv.append(draw(st.one_of(_FUZZ_TEXT, st.integers(-3, 4).map(str))))
+    at = draw(st.integers(1, len(argv)))
+    edit = draw(st.integers(0, 3))  # 2: insert a token, 3: drop one, else keep
+    if edit == 2:
+        argv.insert(at, draw(st.one_of(st.sampled_from(list(_FUZZ_OPTIONS[sub])), _FUZZ_TEXT)))
+    elif edit == 3 and at < len(argv):
+        del argv[at]
+    pool = _FUZZ_LINES["edgelist" if "edgelist" in argv else "g6"]
+    line = st.one_of(st.sampled_from(pool), st.sampled_from(pool), _FUZZ_LINE_TEXT)
+    return argv, draw(st.lists(line, min_size=1, max_size=4))
+
+
+@settings(
+    max_examples=300, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(call=_cli_calls())
+def test_fuzzed_argv_and_graph_files_exit_cleanly(tmp_path, monkeypatch, call):
+    monkeypatch.chdir(tmp_path)  # --out and --csv values are file names
+    argv, lines = call
+    path = write(tmp_path, "g.txt", "".join(f"{line}\n" for line in lines))
+    if argv[0] in ("compute", "bounds"):
+        argv = argv[:1] + ["--graph", path] + argv[1:]
+    code, _, err = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(err.splitlines()) == 1, err

@@ -23,13 +23,11 @@ from steinergut import (
     graph6_decode,
     graph6_encode,
     is_connected,
-    merge_reports,
     report_to_dict,
     run_cli,
     shard_graphs,
     steiner_gutman,
     sweep,
-    sweep_shard,
     write_checks_csv,
 )
 from steinergut import cli, verify
@@ -226,17 +224,16 @@ def test_shard_graphs_partitions_in_order():
         shard_graphs(items, 0)
 
 
-def test_sharded_sweep_merges_to_the_direct_report():
-    spec = EnumerationSpec(n=5, require_coconnected=True)
-    direct = sweep(spec, collect_checks=True)
-    graphs = enumerate_graphs(spec)
-    shards = [
-        sweep_shard((spec, tuple(shard), BOUND_IDS, True))
-        for shard in shard_graphs(graphs, 3)
-    ]
-    merged = merge_reports(spec, shards)
-    assert report_to_dict(merged) == report_to_dict(direct)
-    assert merged.checks == direct.checks
+@pytest.mark.parametrize(
+    "n, jobs", [(5, 2), (5, 3), (4, 3)], ids=["n5-jobs2", "n5-jobs3", "n4-jobs3"]
+)
+def test_sliced_sweep_matches_the_one_slice_report(n, jobs):
+    # order 4 has one co-connected graph, so two of its three slices are empty
+    spec = EnumerationSpec(n=n, require_coconnected=True)
+    direct = sweep(spec, collect_checks=True, jobs=1)
+    sliced = sweep(spec, collect_checks=True, jobs=jobs)
+    assert report_to_dict(sliced) == report_to_dict(direct)
+    assert sliced.checks == direct.checks
 
 
 def test_report_to_dict_is_json_ready():
