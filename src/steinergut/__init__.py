@@ -12,22 +12,15 @@ from .bounds import (
     BOUND_IDS,
     BoundCheck,
     EqualityWitness,
-    amgm_sum,
-    cor41,
     diagnose_equality,
     equality_witness,
     evaluate_bounds,
     expand_bound_ids,
-    lem22,
-    prop21,
-    ps_product,
-    thm32,
 )
 from .canon import canonical_graph, canonical_key, canonical_key_and_perms
 from .cli import run_cli
 from .errors import (
     ComplementDisconnected,
-    DegenerateDegrees,
     Disconnected,
     EmptySet,
     IndexOutOfRange,
@@ -94,6 +87,7 @@ from .steiner import (
 )
 from .verify import (
     ENUMERATION_CAP,
+    LABELED_CAP,
     OBJECTIVES,
     CheckRow,
     EnumerationSpec,

@@ -19,14 +19,15 @@ G, the complement, its connectivity, the signature and both Steiner tables
 (the complement's built on first use), which carry the all-k index sums.
 Its ``checks`` is the one evaluator; a check is ``actual * den <= num`` (or
 ``>=``, with actual squared for a SquareRoot), so no Fraction is built per
-check.  ``evaluate_bounds``, the six group functions and the witnesses are
-thin builders of a context.
+check.  ``evaluate_bounds`` and the witnesses are thin builders of a context.
 
 A bound id names the side (upper, lower) and the operand (SGut_k(G), the sum
 or the product with the complement's index) of its check.  Whether a group
-applies is decided by ``skip_reason`` alone; the guards fire in a fixed
-order: Disconnected, k outside 2..n (KOutOfRange), the group's least order
-(KOutOfRange), a disconnected complement (ComplementDisconnected).
+applies is decided by ``skip_reason`` alone, which gives the error a request
+for the group raises, and read through ``GraphContext.applicable``: a skipping
+caller reports the error's text, ``checks`` raises the error.  The guards fire
+in a fixed order: Disconnected, k outside 2..n (KOutOfRange), the group's
+least order (KOutOfRange), a disconnected complement (ComplementDisconnected).
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -40,7 +41,7 @@ from functools import cached_property, lru_cache
 from math import comb, isqrt
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ComplementDisconnected, KOutOfRange, NotTight
+from .errors import ComplementDisconnected, KOutOfRange, NotTight, SteinerGutError
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
 from .indices import _checked_table, _sums, _table, steiner_gutman
@@ -70,11 +71,9 @@ BOUND_GROUPS = ("prop21", "lem22", "thm32", "cor41", "ps", "amgm")
 # groups that compare a graph against its complement
 PAIRED_GROUPS = ("thm32", "cor41", "ps", "amgm")
 
-_GROUP_IDS = {
-    group: tuple(b for b in BOUND_IDS if b.split(".")[0] == group) for group in BOUND_GROUPS
-}
+_GROUP_OF = {b: b.split(".")[0] for b in BOUND_IDS}
+_GROUP_IDS = {grp: tuple(b for b in BOUND_IDS if _GROUP_OF[b] == grp) for grp in BOUND_GROUPS}
 _LEAST_ORDER = {"prop21": 3, "cor41": 4}
-_CO_DISCONNECTED = "complement is disconnected"
 
 
 @dataclass(frozen=True)
@@ -87,17 +86,18 @@ class BoundCheck:
     tight: bool
 
 
-def skip_reason(group: str, n: int, co_connected: bool) -> Optional[str]:
-    """Why ``group`` does not apply to a connected order-n graph, or None.
+def skip_reason(group: str, n: int, co_connected: bool) -> Optional[SteinerGutError]:
+    """The error a request for ``group`` raises on a connected order-n graph,
+    or None when the group applies; its text is the reason a skip reports.
 
     The least order is checked first, then the complement's connectivity,
     which only the paired groups need.
     """
     least = _LEAST_ORDER.get(group, 0)
     if n < least:
-        return f"needs order at least {least}"
+        return KOutOfRange(f"needs order at least {least}")
     if group in PAIRED_GROUPS and not co_connected:
-        return _CO_DISCONNECTED
+        return ComplementDisconnected("complement is disconnected")
     return None
 
 
@@ -341,20 +341,28 @@ class GraphContext:
     def co_table(self) -> SteinerTable:
         return _table(self.gbar, self._co_table)
 
+    def applicable(self, wanted: Sequence[str]) -> Tuple[List[str], Dict[str, SteinerGutError]]:
+        """The bound ids of ``wanted`` that can run here, and each requested
+        group that ``skip_reason`` rules out, in BOUND_GROUPS order, with its error."""
+        skipped = {}
+        for group in _plan(tuple(wanted))[0]:
+            error = skip_reason(group, self.g.n, self.co_connected)
+            if error is not None:
+                skipped[group] = error
+        return [b for b in wanted if _GROUP_OF[b] not in skipped], skipped
+
     def checks(self, k: int, wanted: Sequence[str]) -> List[_Verdict]:
         """The checks of the bound ids ``wanted`` at ``k``, in BOUND_IDS order.
 
         Each is a tuple in BoundCheck's field order.  A requested group that
-        ``skip_reason`` rules out raises; the first such group in
+        ``applicable`` rules out raises its error; the first such group in
         BOUND_GROUPS order decides which.
         """
         groups, wanted_set, paired = _plan(tuple(wanted))
         sg = steiner_gutman(self.g, k, table=self.table)  # Disconnected, then KOutOfRange
-        for group in groups:
-            reason = skip_reason(group, self.g.n, self.co_connected)
-            if reason is not None:
-                error = ComplementDisconnected if reason == _CO_DISCONNECTED else KOutOfRange
-                raise error(f"{group}: {reason}")
+        skipped = self.applicable(wanted)[1]
+        if skipped:
+            raise next(iter(skipped.values()))
         operands = (sg,)
         if paired:
             # the guards above checked k and the complement's connectivity
@@ -429,44 +437,6 @@ def expand_bound_ids(bound_ids: Optional[Sequence[str]]) -> List[str]:
             raise ValueError(f"unknown bound id {token!r}")
     # canonical order, no duplicates
     return [b for b in BOUND_IDS if b in wanted]
-
-
-def prop21(g: Graph, k: int, *, table: _Table = None) -> Tuple[BoundCheck, BoundCheck]:
-    """Proposition 2.1's upper and lower checks (formulas in ``_prop21``)."""
-    return tuple(evaluate_bounds(g, k, ["prop21"], table=table))
-
-
-def lem22(g: Graph, k: int, *, table: _Table = None) -> Tuple[BoundCheck, BoundCheck]:
-    """Lemma 2.2's upper and lower checks (formulas in ``_lem22``)."""
-    return tuple(evaluate_bounds(g, k, ["lem22"], table=table))
-
-
-def thm32(
-    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
-) -> List[BoundCheck]:
-    """Theorem 3.2's four paired checks (formulas in ``_thm32``)."""
-    return evaluate_bounds(g, k, ["thm32"], table=table, co_table=co_table)
-
-
-def cor41(
-    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
-) -> List[BoundCheck]:
-    """Corollary 4.1's four size-free paired checks (formulas in ``_cor41``)."""
-    return evaluate_bounds(g, k, ["cor41"], table=table, co_table=co_table)
-
-
-def ps_product(
-    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
-) -> Tuple[BoundCheck, BoundCheck]:
-    """The Polya-Szego product checks, upper then lower (formulas in ``_ps``)."""
-    return tuple(evaluate_bounds(g, k, ["ps"], table=table, co_table=co_table))
-
-
-def amgm_sum(
-    g: Graph, k: int, *, table: _Table = None, co_table: _Table = None
-) -> Tuple[BoundCheck, BoundCheck]:
-    """The mean-inequality sum checks, upper then lower (formulas in ``_amgm``)."""
-    return tuple(evaluate_bounds(g, k, ["amgm"], table=table, co_table=co_table))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from typing import IO, List, Optional, Tuple
 
-from .bounds import GraphContext, expand_bound_ids, skip_reason
+from .bounds import GraphContext, expand_bound_ids
 from .errors import SteinerGutError
 from .exact import decimal_str, value_str
 from .families import FamilySpec, generate, audit_formulas
@@ -39,6 +39,7 @@ from .indices import gutman, steiner_degree_distance, steiner_gutman, steiner_wi
 from .steiner import steiner_all_subsets
 from .verify import (
     ENUMERATION_CAP,
+    LABELED_CAP,
     OBJECTIVES,
     EnumerationSpec,
     enumerate_graphs,
@@ -288,15 +289,12 @@ def _cmd_bounds(args, out, err) -> int:
     csv_rows = []
     for g6, g in _load_graphs(args):
         ctx = GraphContext(g)
-        groups = dict.fromkeys(b.split(".")[0] for b in ids)
-        reasons = {grp: skip_reason(grp, g.n, ctx.co_connected) for grp in groups}
-        skipped = [{"group": grp, "reason": r} for grp, r in reasons.items() if r is not None]
-        runnable = [b for b in ids if reasons[b.split(".")[0]] is None]
+        runnable, errors = ctx.applicable(ids)
+        skipped = [{"group": grp, "reason": str(e)} for grp, e in errors.items()]
         for k in _k_list(args.k, g.n):
             checks = []
-            for bound_id, case, value, actual, holds, tight in (
-                ctx.checks(k, runnable) if runnable else ()
-            ):
+            # with nothing runnable this still raises Disconnected, then KOutOfRange
+            for bound_id, case, value, actual, holds, tight in ctx.checks(k, runnable):
                 if not holds:
                     found_violation = True
                 item = {
@@ -333,6 +331,8 @@ def _cmd_verify(args, out, err) -> int:
     ids = _bound_ids(args.bound_set)
     if not 1 <= args.n_max <= ENUMERATION_CAP:
         raise _UsageError(f"--n-max must lie in 1..{ENUMERATION_CAP}, got {args.n_max}")
+    if not args.dedup and args.n_max > LABELED_CAP:
+        raise _UsageError(f"--labeled needs --n-max in 1..{LABELED_CAP}, got {args.n_max}")
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
     if args.k == "all":

@@ -42,10 +42,6 @@ class NoCaseApplies(SteinerGutError):
     """No case of a case-split bound matches the degree data."""
 
 
-class DegenerateDegrees(SteinerGutError):
-    """Degree extremes make a bound's denominator vanish."""
-
-
 class NotTight(SteinerGutError):
     """An equality diagnosis was requested for a bound that is not tight."""
 

@@ -160,7 +160,7 @@ def gutman(g: Graph) -> int:
         du = degs[u]
         row = dm[u]
         for v in range(u + 1, g.n):
-            total += du * degs[v] * int(row[v])
+            total += du * degs[v] * row[v]
     return total
 
 

@@ -28,7 +28,9 @@ from typing import Any, Dict, List, Tuple, Union
 from .errors import EmptySet, IndexOutOfRange, OrderTooLarge
 from .graph import Graph, induced_connected, iter_bits
 
-INF = float("inf")
+# The distance of a set meeting several components: an int above any sum of
+# two finite distances (each at most MAX_ORDER - 1), so no minimum picks it.
+INF = 1 << 64
 
 # 2^n table entries; beyond this the full table stops being a desk job.
 DEFAULT_TABLE_CAP = 20
@@ -50,7 +52,7 @@ class SteinerTable:
     """
 
     n: int
-    dist: Union[bytes, Tuple[float, ...]]
+    dist: Union[bytes, Tuple[int, ...]]
     adj: Tuple[int, ...]
     sums: List[Any] = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -129,9 +131,9 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     return SteinerTable(n, dist, g.adj)
 
 
-def _bfs_row(g: Graph, src: int) -> List[float]:
+def _bfs_row(g: Graph, src: int) -> List[int]:
     """Distances from ``src`` to every vertex, INF where unreachable."""
-    row: List[float] = [INF] * g.n
+    row = [INF] * g.n
     row[src] = 0
     nbrs = g.neighbors
     frontier = [src]
@@ -148,7 +150,7 @@ def _bfs_row(g: Graph, src: int) -> List[float]:
     return row
 
 
-def _grow(g: Graph, row: List[float]) -> None:
+def _grow(g: Graph, row: List[int]) -> None:
     """Close ``row`` under row[w] <= row[v] + 1 along edges (bucket Dijkstra)."""
     n = g.n
     nbrs = g.neighbors
@@ -178,9 +180,9 @@ class DreyfusWagner:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._rows: Dict[int, List[float]] = {}
+        self._rows: Dict[int, List[int]] = {}
 
-    def distance(self, s: int) -> float:
+    def distance(self, s: int) -> int:
         g = self.graph
         if s == 0:
             raise EmptySet("steiner distance needs a nonempty vertex set")
@@ -191,7 +193,7 @@ class DreyfusWagner:
             return 0
         return self._row(s ^ low)[low.bit_length() - 1]
 
-    def _row(self, x: int) -> List[float]:
+    def _row(self, x: int) -> List[int]:
         row = self._rows.get(x)
         if row is not None:
             return row
@@ -218,7 +220,7 @@ class DreyfusWagner:
         return row
 
 
-def steiner_single(g: Graph, s: int) -> float:
+def steiner_single(g: Graph, s: int) -> int:
     """Steiner distance of the vertex set ``s`` by the terminal-subset DP."""
     return DreyfusWagner(g).distance(s)
 
@@ -236,7 +238,7 @@ def _submasks_by_size(mask: int) -> Tuple[int, ...]:
     return tuple(subs)
 
 
-def steiner_oracle(g: Graph, s: int) -> float:
+def steiner_oracle(g: Graph, s: int) -> int:
     """Slow reference: try every superset of ``s`` in increasing size."""
     if s == 0:
         raise EmptySet("steiner distance needs a nonempty vertex set")
@@ -249,6 +251,6 @@ def steiner_oracle(g: Graph, s: int) -> float:
     return INF
 
 
-def pairwise_distances(g: Graph) -> Tuple[Tuple[float, ...], ...]:
+def pairwise_distances(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     """All-pairs shortest path distances by BFS from every vertex."""
     return tuple(tuple(_bfs_row(g, v)) for v in range(g.n))

@@ -5,8 +5,8 @@ default, optionally complement-connected, deduped by isomorphism or raw
 labeled), evaluates the requested bound checks for every admissible k, and
 collects violations and equality cases into a VerificationReport.  Bounds
 whose preconditions a graph fails to meet (too small an order, disconnected
-complement; see ``bounds.skip_reason``) are skipped quietly and never
-counted as run.
+complement; see ``bounds.GraphContext.applicable``) are skipped quietly and
+never counted as run.
 
 Enumeration is capped at order 8.  Deduped enumeration builds each level by
 attaching one new vertex to every canonical graph of the previous level.  A
@@ -32,8 +32,8 @@ check counts, violations, tight cases and check rows in slice order, so
 every slicing yields the same report; the formula audit runs once, in the
 caller's process.
 
-Labeled enumeration streams edge bitmasks in ascending order and is only
-meant for small orders (it visits 2^21 graphs already at order 7).
+Labeled enumeration builds one graph per edge bitmask, in ascending order,
+so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .bounds import EqualityWitness, GraphContext, expand_bound_ids, skip_reason
+from .bounds import EqualityWitness, GraphContext, expand_bound_ids
 from .canon import Key, canonical_key_and_perms, certificate, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
@@ -53,6 +53,7 @@ from .graph6 import graph6_encode
 from .indices import steiner_gutman
 
 ENUMERATION_CAP = 8
+LABELED_CAP = 6
 
 T = TypeVar("T")
 
@@ -196,6 +197,8 @@ def enumerate_graphs(
     n = spec.n
     if not 1 <= n <= ENUMERATION_CAP:
         raise OrderTooLarge(f"enumeration handles orders 1..{ENUMERATION_CAP}, got {n}")
+    if not spec.dedup_isomorphism and n > LABELED_CAP:
+        raise OrderTooLarge(f"labeled enumeration handles orders 1..{LABELED_CAP}, got {n}")
     if spec.dedup_isomorphism:
         pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper, jobs)
     else:
@@ -269,7 +272,7 @@ def _sweep_slice(
 
     for g in graphs:
         ctx = GraphContext(g)
-        runnable = [b for b in ids if skip_reason(b.split(".")[0], g.n, ctx.co_connected) is None]
+        runnable = ctx.applicable(ids)[0]
         if not runnable:
             continue
         g6 = graph6_encode(g)

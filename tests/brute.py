@@ -9,9 +9,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from steinergut import Graph
-
-INF = float("inf")
+from steinergut import INF, Graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -21,7 +19,7 @@ def to_networkx(g: Graph) -> nx.Graph:
     return h
 
 
-def steiner_distance(h: nx.Graph, terminals) -> float:
+def steiner_distance(h: nx.Graph, terminals) -> int:
     """min over supersets T of the terminals with H[T] connected of |T| - 1."""
     terms = set(terminals)
     others = sorted(set(h.nodes) - terms)
@@ -39,18 +37,18 @@ def steiner_gutman(h: nx.Graph, k: int) -> int:
         prod = 1
         for v in sub:
             prod *= h.degree[v]
-        total += prod * int(steiner_distance(h, sub))
+        total += prod * steiner_distance(h, sub)
     return total
 
 
 def steiner_wiener(h: nx.Graph, k: int) -> int:
-    return sum(int(steiner_distance(h, sub)) for sub in combinations(sorted(h.nodes), k))
+    return sum(steiner_distance(h, sub) for sub in combinations(sorted(h.nodes), k))
 
 
 def steiner_degree_distance(h: nx.Graph, k: int) -> int:
     total = 0
     for sub in combinations(sorted(h.nodes), k):
-        total += sum(h.degree[v] for v in sub) * int(steiner_distance(h, sub))
+        total += sum(h.degree[v] for v in sub) * steiner_distance(h, sub)
     return total
 
 

@@ -30,7 +30,6 @@ from steinergut import (
     is_k_connected,
     is_regular,
     pairwise_distances,
-    prop21,
     run_cli,
     steiner_all_subsets,
     steiner_gutman,
@@ -124,14 +123,14 @@ def test_criterion_05_worked_examples():
         g = generate(FamilySpec("complete_minus_perfect_matching", n))
         value = steiner_gutman(g, 3)
         assert value == 2 * (n - 2) ** 3 * comb(n, 3)
-        _, lo = prop21(g, 3)
+        _, lo = evaluate_bounds(g, 3, ["prop21"])
         assert lo.case_label == "min_deg>=2" and lo.tight
     for n in range(4, 13):
         g = generate(FamilySpec("path", n))
         assert steiner_gutman(g, n) == 2 ** (n - 2) * (n - 1)
     p3 = generate(FamilySpec("path", 3))
     assert steiner_gutman(p3, 2) == 6
-    _, lo = prop21(p3, 2)
+    _, lo = evaluate_bounds(p3, 2, ["prop21"])
     assert lo.case_label == "min_deg=1" and lo.tight
 
 
@@ -142,7 +141,7 @@ def test_criterion_06_prop21_soundness_and_tightness(universe):
         for g in universe[n]:
             table = steiner_all_subsets(g)
             for k in range(2, n + 1):
-                up, lo = prop21(g, k, table=table)
+                up, lo = evaluate_bounds(g, k, ["prop21"], table=table)
                 assert up.holds and lo.holds
                 if up.tight:
                     assert is_regular(g) and k == n
@@ -150,12 +149,12 @@ def test_criterion_06_prop21_soundness_and_tightness(universe):
                     assert is_regular(g) and is_k_connected(g, n - k + 1)
 
     k4 = from_edge_list(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert prop21(k4, 4)[0].tight
+    assert evaluate_bounds(k4, 4, ["prop21"])[0].tight
     c4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert prop21(c4, 3)[1].tight
-    assert prop21(generate(FamilySpec("path", 3)), 2)[1].tight
+    assert evaluate_bounds(c4, 3, ["prop21"])[1].tight
+    assert evaluate_bounds(generate(FamilySpec("path", 3)), 2, ["prop21"])[1].tight
     for n in range(3, 11):
-        assert prop21(generate(FamilySpec("path", n)), n)[1].tight
+        assert evaluate_bounds(generate(FamilySpec("path", n)), n, ["prop21"])[1].tight
     assert time.monotonic() - start < 600
 
 

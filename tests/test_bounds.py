@@ -12,9 +12,7 @@ from steinergut import (
     KOutOfRange,
     NotTight,
     SquareRoot,
-    amgm_sum,
     complement,
-    cor41,
     diagnose_equality,
     equality_witness,
     evaluate_bounds,
@@ -23,11 +21,7 @@ from steinergut import (
     graph6_decode,
     induced_connected,
     is_connected,
-    lem22,
-    prop21,
-    ps_product,
     steiner_gutman,
-    thm32,
 )
 from strategies import connected_graphs
 
@@ -74,7 +68,7 @@ def test_expand_bound_ids():
 
 
 def test_prop21_on_p3():
-    up, lo = prop21(path(3), 2)
+    up, lo = evaluate_bounds(path(3), 2, ["prop21"])
     assert up.bound_id == "prop21.upper"
     assert up.bound_value == 16 and up.actual == 6 and up.holds and not up.tight
     assert lo.case_label == "min_deg=1"
@@ -83,18 +77,18 @@ def test_prop21_on_p3():
 
 def test_prop21_needs_order_three():
     with pytest.raises(KOutOfRange):
-        prop21(path(2), 2)
+        evaluate_bounds(path(2), 2, ["prop21"])
 
 
 def test_lem22_on_p3():
-    up, lo = lem22(path(3), 2)
+    up, lo = evaluate_bounds(path(3), 2, ["lem22"])
     assert up.bound_value == 32 and up.holds
     assert lo.case_label == "min_deg=1"
     assert lo.bound_value == 3 and lo.holds and not lo.tight
 
 
 def test_lem22_lower_case_switch():
-    _, lo = lem22(cycle(4), 2)
+    _, lo = evaluate_bounds(cycle(4), 2, ["lem22"])
     assert lo.case_label == "min_deg>=2"
     assert lo.bound_value == 2 * 4 * 1 * 3  # 2m(k-1)C(n-1,k-1)
 
@@ -102,14 +96,35 @@ def test_lem22_lower_case_switch():
 def test_paired_bounds_need_connected_complement():
     star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ComplementDisconnected):
-        thm32(star, 2)
+        evaluate_bounds(star, 2, ["thm32"])
     with pytest.raises(ComplementDisconnected):
-        amgm_sum(star, 2)
+        evaluate_bounds(star, 2, ["amgm"])
 
 
 def test_cor41_needs_order_four():
     with pytest.raises(KOutOfRange):
         evaluate_bounds(complete(3), 2, ["cor41"])
+
+
+def test_applicable_runs_what_checks_accepts_and_skips_what_it_raises():
+    from steinergut.bounds import GraphContext
+
+    # P2: below prop21's and cor41's least order, complement disconnected
+    ctx = GraphContext(path(2))
+    runnable, skipped = ctx.applicable(list(BOUND_IDS))
+    assert runnable == ["lem22.upper", "lem22.lower"]
+    assert list(skipped) == ["prop21", "thm32", "cor41", "ps", "amgm"]
+    assert [type(e) for e in skipped.values()] == [
+        KOutOfRange, ComplementDisconnected, KOutOfRange, ComplementDisconnected,
+        ComplementDisconnected,
+    ]
+    assert str(skipped["prop21"]) == "needs order at least 3"
+    assert str(skipped["cor41"]) == "needs order at least 4"
+    assert str(skipped["thm32"]) == "complement is disconnected"
+    assert [c[0] for c in ctx.checks(2, runnable)] == runnable
+    with pytest.raises(KOutOfRange, match="^needs order at least 3$"):
+        ctx.checks(2, list(BOUND_IDS))
+    assert ctx.applicable(["lem22.upper"]) == (["lem22.upper"], {})
 
 
 def test_case_labels_cover_the_degree_splits():
@@ -119,7 +134,7 @@ def test_case_labels_cover_the_degree_splits():
         (path(5), "min_deg=1,max_deg<=n-3"),
         (path(4), "min_deg=1,max_deg=n-2"),
     ]:
-        checks = thm32(g, 2)
+        checks = evaluate_bounds(g, 2, ["thm32"])
         assert checks[2].bound_id == "thm32.2.sum_lower"
         assert checks[2].case_label == expected
         assert checks[3].case_label == expected
@@ -133,9 +148,9 @@ def test_branch_labels():
         (path(4), "min+max=n-1"),
     ]
     for g, expected in cases:
-        _, lo = ps_product(g, 2)
+        _, lo = evaluate_bounds(g, 2, ["ps"])
         assert lo.case_label == expected
-        _, lo = amgm_sum(g, 2)
+        _, lo = evaluate_bounds(g, 2, ["amgm"])
         assert lo.case_label == expected
 
 
@@ -152,7 +167,7 @@ def test_cycle5_attains_nearly_everything_at_k5():
 
 
 def test_amgm_root_lower_on_p4():
-    up, lo = amgm_sum(path(4), 3)
+    up, lo = evaluate_bounds(path(4), 3, ["amgm"])
     assert lo.case_label == "min+max=n-1"
     assert isinstance(lo.bound_value, SquareRoot)
     assert lo.bound_value.square == Fraction(2048)
@@ -163,7 +178,7 @@ def test_amgm_root_lower_on_p4():
 
 
 def test_amgm_perfect_square_stays_rational():
-    _, lo = amgm_sum(cycle(5), 5)
+    _, lo = evaluate_bounds(cycle(5), 5, ["amgm"])
     assert not isinstance(lo.bound_value, SquareRoot)
     assert lo.bound_value == 256 and lo.tight
 
@@ -273,7 +288,7 @@ def test_amgm_root_tracks_a_float_evaluation():
             pool.extend((g, k) for k in range(2, n + 1))
     rng = random.Random(61803)
     for g, k in rng.sample(pool, 100):
-        _, lo = amgm_sum(g, k)
+        _, lo = evaluate_bounds(g, k, ["amgm"])
         value = lo.bound_value
         as_float = math.sqrt(value.square) if isinstance(value, SquareRoot) else float(value)
         prof = degree_profile(g)
@@ -301,7 +316,7 @@ def test_prop21_lower_tight_on_kn_minus_matching():
     g = from_edge_list(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
                            if (i, j) not in {(0, 1), (2, 3), (4, 5)}])
     assert steiner_gutman(g, 3) == 2 * 4**3 * comb(6, 3)
-    _, lo = prop21(g, 3)
+    _, lo = evaluate_bounds(g, 3, ["prop21"])
     assert lo.case_label == "min_deg>=2" and lo.tight
 
 
@@ -324,12 +339,10 @@ def test_steiner_minimality_matches_a_direct_subset_scan(connected_by_order):
 
 
 GUARDED = {
-    "prop21": prop21,
-    "lem22": lem22,
-    "thm32": thm32,
-    "cor41": cor41,
-    "ps": ps_product,
-    "amgm": amgm_sum,
+    **{
+        group: lambda g, k, group=group: evaluate_bounds(g, k, [group])
+        for group in BOUND_GROUPS
+    },
     "evaluate_bounds": evaluate_bounds,
     "diagnose_equality": diagnose_equality,
 }
@@ -368,7 +381,7 @@ def test_guard_order(edges, n, k, expected):
 
 def _literal_checks(g, k):
     """Every applicable bound of ``g`` at ``k``, compared as Fractions or SquareRoots."""
-    from steinergut.bounds import _FORMULAS, _GROUP_IDS, BoundCheck, skip_reason
+    from steinergut.bounds import _FORMULAS, _GROUP_IDS, PAIRED_GROUPS, BoundCheck
 
     degs = g.degrees
     signature = (g.n, g.m, min(degs), max(degs), degs.count(1), k)
@@ -378,7 +391,11 @@ def _literal_checks(g, k):
     sgbar = steiner_gutman(gbar, k) if co_connected else None
     out = []
     for group in BOUND_GROUPS:
-        if skip_reason(group, g.n, co_connected) is not None:
+        # the paper's preconditions, restated: least orders 3 and 4, and a
+        # connected complement for the paired groups
+        if g.n < {"prop21": 3, "cor41": 4}.get(group, 0):
+            continue
+        if group in PAIRED_GROUPS and not co_connected:
             continue
         for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](*signature)):
             kind = bound_id.rsplit(".", 1)[1]

@@ -148,6 +148,19 @@ def test_bounds_reports_skipped_groups(tmp_path):
     assert skipped["thm32"] == "complement is disconnected"
 
 
+@pytest.mark.parametrize(
+    "g6, k, error",
+    [("A?", "2", "invariant defined for connected graphs only"), ("A_", "5", "k must satisfy")],
+)
+def test_bounds_guards_the_graph_and_k_even_when_every_group_is_skipped(tmp_path, g6, k, error):
+    # order 2 is below prop21's least order, so prop21 is skipped either way
+    path = write(tmp_path, "g.g6", f"{g6}\n")
+    code, out, err = run(["bounds", "--graph", path, "--k", k, "--set", "prop21"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and error in err
+
+
 def test_bounds_decimal_column(tmp_path):
     path = write(tmp_path, "g.g6", "Ch\n")  # the 4-path
     code, out, _ = run(
@@ -233,6 +246,19 @@ def test_verify_rejects_out_of_range_k():
 def test_verify_rejects_dedup_labeled_conflict():
     code, _, err = run(["verify", "--n-max", "3", "--dedup", "--labeled"])
     assert code == 1
+
+
+def test_verify_labeled_refuses_order_seven_before_any_order_runs(monkeypatch):
+    from steinergut import verify
+
+    def refuse(*args):
+        raise AssertionError("from_edge_mask called")
+
+    monkeypatch.setattr(verify, "from_edge_mask", refuse)
+    code, out, err = run(["verify", "--labeled", "--n-max", "7"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["usage error: --labeled needs --n-max in 1..6, got 7"]
 
 
 def test_audit_formulas_cli():

@@ -42,6 +42,21 @@ def test_singletons_are_zero():
     assert t.dist[0b101] == INF
 
 
+def test_every_engine_returns_the_int_inf_across_components():
+    g = from_edge_list(4, [(0, 1), (2, 3)])
+    s = 0b0101
+    got = [
+        steiner_all_subsets(g).dist[s],
+        steiner_single(g, s),
+        DreyfusWagner(g).distance(0b1111),
+        steiner_oracle(g, s),
+        pairwise_distances(g)[0][2],
+    ]
+    assert got == [INF] * 5
+    assert all(type(d) is int for d in got)
+    assert INF > 2 * 61  # above any sum of two finite distances at MAX_ORDER = 62
+
+
 def test_table_cap():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     with pytest.raises(OrderTooLarge):

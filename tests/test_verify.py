@@ -157,6 +157,17 @@ def test_enumeration_cap():
         enumerate_graphs(EnumerationSpec(n=9))
 
 
+def test_labeled_enumeration_refuses_order_seven_before_building_a_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("from_edge_mask called")
+
+    monkeypatch.setattr(verify, "from_edge_mask", refuse)
+    for connected in (True, False):
+        spec = EnumerationSpec(n=7, require_connected=connected, dedup_isomorphism=False)
+        with pytest.raises(OrderTooLarge):
+            enumerate_graphs(spec)
+
+
 def test_sweep_skips_inapplicable_groups_quietly():
     report = sweep(EnumerationSpec(n=3))
     # paired groups never run at order 3, leaving prop21 + lem22 only:
