@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import IO, List, Optional, Tuple
 
 from .bounds import GraphContext, expand_bound_ids
@@ -188,12 +188,15 @@ def _parse_edgelist(label: str, text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def _load_graphs(args) -> List[Tuple[str, Graph]]:
-    """(graph6 name, Graph) pairs from the --graph input."""
+def _load_graphs(args) -> List[Tuple[str, str, Graph]]:
+    """(FILE:LINE, graph6 name, Graph) triples from the --graph input.
+
+    An edgelist holds one graph, so its place is the file name alone.
+    """
     label, text = _read_text(args.graph)
     if args.format == "edgelist":
         g = _parse_edgelist(label, text)
-        return [(graph6_encode(g), g)]
+        return [(label, graph6_encode(g), g)]
     out = []
     for i, line in enumerate(text.splitlines(), 1):
         s = line.strip()
@@ -203,10 +206,19 @@ def _load_graphs(args) -> List[Tuple[str, Graph]]:
             g = graph6_decode(s)
         except SteinerGutError as exc:
             raise exc.__class__(f"{label}:{i}: {exc}") from None
-        out.append((s, g))
+        out.append((f"{label}:{i}", s, g))
     if not out:
         raise _UsageError(f"no graphs found in {label}")
     return out
+
+
+@contextmanager
+def _naming(where: str, g6: str):
+    """Prefix a failure on one input graph with its FILE:LINE and graph6 name."""
+    try:
+        yield
+    except SteinerGutError as exc:
+        raise exc.__class__(f"{where}: {g6}: {exc}") from None
 
 
 def _k_list(kval: str, n: int) -> List[int]:
@@ -250,19 +262,20 @@ def _emit_records(recs, columns, fmt: str, out: IO[str]) -> None:
 def _cmd_compute(args, out, err) -> int:
     names = _index_names(args.indices)
     recs = []
-    for g6, g in _load_graphs(args):
-        table = steiner_all_subsets(g)
-        for k in _k_list(args.k, g.n):
-            rec = {"graph6": g6, "n": g.n, "m": g.m, "k": k}
-            if "sgut" in names:
-                rec["sgut"] = steiner_gutman(g, k, table=table)
-            if "sw" in names:
-                rec["sw"] = steiner_wiener(g, k, table=table)
-            if "sdd" in names:
-                rec["sdd"] = steiner_degree_distance(g, k, table=table)
-            if "gut" in names:
-                rec["gut"] = gutman(g) if k == 2 else None
-            recs.append(rec)
+    for where, g6, g in _load_graphs(args):
+        with _naming(where, g6):
+            table = steiner_all_subsets(g)
+            for k in _k_list(args.k, g.n):
+                rec = {"graph6": g6, "n": g.n, "m": g.m, "k": k}
+                if "sgut" in names:
+                    rec["sgut"] = steiner_gutman(g, k, table=table)
+                if "sw" in names:
+                    rec["sw"] = steiner_wiener(g, k, table=table)
+                if "sdd" in names:
+                    rec["sdd"] = steiner_degree_distance(g, k, table=table)
+                if "gut" in names:
+                    rec["gut"] = gutman(g) if k == 2 else None
+                recs.append(rec)
     columns = ["graph6", "n", "m", "k"] + [c for c in INDEX_NAMES if c in names]
     _emit_records(recs, columns, args.out, out)
     return 0
@@ -287,33 +300,34 @@ def _cmd_bounds(args, out, err) -> int:
     found_violation = False
     records = []
     csv_rows = []
-    for g6, g in _load_graphs(args):
-        ctx = GraphContext(g)
-        runnable, errors = ctx.applicable(ids)
-        skipped = [{"group": grp, "reason": str(e)} for grp, e in errors.items()]
-        for k in _k_list(args.k, g.n):
-            checks = []
-            # with nothing runnable this still raises Disconnected, then KOutOfRange
-            for bound_id, case, value, actual, holds, tight in ctx.checks(k, runnable):
-                if not holds:
-                    found_violation = True
-                item = {
-                    "bound_id": bound_id,
-                    "case_label": case,
-                    "bound_value": value_str(value),
-                    "actual": actual,
-                    "holds": holds,
-                    "tight": tight,
-                }
-                row = [g6, g.n, k, bound_id, case, value_str(value)]
-                if decimal is not None:
-                    item["decimal"] = decimal_str(value, decimal)
-                    row.append(item["decimal"])
-                row += [actual, int(holds), int(tight)]
-                checks.append(item)
-                csv_rows.append(row)
-            records.append({"graph6": g6, "n": g.n, "k": k, "checks": checks,
-                            "skipped": skipped})
+    for where, g6, g in _load_graphs(args):
+        with _naming(where, g6):
+            ctx = GraphContext(g)
+            runnable, errors = ctx.applicable(ids)
+            skipped = [{"group": grp, "reason": str(e)} for grp, e in errors.items()]
+            for k in _k_list(args.k, g.n):
+                checks = []
+                # with nothing runnable this still raises Disconnected, then KOutOfRange
+                for bound_id, case, value, actual, holds, tight in ctx.checks(k, runnable):
+                    if not holds:
+                        found_violation = True
+                    item = {
+                        "bound_id": bound_id,
+                        "case_label": case,
+                        "bound_value": value_str(value),
+                        "actual": actual,
+                        "holds": holds,
+                        "tight": tight,
+                    }
+                    row = [g6, g.n, k, bound_id, case, value_str(value)]
+                    if decimal is not None:
+                        item["decimal"] = decimal_str(value, decimal)
+                        row.append(item["decimal"])
+                    row += [actual, int(holds), int(tight)]
+                    checks.append(item)
+                    csv_rows.append(row)
+                records.append({"graph6": g6, "n": g.n, "k": k, "checks": checks,
+                                "skipped": skipped})
     if args.out == "json":
         print(json.dumps(records, indent=2), file=out)
     else:

@@ -12,19 +12,19 @@ Enumeration is capped at order 8.  Deduped enumeration builds each level by
 attaching one new vertex to every canonical graph of the previous level.  A
 parent's automorphisms (the optimal orderings of its canonical search) map
 attachment masks to masks giving isomorphic children, so only the least mask
-of each orbit is tried.  Children are deduped by ``canon.certificate``, a
-refinement-restricted lex-min key, and the full lex-min canon runs once per
-new class to relabel its first child into the canonical representative.
+of each orbit is tried.  A child is kept only if no vertex that may be
+deleted (any vertex, or a non-cut one when only connected graphs are built)
+has a smaller degree than the new vertex: every class can be rebuilt from
+the deletion of such a least-degree vertex, so none is lost.  Each kept
+child gets one lex-min canon, and children are deduped by its key.
 
-A level is built in two phases, each mapped over contiguous slices with the
-caller's ``map``: the builtin one in process, or a process pool's.  The
-children phase turns each slice of parents into a certificate -> first
-child map, and the maps are merged in slice order; the canon phase
-canonises the unique children, one full canon per class.  A class's
-canonical rows do not depend on which child found it and the level is
-sorted by (edge count, edge mask), so every slicing yields the same level.
-Built levels are kept in one cache for the life of the process, whichever
-map built them.
+A level is built in one pass, mapped over contiguous slices of the parents
+with the caller's ``map``: the builtin one in process, or a process pool's.
+Each slice returns canonical key -> canonical rows, and the maps are merged
+in slice order.  A class's canonical rows do not depend on which child
+found it and the level is sorted by (edge count, edge mask), so every
+slicing yields the same level.  Built levels are kept in one cache for the
+life of the process, whichever map built them.
 
 A sweep is sliced like a level: ``sweep`` maps ``_sweep_slice`` over
 contiguous slices of the graphs with the same ``map`` and joins the slices'
@@ -44,11 +44,11 @@ from itertools import chain
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
-from .canon import Key, canonical_key_and_perms, certificate, relabel_rows
+from .canon import Key, canonical_key_and_perms, relabel_rows
 from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
-from .graph import Graph, complement, edge_mask, from_edge_mask, is_connected, iter_bits
+from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
 from .indices import steiner_gutman
 
@@ -109,31 +109,50 @@ Rows = Tuple[int, ...]
 _LEVELS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
 
 
-def _level_children(payload: Tuple[Tuple[Rows, ...], int, int]) -> Dict[Key, Rows]:
-    """Children phase, one slice of parents: certificate -> first child's rows.
+def _keeps(rows: Rows, connected_only: bool) -> bool:
+    """The deletion rule: no deletable vertex has a smaller degree than the new, last one.
+
+    In all-graphs mode every vertex is deletable; in connected mode only the
+    non-cut ones are, so a vertex of smaller degree rejects the child only
+    when the rest stays connected without it.
+    """
+    n = len(rows)
+    d = rows[-1].bit_count()
+    full = (1 << n) - 1
+    for u in range(n - 1):
+        if rows[u].bit_count() < d:
+            if not connected_only:
+                return False
+            rest = full ^ 1 << u
+            if _flood(rows, rest & -rest, rest) == rest:
+                return False
+    return True
+
+
+def _level_slice(payload: Tuple[Tuple[Rows, ...], int, bool]) -> Dict[Key, Rows]:
+    """One slice of parents: canonical key -> canonical rows of each child kept.
 
     Each parent's optimal orderings are its automorphisms, because parents
-    are canonical; only the least attachment mask of each orbit is tried.
+    are canonical; only the least attachment mask of each orbit is tried,
+    and only the children that ``_keeps`` are canonised.
     """
-    parents, n, lo = payload
+    parents, n, connected_only = payload
     top = 1 << (n - 1)
     found: Dict[Key, Rows] = {}
     for parent in parents:
         auts = canonical_key_and_perms(parent)[1]
         base = list(parent) + [0]
-        for mask in _orbit_minima(auts, lo, n - 1):
+        for mask in _orbit_minima(auts, int(connected_only), n - 1):
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
-            found.setdefault(certificate(rows), rows)
+            if _keeps(rows, connected_only):
+                key, perms = canonical_key_and_perms(rows)
+                if key not in found:
+                    found[key] = relabel_rows(rows, perms[0])
     return found
-
-
-def _canonise(children: Sequence[Rows]) -> List[Rows]:
-    """Canon phase, one slice of classes: each child relabeled into canonical rows."""
-    return [relabel_rows(rows, canonical_key_and_perms(rows)[1][0]) for rows in children]
 
 
 def _build_level(
@@ -141,32 +160,28 @@ def _build_level(
 ) -> Tuple[Graph, ...]:
     """The order-n classes grown from the order-(n-1) classes ``parents``.
 
-    Every order-n graph is some order-(n-1) graph plus one new vertex, and
-    when both are connected the new vertex can be chosen non-cut so the
-    parent is connected and the attachment nonempty.  Sweeping all masks
-    over all parents of the previous level therefore hits every class.
+    A class C is rebuilt from C - v, where v is a vertex of least degree
+    among those whose deletion leaves a graph of the previous level (the
+    non-cut vertices in connected mode, any vertex otherwise).  Some
+    orbit-minimum attachment to C - v is the image of N(v) under an
+    automorphism of C - v, so it gives a child isomorphic to C whose new
+    vertex passes ``_keeps``: no class is lost.
 
-    Two phases, each ``mapper``-ped over ``jobs`` contiguous slices: the
-    children phase maps each slice of parents to certificate -> first child,
-    and the maps are merged with ``setdefault``; the canon phase relabels the
-    unique children, so every class gets exactly one full canon.  The
+    ``mapper`` maps ``_level_slice`` over ``jobs`` contiguous slices of the
+    parents, and the key -> rows maps are merged with ``setdefault``.  The
     canonical rows of a class do not depend on which child found it, and
     the result is sorted by (m, edge mask), so neither the slicing nor the
     merge order can change the output.
     """
-    lo = 1 if connected_only else 0
     payloads = [
-        (tuple(g.adj for g in part), n, lo) for part in shard_graphs(parents, jobs)
+        (tuple(g.adj for g in part), n, connected_only)
+        for part in shard_graphs(parents, jobs)
     ]
     seen: Dict[Key, Rows] = {}
-    for found in mapper(_level_children, payloads):
-        for cert, rows in found.items():
-            seen.setdefault(cert, rows)
-    graphs = [
-        Graph(n, rows, sum(row.bit_count() for row in rows) // 2)
-        for part in mapper(_canonise, shard_graphs(list(seen.values()), jobs))
-        for rows in part
-    ]
+    for found in mapper(_level_slice, payloads):
+        for key, rows in found.items():
+            seen.setdefault(key, rows)
+    graphs = [Graph(n, rows, sum(r.bit_count() for r in rows) // 2) for rows in seen.values()]
     return tuple(sorted(graphs, key=lambda g: (g.m, edge_mask(g))))
 
 
@@ -333,7 +348,7 @@ def sweep(
 def shard_graphs(graphs: Sequence[T], jobs: int) -> List[List[T]]:
     """Split into ``jobs`` contiguous slices of near-equal size, order kept.
 
-    Used for graphs, parents' rows and unique children alike.
+    Used for graphs and for parents' rows alike.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

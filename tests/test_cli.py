@@ -103,6 +103,16 @@ def test_compute_rejects_malformed_graph6(tmp_path):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+def test_batch_error_names_the_file_line_and_graph(tmp_path, command):
+    # line 3 holds the edgeless graph of order 2, which is disconnected
+    path = write(tmp_path, "g.g6", "Bg\n\nA?\n")
+    code, out, err = run([command, "--graph", path, "--k", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:3: A?: invariant defined for connected graphs only\n"
+
+
 def test_compute_rejects_bad_k(tmp_path):
     path = write(tmp_path, "g.g6", "Bg\n")
     code, _, err = run(["compute", "--graph", path, "--k", "7"])

@@ -8,6 +8,7 @@ from math import factorial
 
 import networkx as nx
 import pytest
+from hypothesis import given
 
 import brute
 from steinergut import (
@@ -20,9 +21,12 @@ from steinergut import (
     complement,
     enumerate_graphs,
     find_extremal,
+    from_edge_list,
     graph6_decode,
     graph6_encode,
+    induced_connected,
     is_connected,
+    relabel,
     report_to_dict,
     run_cli,
     shard_graphs,
@@ -31,6 +35,7 @@ from steinergut import (
     write_checks_csv,
 )
 from steinergut import cli, verify
+from strategies import connected_graphs
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -345,17 +350,62 @@ def test_slicing_does_not_change_any_level(connected, monkeypatch):
     assert sorted(levels[0]) == [(n, connected) for n in range(1, 8)]
 
 
-def test_enumeration_canonises_each_class_once(fresh_levels, count_calls):
+def test_enumeration_canonises_each_class_once(count_calls, monkeypatch):
     from steinergut import canon
 
     canons = count_calls(canon, "canonical_key_and_perms")
-    certificates = count_calls(canon, "certificate")
-    for n in range(1, 9):
-        enumerate_graphs(EnumerationSpec(n=n), map, 2)
-    # one canon per parent (its automorphisms) and one per class, through
-    # order 8; one certificate per orbit-minimum child; both as before sharding
-    assert len(canons) == 13108
-    assert len(certificates) == 71300
+    for jobs in (1, 2):
+        monkeypatch.setattr(verify, "_LEVELS", {})
+        del canons[:]
+        for n in range(1, 9):
+            enumerate_graphs(EnumerationSpec(n=n), map, jobs)
+        # through order 8: one canon per parent for its automorphisms (996)
+        # and one per orbit-minimum child kept by the deletion rule (18,311)
+        assert len(canons) == 19307, jobs
+
+
+def _rows(n, edges):
+    return from_edge_list(n, edges).adj
+
+
+def test_deletion_rule_rejects_a_smaller_degree_non_cut_vertex():
+    # the 3-path 0-1-2 with the new vertex 3 joined to all three: vertex 0
+    # has degree 2 < 3 and the rest stays connected without it
+    rows = _rows(4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2)])
+    assert not verify._keeps(rows, True)
+    assert not verify._keeps(rows, False)
+
+
+def test_deletion_rule_ignores_a_smaller_degree_cut_vertex():
+    # two K4s joined through vertex 4, of degree 2; the new vertex 8 has
+    # degree 3, and every non-cut vertex has degree at least 3
+    k4s = [(u, v) for block in ((0, 1, 2, 3), (5, 6, 7, 8)) for u, v in combinations(block, 2)]
+    rows = _rows(9, k4s + [(3, 4), (4, 5)])
+    assert verify._keeps(rows, True)
+    # with every vertex deletable, vertex 4 rejects the child
+    assert not verify._keeps(rows, False)
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
+    # the premise of the enumeration: every class has a child that is kept
+    def last(v):
+        return relabel(g, [u - (u > v) if u != v else g.n - 1 for u in range(g.n)]).adj
+
+    non_cut = [u for u in range(g.n) if induced_connected(g, g.full_mask ^ 1 << u)]
+    assert verify._keeps(last(min(non_cut, key=g.degrees.__getitem__)), True)
+    assert verify._keeps(last(min(range(g.n), key=g.degrees.__getitem__)), False)
+
+
+@pytest.mark.slow
+def test_order_nine_level_matches_its_golden_digest(fresh_levels):
+    # above ENUMERATION_CAP, so the level is built directly; about 80 s on 2 cores
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        level = verify._canonical_graphs(9, True, pool.map, 2)
+    assert len(level) == 261080
+    assert _names_digest(level) == (
+        "ecaa74d8e3822ff8af5ef9bbc0f57044d74d41bc8c54d50531b30c6754dc643f"
+    )
 
 
 def test_sweep_builds_each_invariant_once_per_graph(count_calls):
