@@ -75,10 +75,6 @@ def canonical_key_and_perms(adj: Tuple[int, ...]) -> Tuple[Key, Tuple[Tuple[int,
     return tuple(key), tuple(seq for seq, _ in frontier)
 
 
-def canonical_key(adj: Tuple[int, ...]) -> Key:
-    return canonical_key_and_perms(adj)[0]
-
-
 def relabel_rows(adj: Tuple[int, ...], seq: Tuple[int, ...]) -> Tuple[int, ...]:
     """Adjacency rows after placing original vertex seq[i] at position i."""
     n = len(adj)

@@ -15,39 +15,28 @@ violations (verify, bounds) or formula disagreements (audit-formulas).
 Exact values are printed as "num/den" strings (denominator omitted when 1)
 or "sqrt(num/den)" for the one square-root bound; --decimal adds a truncated
 decimal convenience column next to them.
+
+Only what ``compute`` runs is imported with this module.  Every other
+subcommand imports its layers (bounds, verify, families, exact) in its own
+handler, and the process pool class is imported on first use (see
+``__getattr__``), so a ``compute`` query never pays for them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import IO, List, Optional, Tuple
 
-from .bounds import GraphContext, expand_bound_ids
 from .errors import SteinerGutError
-from .exact import decimal_str, value_str
-from .families import FamilySpec, generate, audit_formulas
 from .graph import Graph, from_edge_list
 from .graph6 import graph6_decode, graph6_encode
-from .indices import gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
-from .steiner import steiner_all_subsets
-from .verify import (
-    ENUMERATION_CAP,
-    LABELED_CAP,
-    OBJECTIVES,
-    EnumerationSpec,
-    enumerate_graphs,
-    find_extremal,
-    report_to_dict,
-    sweep,
-    write_checks_csv,
-)
+from .indices import OBJECTIVES, gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
+from .steiner import require_table_order, steiner_all_subsets
 
 INDEX_NAMES = ("sgut", "sw", "sdd", "gut")
 
@@ -62,6 +51,20 @@ FAMILY_NAMES = {
     "complete": "complete",
     "kn-minus-matching": "complete_minus_perfect_matching",
 }
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported when first read: only ``verify --jobs N > 1`` needs it.
+
+    Once read, or rebound by a caller, it is a plain module global, and that
+    binding is the one ``verify`` opens its pool with.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class _UsageError(Exception):
@@ -191,24 +194,30 @@ def _parse_edgelist(label: str, text: str) -> Graph:
 def _load_graphs(args) -> List[Tuple[str, str, Graph]]:
     """(FILE:LINE, graph6 name, Graph) triples from the --graph input.
 
-    An edgelist holds one graph, so its place is the file name alone.
+    An edgelist holds one graph, so its place is the file name alone.  Every
+    graph's order is checked against the table cap here, before any table
+    of the batch is built.
     """
     label, text = _read_text(args.graph)
     if args.format == "edgelist":
         g = _parse_edgelist(label, text)
-        return [(label, graph6_encode(g), g)]
-    out = []
-    for i, line in enumerate(text.splitlines(), 1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        try:
-            g = graph6_decode(s)
-        except SteinerGutError as exc:
-            raise exc.__class__(f"{label}:{i}: {exc}") from None
-        out.append((f"{label}:{i}", s, g))
-    if not out:
-        raise _UsageError(f"no graphs found in {label}")
+        out = [(label, graph6_encode(g), g)]
+    else:
+        out = []
+        for i, line in enumerate(text.splitlines(), 1):
+            s = line.strip()
+            if not s or s.startswith("#"):
+                continue
+            try:
+                g = graph6_decode(s)
+            except SteinerGutError as exc:
+                raise exc.__class__(f"{label}:{i}: {exc}") from None
+            out.append((f"{label}:{i}", s, g))
+        if not out:
+            raise _UsageError(f"no graphs found in {label}")
+    for where, g6, g in out:
+        with _naming(where, g6):
+            require_table_order(g.n)
     return out
 
 
@@ -242,6 +251,8 @@ def _index_names(spec: str) -> List[str]:
 
 
 def _bound_ids(spec: str) -> List[str]:
+    from .bounds import expand_bound_ids
+
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
     try:
         return expand_bound_ids(tokens or None)
@@ -253,7 +264,9 @@ def _emit_records(recs, columns, fmt: str, out: IO[str]) -> None:
     if fmt == "json":
         print(json.dumps(recs, indent=2), file=out)
         return
-    writer = _csv.writer(out)
+    import csv
+
+    writer = csv.writer(out)
     writer.writerow(columns)
     for rec in recs:
         writer.writerow(["" if rec.get(c) is None else rec.get(c, "") for c in columns])
@@ -282,6 +295,8 @@ def _cmd_compute(args, out, err) -> int:
 
 
 def _cmd_family(args, out, err) -> int:
+    from .families import FamilySpec, generate
+
     g = generate(FamilySpec(FAMILY_NAMES[args.name], args.n))
     if args.emit == "g6":
         print(graph6_encode(g), file=out)
@@ -293,6 +308,9 @@ def _cmd_family(args, out, err) -> int:
 
 
 def _cmd_bounds(args, out, err) -> int:
+    from .bounds import GraphContext
+    from .exact import decimal_str, value_str
+
     ids = _bound_ids(args.bound_set)
     decimal = args.decimal
     if decimal is not None and decimal < 0:
@@ -331,7 +349,9 @@ def _cmd_bounds(args, out, err) -> int:
     if args.out == "json":
         print(json.dumps(records, indent=2), file=out)
     else:
-        writer = _csv.writer(out)
+        import csv
+
+        writer = csv.writer(out)
         header = ["graph6", "n", "k", "bound_id", "case_label", "bound_value"]
         if decimal is not None:
             header.append("decimal")
@@ -342,6 +362,16 @@ def _cmd_bounds(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
+    from .verify import (
+        ENUMERATION_CAP,
+        LABELED_CAP,
+        EnumerationSpec,
+        enumerate_graphs,
+        report_to_dict,
+        sweep,
+        write_checks_csv,
+    )
+
     ids = _bound_ids(args.bound_set)
     if not 1 <= args.n_max <= ENUMERATION_CAP:
         raise _UsageError(f"--n-max must lie in 1..{ENUMERATION_CAP}, got {args.n_max}")
@@ -366,9 +396,12 @@ def _cmd_verify(args, out, err) -> int:
             if report_fh is not out and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno()):
                 raise _UsageError("--out and --csv name the same file")
         reports = []
-        # one pool serves every order's enumeration phases and sweep slices
-        pooled = args.jobs > 1
-        with ProcessPoolExecutor(max_workers=args.jobs) if pooled else nullcontext() as pool:
+        # one pool serves every order's enumeration phases and sweep slices; its
+        # class is read off this module, so a caller's rebinding of it is used
+        pooling = nullcontext()
+        if args.jobs > 1:
+            pooling = sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs)
+        with pooling as pool:
             mapper = map if pool is None else pool.map
             for n in range(2, args.n_max + 1):
                 spec = EnumerationSpec(
@@ -417,6 +450,8 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _cmd_audit(args, out, err) -> int:
+    from .families import audit_formulas
+
     if args.n_max < 2:
         raise _UsageError("--n-max must be at least 2")
     audits = audit_formulas(args.n_max)
@@ -432,6 +467,8 @@ def _cmd_audit(args, out, err) -> int:
 
 
 def _cmd_extremal(args, out, err) -> int:
+    from .verify import EnumerationSpec, find_extremal
+
     spec = EnumerationSpec(
         n=args.n,
         require_connected=True,

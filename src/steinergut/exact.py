@@ -20,14 +20,11 @@ def frac_str(x: Union[int, Fraction]) -> str:
 class SquareRoot:
     """A nonnegative value known exactly as the square root of a rational.
 
-    Comparisons against nonnegative rationals go through the square, so no
-    precision is ever lost; float() and decimal() are conveniences only.
+    Bounds compare it with an index value through the square, so no
+    precision is ever lost; decimal() is a convenience only.
     """
 
     square: Fraction
-
-    def __float__(self) -> float:
-        return math.sqrt(self.square.numerator / self.square.denominator)
 
     def __str__(self) -> str:
         return f"sqrt({frac_str(self.square)})"
@@ -35,17 +32,6 @@ class SquareRoot:
     def decimal(self, digits: int) -> str:
         scaled = self.square.numerator * 10 ** (2 * digits) // self.square.denominator
         return _place_point(math.isqrt(scaled), digits)
-
-    def le_squared(self, other: Union[int, Fraction]) -> bool:
-        """self <= other, assuming other >= 0."""
-        return self.square <= Fraction(other) ** 2
-
-    def ge_squared(self, other: Union[int, Fraction]) -> bool:
-        """self >= other, assuming other >= 0."""
-        return self.square >= Fraction(other) ** 2
-
-    def eq_squared(self, other: Union[int, Fraction]) -> bool:
-        return self.square == Fraction(other) ** 2
 
 
 Scalar = Union[int, Fraction, SquareRoot]

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional
 
-from .errors import InvalidFamilyOrder, KOutOfRange, OrderTooLarge
+from .errors import InvalidFamilyOrder, KOutOfRange
 from .graph import Graph, from_edge_list
 from .indices import steiner_gutman
-from .steiner import DEFAULT_TABLE_CAP, steiner_all_subsets
+from .steiner import require_table_order, steiner_all_subsets
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_minus_perfect_matching")
 
@@ -122,8 +122,7 @@ def audit_formulas(n_max: int) -> List[FormulaAudit]:
     """
     if n_max < 2:
         raise InvalidFamilyOrder(f"n_max must be at least 2, got {n_max}")
-    if n_max > DEFAULT_TABLE_CAP:
-        raise OrderTooLarge(f"full table wants n <= {DEFAULT_TABLE_CAP}, got {n_max}")
+    require_table_order(n_max)
     out: List[FormulaAudit] = []
     for n in range(2, n_max + 1):
         out.extend(audit_for_order(n))

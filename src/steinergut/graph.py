@@ -71,14 +71,6 @@ class Graph:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: Tuple[int, ...]
-    min_degree: int
-    max_degree: int
-    pendant_count: int
-
-
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from an edge list.
 
@@ -121,16 +113,6 @@ def complement(g: Graph) -> Graph:
     full = g.full_mask
     rows = tuple(~row & full & ~(1 << i) for i, row in enumerate(g.adj))
     return Graph(g.n, rows, g.n * (g.n - 1) // 2 - g.m)
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    degs = g.degrees
-    return DegreeProfile(
-        degrees=degs,
-        min_degree=min(degs),
-        max_degree=max(degs),
-        pendant_count=sum(1 for d in degs if d == 1),
-    )
 
 
 def _flood(adj: Sequence[int], seed: int, within: int) -> int:

@@ -22,24 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter, mul
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange
 from .graph import Graph, is_connected
 from .steiner import SteinerTable, pairwise_distances, steiner_all_subsets
 
 
-def k_subset_masks(n: int, k: int) -> Iterator[int]:
-    """All masks with k of the low n bits set, in ascending numeric order."""
-    if k == 0 or k > n:
-        return
-    c = (1 << k) - 1
-    top = 1 << n
-    while c < top:
-        yield c
-        low = c & -c
-        ripple = c + low
-        c = ripple | (((c ^ ripple) >> 2) // low)
+# Extremal objectives (verify.find_extremal): the max or min of SGut_k(G), or
+# of SGut_k(G) and SGut_k(complement) summed or multiplied.
+OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")
 
 
 def _require_k(g: Graph, k: int, lo: int = 2) -> None:

@@ -12,7 +12,9 @@ Three algorithms that share no code path:
   size (add a neighbor outside the set), the down-closure of the connected
   sets of size at most s + 1 is the family of sets within distance s (a
   zeta transform by shift-or), and dist[S] is the number of such families
-  that miss S, stored one byte per mask.
+  that miss S.  The counts are kept bit-sliced, one 2^n-bit int per bit of
+  the count with each family added by ripple carry, so only the
+  ceil(log2 n) slices are spread out to one byte per mask, at the end.
 * DreyfusWagner / steiner_single: terminal-subset DP with merge and
   tree-grow transitions, for one query set at a time.
 * steiner_oracle: literal transcription of the definition, supersets by
@@ -82,6 +84,12 @@ def _down_closure(fam: int, has: Tuple[int, ...]) -> int:
     return fam
 
 
+def require_table_order(n: int, cap: int = DEFAULT_TABLE_CAP) -> None:
+    """Refuse an order whose full table (2^n entries) is past ``cap``."""
+    if n > cap:
+        raise OrderTooLarge(f"full table wants n <= {cap}, got {n}")
+
+
 def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     """Steiner distances of every nonempty vertex subset of ``g``.
 
@@ -95,8 +103,7 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     closure misses S.
     """
     n = g.n
-    if n > cap:
-        raise OrderTooLarge(f"full table wants n <= {cap}, got {n}")
+    require_table_order(n, cap)
     size = 1 << n
     full = (1 << size) - 1
     has = _member_families(n)
@@ -109,13 +116,21 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
         grow.append(meets & ~has[v])
     level = sum(1 << (1 << v) for v in range(n))
     within = _down_closure(level, has)
-    counts = 0
+    # slices[i] holds bit i of every mask's count, added to by ripple carry
+    slices: List[int] = []
     levels = 0
     while True:
         missing = full ^ within
         if not missing:
             break
-        counts += int.from_bytes(format(missing, "b").encode().translate(_BIT_BYTES), "big")
+        carry = missing
+        for i, bits in enumerate(slices):
+            slices[i] = bits ^ carry
+            carry &= bits
+            if not carry:
+                break
+        else:
+            slices.append(carry)
         levels += 1
         nxt = 0
         for v, gv in enumerate(grow):
@@ -124,6 +139,9 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
         if not level:
             break
         within = _down_closure(within | level, has)
+    counts = 0
+    for i, bits in enumerate(slices):
+        counts |= int.from_bytes(format(bits, "b").encode().translate(_BIT_BYTES), "big") << i
     dist = counts.to_bytes(size, "little")
     if missing:
         # disconnected: the sets no level reached were counted at every level

@@ -50,7 +50,7 @@ from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
-from .indices import steiner_gutman
+from .indices import OBJECTIVES, steiner_gutman
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -360,9 +360,6 @@ def shard_graphs(graphs: Sequence[T], jobs: int) -> List[List[T]]:
         out.append(list(graphs[start:stop]))
         start = stop
     return out
-
-
-OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")
 
 
 @dataclass(frozen=True)

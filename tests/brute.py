@@ -1,15 +1,24 @@
 """Slow reference implementations backed by networkx.
 
 Nothing here shares an algorithm with the package under test: Steiner
-distances come from literal superset search over networkx subgraphs, and
-the index oracles re-sum everything from scratch.  Test-suite use only.
+distances come from literal superset search over networkx subgraphs, the
+index oracles re-sum everything from scratch, and a square-root bound is
+compared as a Fraction squared, not through the package's scaled integers.
+Test-suite use only.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
 from steinergut import INF, Graph
+
+
+def compare_root(root, x) -> int:
+    """Sign of sqrt(root.square) - x for a rational x >= 0, found by squaring."""
+    square = Fraction(x) ** 2
+    return (root.square > square) - (root.square < square)
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from steinergut import EnumerationSpec, find_extremal, graph6_encode, run_cli
+from steinergut import EnumerationSpec, find_extremal, from_edge_list, graph6_encode, run_cli
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -111,6 +111,21 @@ def test_batch_error_names_the_file_line_and_graph(tmp_path, command):
     assert code == 1
     assert out == ""
     assert err == f"error: {path}:3: A?: invariant defined for connected graphs only\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+def test_batch_above_the_table_cap_builds_no_table(tmp_path, count_calls, command):
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "steiner_all_subsets")
+    p21 = graph6_encode(from_edge_list(21, [(i, i + 1) for i in range(20)]))
+    # line 1 could be computed, but line 2 is refused before any table is built
+    path = write(tmp_path, "g.g6", f"Dhc\n{p21}\n")
+    code, out, err = run([command, "--graph", path, "--k", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:2: {p21}: full table wants n <= 20, got 21\n"
+    assert calls == []
 
 
 def test_compute_rejects_bad_k(tmp_path):

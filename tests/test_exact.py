@@ -1,10 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brute import compare_root
 from steinergut import SquareRoot, decimal_str, frac_str, value_str
 
 
@@ -23,17 +23,12 @@ def test_value_str_dispatch():
 
 
 def test_square_root_comparisons():
+    # the squared comparison the bound tests use as their reference
     r = SquareRoot(Fraction(2048))  # about 45.25
-    assert r.le_squared(46)
-    assert not r.le_squared(45)
-    assert r.ge_squared(45)
-    assert not r.ge_squared(46)
-    assert not r.eq_squared(45)
-    assert SquareRoot(Fraction(49)).eq_squared(7)
-
-
-def test_square_root_float_is_best_effort_only():
-    assert math.isclose(float(SquareRoot(Fraction(2))), math.sqrt(2))
+    assert compare_root(r, 46) == -1
+    assert compare_root(r, 45) == 1
+    assert compare_root(SquareRoot(Fraction(49)), 7) == 0
+    assert compare_root(SquareRoot(Fraction(9, 4)), Fraction(3, 2)) == 0
 
 
 def test_decimal_str_truncates():
@@ -61,5 +56,5 @@ def test_decimal_matches_fraction_truncation(num, digits):
 @given(st.fractions(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**5))
 def test_squared_comparison_agrees_with_real_order(square, other):
     r = SquareRoot(square)
-    assert r.le_squared(other) == (square <= other * other)
-    assert r.ge_squared(other) == (square >= other * other)
+    assert (compare_root(r, other) <= 0) == (square <= other * other)
+    assert (compare_root(r, other) >= 0) == (square >= other * other)

@@ -10,7 +10,6 @@ from steinergut import (
     LoopEdge,
     OrderTooLarge,
     complement,
-    degree_profile,
     edge_mask,
     from_adjacency,
     from_edge_list,
@@ -76,14 +75,6 @@ def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(iter_bits(0b100101)) == [0, 2, 5]
     assert list(iter_bits(0)) == []
-
-
-def test_degree_profile():
-    prof = degree_profile(path4())
-    assert prof.min_degree == 1
-    assert prof.max_degree == 2
-    assert prof.pendant_count == 2
-    assert prof.degrees == (1, 2, 2, 1)
 
 
 def test_complement_of_path():

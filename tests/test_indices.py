@@ -14,7 +14,6 @@ from steinergut import (
     gutman,
     is_connected,
     index_report,
-    k_subset_masks,
     steiner_all_subsets,
     steiner_degree_distance,
     steiner_gutman,
@@ -29,13 +28,6 @@ def path(n):
 
 def cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def test_k_subset_masks():
-    assert list(k_subset_masks(4, 2)) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert list(k_subset_masks(3, 3)) == [0b111]
-    assert list(k_subset_masks(3, 4)) == []
-    assert list(k_subset_masks(3, 0)) == []
 
 
 def test_small_path_values():

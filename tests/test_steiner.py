@@ -171,3 +171,27 @@ def test_disconnected_table_keeps_inf_for_sets_across_components():
         assert (d == INF) == (meets > 1)
         if meets == 1:
             assert type(d) is int
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17])
+def test_path_table_carries_into_each_new_count_slice(n):
+    # the full path has distance n - 1 = 2^j, the first count that needs bit j
+    g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    dist = steiner_all_subsets(g).dist
+    assert dist[(1 << n) - 1] == n - 1
+    # a subset of a path labelled in order spans its least to its greatest vertex
+    assert dist == bytes(s.bit_length() - (s & -s).bit_length() for s in range(1 << n))
+
+
+@pytest.mark.parametrize("n, across", [(5, 31), (9, 511), (17, 131_071)])
+def test_path_plus_isolated_vertex_is_inf_exactly_across_components(n, across):
+    g = from_edge_list(n + 1, [(i, i + 1) for i in range(n - 1)])
+    dist = steiner_all_subsets(g).dist
+    on_path = (1 << n) - 1
+    assert sum(d == INF for d in dist) == across == (1 << n) - 1
+    for s, d in enumerate(dist):
+        path_part = s & on_path
+        if s >> n and path_part:
+            assert d == INF
+        else:
+            assert d == path_part.bit_length() - (path_part & -path_part).bit_length()
