@@ -12,22 +12,23 @@ max, and sweeps report how the min variant behaves rather than repair it.
 
 Two cached layers sit on the formulas.  ``_bound_rows`` memoizes one group's
 rows per (signature, k), each with the integers its check compares: the
-value's numerator and denominator (of the square, for a SquareRoot).  What a
-bound id fixes, its operand and side, is kept once per group in ``_KINDS``
-and zipped with the rows.  A ``GraphContext`` holds what one graph contributes:
-G, the complement, its connectivity, the signature and both Steiner tables
-(the complement's built on first use), which carry the all-k index sums.
-Its ``checks`` is the one evaluator; a check is ``actual * den <= num`` (or
-``>=``, with actual squared for a SquareRoot), so no Fraction is built per
-check.  ``evaluate_bounds`` and the witnesses are thin builders of a context.
+value's numerator and denominator (of the square, for a SquareRoot).
+``_decide`` is the one applicability rule, memoized per (wanted ids, order,
+complement connected): the groups that run, each with the row, bound id,
+operand and side of its wanted bounds, and the requested groups it rules
+out, each with the error a request for it raises.  The group's least order
+is checked first, then the complement's connectivity, which only the paired
+groups need.
 
-A bound id names the side (upper, lower) and the operand (SGut_k(G), the sum
-or the product with the complement's index) of its check.  Whether a group
-applies is decided by ``skip_reason`` alone, which gives the error a request
-for the group raises, and read through ``GraphContext.applicable``: a skipping
-caller reports the error's text, ``checks`` raises the error.  The guards fire
-in a fixed order: Disconnected, k outside 2..n (KOutOfRange), the group's
-least order (KOutOfRange), a disconnected complement (ComplementDisconnected).
+A ``GraphContext`` holds what one graph contributes: G, the complement, its
+connectivity, the signature, both Steiner tables (the complement's built on
+first use), which carry the all-k index sums, and the decision for the ids
+it was built with.  Its ``checks(k)`` is the one evaluator; a check is
+``actual * den <= num`` (or ``>=``, with actual squared for a SquareRoot),
+so no Fraction is built per check.  It guards only G's connectivity, then k
+(Disconnected, then KOutOfRange); ``evaluate_bounds`` and ``equality_witness``
+then raise the first ruled-out group's error (``_requested``), while a sweep
+or a batch reports the ruled-out groups in ``skipped`` and goes on.
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -35,13 +36,13 @@ SquareRoot compared by squaring, never through floats.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isqrt
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ComplementDisconnected, KOutOfRange, NotTight, SteinerGutError
+from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
 from .indices import _checked_table, _sums, _table, steiner_gutman
@@ -71,8 +72,7 @@ BOUND_GROUPS = ("prop21", "lem22", "thm32", "cor41", "ps", "amgm")
 # groups that compare a graph against its complement
 PAIRED_GROUPS = ("thm32", "cor41", "ps", "amgm")
 
-_GROUP_OF = {b: b.split(".")[0] for b in BOUND_IDS}
-_GROUP_IDS = {grp: tuple(b for b in BOUND_IDS if _GROUP_OF[b] == grp) for grp in BOUND_GROUPS}
+_GROUP_IDS = {grp: tuple(b for b in BOUND_IDS if b.startswith(grp + ".")) for grp in BOUND_GROUPS}
 _LEAST_ORDER = {"prop21": 3, "cor41": 4}
 
 
@@ -84,21 +84,6 @@ class BoundCheck:
     actual: int
     holds: bool
     tight: bool
-
-
-def skip_reason(group: str, n: int, co_connected: bool) -> Optional[SteinerGutError]:
-    """The error a request for ``group`` raises on a connected order-n graph,
-    or None when the group applies; its text is the reason a skip reports.
-
-    The least order is checked first, then the complement's connectivity,
-    which only the paired groups need.
-    """
-    least = _LEAST_ORDER.get(group, 0)
-    if n < least:
-        return KOutOfRange(f"needs order at least {least}")
-    if group in PAIRED_GROUPS and not co_connected:
-        return ComplementDisconnected("complement is disconnected")
-    return None
 
 
 _Row = Tuple[str, Scalar]
@@ -272,17 +257,6 @@ _FORMULAS = {
 }
 
 
-def _kind(bound_id: str) -> Tuple[str, int, bool]:
-    """(bound id, operand, upper); the operand is 0 for SGut_k(G), 1 for the
-    sum and 2 for the product with SGut_k(co-G)."""
-    kind = bound_id.rsplit(".", 1)[1]  # the operand, then the side
-    return bound_id, {"sum": 1, "product": 2}.get(kind.split("_")[0], 0), kind.endswith("upper")
-
-
-# per group, what its bound ids fix: id, operand and side, in BOUND_IDS order
-_KINDS = {group: tuple(map(_kind, ids)) for group, ids in _GROUP_IDS.items()}
-
-
 class _Prepared(NamedTuple):
     """One bound at one signature and k, with the integers its check compares."""
 
@@ -293,11 +267,41 @@ class _Prepared(NamedTuple):
     squared: bool  # a SquareRoot: compare actual^2 * den with num
 
 
+# a wanted bound of a running group: its row in the group, its id, its
+# operand (0 SGut_k(G), 1 the sum, 2 the product with SGut_k(co-G)), upper side
+_Kind = Tuple[int, str, int, bool]
+
+
+class _Decision(NamedTuple):
+    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...]  # in BOUND_GROUPS order
+    skipped: Tuple[Tuple[str, type, str], ...]  # group, error class, its text
+    paired: bool  # some running group reads the complement's index
+
+
 @lru_cache(maxsize=None)
-def _plan(wanted: Tuple[str, ...]) -> Tuple[Tuple[str, ...], FrozenSet[str], bool]:
-    """The groups ``wanted`` touches, ``wanted`` as a set, and whether one is paired."""
-    groups = tuple(group for group in BOUND_GROUPS if set(_GROUP_IDS[group]) & set(wanted))
-    return groups, frozenset(wanted), bool(set(groups) & set(PAIRED_GROUPS))
+def _decide(wanted: Tuple[str, ...], n: int, co_connected: bool) -> _Decision:
+    """Which groups of ``wanted`` run on a connected order-n graph, and which are
+    ruled out and why: first by the group's least order, then, for a paired
+    group, by a disconnected complement."""
+    runs, skipped = [], []
+    for group in BOUND_GROUPS:
+        kinds = []
+        for row, bound_id in enumerate(_GROUP_IDS[group]):
+            if bound_id in wanted:
+                kind = bound_id.rsplit(".", 1)[1]  # the operand, then the side
+                operand = {"sum": 1, "product": 2}.get(kind.split("_")[0], 0)
+                kinds.append((row, bound_id, operand, kind.endswith("upper")))
+        if not kinds:
+            continue
+        least = _LEAST_ORDER.get(group, 0)
+        if n < least:
+            skipped.append((group, KOutOfRange, f"needs order at least {least}"))
+        elif group in PAIRED_GROUPS and not co_connected:
+            skipped.append((group, ComplementDisconnected, "complement is disconnected"))
+        else:
+            runs.append((group, tuple(kinds)))
+    paired = any(group in PAIRED_GROUPS for group, _ in runs)
+    return _Decision(tuple(runs), tuple(skipped), paired)
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +309,7 @@ def _bound_rows(
     group: str, n: int, m: int, d: int, D: int, p: int, k: int
 ) -> Tuple[_Prepared, ...]:
     """The rows of ``group`` at signature (n, m, d, D, p) and k, computed once;
-    row i belongs to the bound ``_KINDS[group][i]``."""
+    row i belongs to the bound ``_GROUP_IDS[group][i]``."""
     rows = []
     for case, value in _FORMULAS[group](n, m, d, D, p, k):
         squared = isinstance(value, SquareRoot)
@@ -325,10 +329,15 @@ class GraphContext:
     G's Steiner table is built (or checked against G) at once, the
     complement and its connectivity too; the complement's table only when
     first read, which a paired group or an equality witness does.  The
-    all-k index sums are cached on each table.
+    all-k index sums are cached on each table.  Which of the bound ids
+    ``wanted`` run here is decided once, by ``_decide``: ``runs`` holds the
+    groups that run, and ``skipped`` maps each requested group it rules
+    out, in BOUND_GROUPS order, to its error.
     """
 
-    def __init__(self, g: Graph, table: _Table = None, co_table: _Table = None) -> None:
+    def __init__(
+        self, g: Graph, wanted: Sequence[str] = (), table: _Table = None, co_table: _Table = None
+    ) -> None:
         self.g = g
         self.table = _table(g, table)
         self.gbar = complement(g)
@@ -336,48 +345,36 @@ class GraphContext:
         self._co_table = co_table
         degs = g.degrees
         self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
+        self.runs, skipped, self._paired = _decide(tuple(wanted), g.n, self.co_connected)
+        # errors made per context, so a raised one holds no other call's traceback
+        self.skipped = {group: error(text) for group, error, text in skipped}
 
     @cached_property
     def co_table(self) -> SteinerTable:
         return _table(self.gbar, self._co_table)
 
-    def applicable(self, wanted: Sequence[str]) -> Tuple[List[str], Dict[str, SteinerGutError]]:
-        """The bound ids of ``wanted`` that can run here, and each requested
-        group that ``skip_reason`` rules out, in BOUND_GROUPS order, with its error."""
-        skipped = {}
-        for group in _plan(tuple(wanted))[0]:
-            error = skip_reason(group, self.g.n, self.co_connected)
-            if error is not None:
-                skipped[group] = error
-        return [b for b in wanted if _GROUP_OF[b] not in skipped], skipped
+    def checks(self, k: int) -> List[_Verdict]:
+        """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.
 
-    def checks(self, k: int, wanted: Sequence[str]) -> List[_Verdict]:
-        """The checks of the bound ids ``wanted`` at ``k``, in BOUND_IDS order.
-
-        Each is a tuple in BoundCheck's field order.  A requested group that
-        ``applicable`` rules out raises its error; the first such group in
-        BOUND_GROUPS order decides which.
+        Each is a tuple in BoundCheck's field order.  Only G's connectivity
+        and k are guarded here; the skipped groups are the caller's to report
+        or raise.
         """
-        groups, wanted_set, paired = _plan(tuple(wanted))
         sg = steiner_gutman(self.g, k, table=self.table)  # Disconnected, then KOutOfRange
-        skipped = self.applicable(wanted)[1]
-        if skipped:
-            raise next(iter(skipped.values()))
         operands = (sg,)
-        if paired:
-            # the guards above checked k and the complement's connectivity
+        if self._paired:
+            # a paired group runs only on a connected complement
             sgbar = _sums(self.gbar, self.co_table).sgut[k]
             operands = (sg, sg + sgbar, sg * sgbar)
         out = []
-        for group in groups:
-            for (bound_id, operand, upper), (case, value, num, den, squared) in zip(
-                _KINDS[group], _bound_rows(group, *self.signature, k)
-            ):
-                if bound_id in wanted_set:
-                    actual = operands[operand]
-                    scaled = (actual * actual if squared else actual) * den
-                    holds = scaled <= num if upper else scaled >= num
-                    out.append((bound_id, case, value, actual, holds, scaled == num))
+        for group, kinds in self.runs:
+            rows = _bound_rows(group, *self.signature, k)
+            for row, bound_id, operand, upper in kinds:
+                case, value, num, den, squared = rows[row]
+                actual = operands[operand]
+                scaled = (actual * actual if squared else actual) * den
+                holds = scaled <= num if upper else scaled >= num
+                out.append((bound_id, case, value, actual, holds, scaled == num))
         return out
 
     def witness(self, k: int) -> EqualityWitness:
@@ -414,12 +411,22 @@ def evaluate_bounds(
     """Evaluate the requested bound checks in the canonical BOUND_IDS order.
 
     ``bound_ids`` may mix full identifiers and group prefixes ("thm32");
-    None means everything.  The checks are ``GraphContext.checks``.
+    None means everything.  The checks are ``GraphContext.checks``; after its
+    guards, the first requested group that cannot run raises its error.
     """
     wanted = expand_bound_ids(bound_ids)
     if not wanted:
         return []
-    return [BoundCheck(*check) for check in GraphContext(g, table, co_table).checks(k, wanted)]
+    return [BoundCheck(*check) for check in _requested(GraphContext(g, wanted, table, co_table), k)]
+
+
+def _requested(ctx: GraphContext, k: int) -> List[_Verdict]:
+    """``ctx.checks(k)`` for a caller that asked for every wanted bound: after
+    the graph and k guards, the first skipped group raises its error."""
+    checks = ctx.checks(k)
+    if ctx.skipped:
+        raise next(iter(ctx.skipped.values()))
+    return checks
 
 
 def expand_bound_ids(bound_ids: Optional[Sequence[str]]) -> List[str]:
@@ -451,9 +458,6 @@ class EqualityWitness:
     path_with_k_equals_n: bool
     p3_with_k_2: bool
 
-    def as_dict(self) -> Dict[str, bool]:
-        return asdict(self)
-
 
 def _is_path(g: Graph) -> bool:
     if g.n == 1:
@@ -472,15 +476,15 @@ def diagnose_equality(
     co_table: Optional[SteinerTable] = None,
 ) -> EqualityWitness:
     """Evaluate every tightness predicate; no bound needs to be involved."""
-    return GraphContext(g, table, co_table).witness(k)
+    return GraphContext(g, (), table, co_table).witness(k)
 
 
 def equality_witness(g: Graph, k: int, bound_id: str) -> EqualityWitness:
     """Diagnose a tight bound; raises NotTight when the bound is not an equality."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
-    ctx = GraphContext(g)
-    _, _, value, actual, _, tight = ctx.checks(k, [bound_id])[0]
+    ctx = GraphContext(g, [bound_id])
+    _, _, value, actual, _, tight = _requested(ctx, k)[0]
     if not tight:
         raise NotTight(f"{bound_id} is strict here: {actual} vs {value}")
     return ctx.witness(k)

@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-", metavar="FILE",
                    help="write the JSON report here (default stdout)")
     p.add_argument("--csv", default=None, metavar="FILE",
-                   help="also write one CSV row per executed check")
+                   help="also write one CSV row per executed check (- for stdout)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_verify)
 
@@ -320,13 +320,12 @@ def _cmd_bounds(args, out, err) -> int:
     csv_rows = []
     for where, g6, g in _load_graphs(args):
         with _naming(where, g6):
-            ctx = GraphContext(g)
-            runnable, errors = ctx.applicable(ids)
-            skipped = [{"group": grp, "reason": str(e)} for grp, e in errors.items()]
+            ctx = GraphContext(g, ids)
+            skipped = [{"group": grp, "reason": str(e)} for grp, e in ctx.skipped.items()]
             for k in _k_list(args.k, g.n):
                 checks = []
                 # with nothing runnable this still raises Disconnected, then KOutOfRange
-                for bound_id, case, value, actual, holds, tight in ctx.checks(k, runnable):
+                for bound_id, case, value, actual, holds, tight in ctx.checks(k):
                     if not holds:
                         found_violation = True
                     item = {
@@ -387,13 +386,19 @@ def _cmd_verify(args, out, err) -> int:
             raise _UsageError(f"--k must lie in 2..{args.n_max}")
     collect = args.csv is not None
     with ExitStack() as files:
-        # opened before any order runs, so an unwritable path fails at once
+        # - is stdout for either; files are opened before any order runs, so
+        # an unwritable path fails at once
         report_fh = out
         if args.out != "-":
             report_fh = files.enter_context(open(args.out, "w", encoding="utf-8"))
         if collect:
-            csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
-            if report_fh is not out and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno()):
+            csv_fh = out
+            if args.csv != "-":
+                csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
+            if csv_fh is report_fh or (
+                out not in (report_fh, csv_fh)
+                and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno())
+            ):
                 raise _UsageError("--out and --csv name the same file")
         reports = []
         # one pool serves every order's enumeration phases and sweep slices; its

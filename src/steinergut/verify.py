@@ -3,10 +3,11 @@
 A sweep enumerates every graph matching an EnumerationSpec (connected by
 default, optionally complement-connected, deduped by isomorphism or raw
 labeled), evaluates the requested bound checks for every admissible k, and
-collects violations and equality cases into a VerificationReport.  Bounds
-whose preconditions a graph fails to meet (too small an order, disconnected
-complement; see ``bounds.GraphContext.applicable``) are skipped quietly and
-never counted as run.
+collects violations and equality cases into a VerificationReport.  Which
+groups run on a graph is decided once per graph, when its
+``bounds.GraphContext`` is built: groups whose preconditions it fails to meet
+(too small an order, disconnected complement) are skipped quietly and never
+counted as run.
 
 Enumeration is capped at order 8.  Deduped enumeration builds each level by
 attaching one new vertex to every canonical graph of the previous level.  A
@@ -39,7 +40,7 @@ so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -199,6 +200,14 @@ def _canonical_graphs(
     return _LEVELS[key]
 
 
+def _require_order(spec: EnumerationSpec) -> None:
+    """Refuse an order that enumeration does not handle, before any work."""
+    if not 1 <= spec.n <= ENUMERATION_CAP:
+        raise OrderTooLarge(f"enumeration handles orders 1..{ENUMERATION_CAP}, got {spec.n}")
+    if not spec.dedup_isomorphism and spec.n > LABELED_CAP:
+        raise OrderTooLarge(f"labeled enumeration handles orders 1..{LABELED_CAP}, got {spec.n}")
+
+
 def enumerate_graphs(
     spec: EnumerationSpec, mapper: Callable = map, jobs: int = 1
 ) -> List[Graph]:
@@ -210,10 +219,7 @@ def enumerate_graphs(
     pool's ``map``) over ``jobs`` slices; the result does not depend on either.
     """
     n = spec.n
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise OrderTooLarge(f"enumeration handles orders 1..{ENUMERATION_CAP}, got {n}")
-    if not spec.dedup_isomorphism and n > LABELED_CAP:
-        raise OrderTooLarge(f"labeled enumeration handles orders 1..{LABELED_CAP}, got {n}")
+    _require_order(spec)
     if spec.dedup_isomorphism:
         pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper, jobs)
     else:
@@ -286,15 +292,14 @@ def _sweep_slice(
     rows: List[CheckRow] = []
 
     for g in graphs:
-        ctx = GraphContext(g)
-        runnable = ctx.applicable(ids)[0]
-        if not runnable:
+        ctx = GraphContext(g, ids)
+        if not ctx.runs:
             continue
         g6 = graph6_encode(g)
         witness_cache: Dict[int, EqualityWitness] = {}
 
         for k in ks:
-            for check in ctx.checks(k, runnable):
+            for check in ctx.checks(k):
                 bound_id, case, value, actual, holds, tight = check
                 checks_run += 1
                 if collect_checks:
@@ -374,10 +379,12 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     """Graphs attaining the extreme value of an index quantity, ties kept.
 
     The sum and product objectives compare a graph with its complement and
-    silently restrict to graphs whose complement is connected.
+    silently restrict to graphs whose complement is connected.  The order is
+    checked before k, and both before any enumeration.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    _require_order(spec)
     if not 2 <= k <= spec.n:
         raise KOutOfRange(f"k={k} outside 2..{spec.n}")
     sense, quantity = objective.split("-", 1)
@@ -403,54 +410,20 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
 
 def report_to_dict(report: VerificationReport) -> Dict[str, object]:
     """JSON-ready dict; exact values serialized as "num/den" strings."""
-    spec = report.spec
     return {
-        "spec": {
-            "n": spec.n,
-            "require_connected": spec.require_connected,
-            "require_coconnected": spec.require_coconnected,
-            "dedup_isomorphism": spec.dedup_isomorphism,
-            "k_range": "all" if spec.k_range == "all" else list(spec.k_range),
-        },
+        "spec": asdict(report.spec),
         "bound_set": list(report.bound_set),
         "graphs_scanned": report.graphs_scanned,
         "checks_run": report.checks_run,
         "violations": [
-            {
-                "graph6": v.graph6,
-                "k": v.k,
-                "bound_id": v.bound_id,
-                "case_label": v.case_label,
-                "bound_value": value_str(v.bound_value),
-                "actual": v.actual,
-            }
-            for v in report.violations
+            {**asdict(v), "bound_value": value_str(v.bound_value)} for v in report.violations
         ],
-        "tight_cases": [
-            {
-                "graph6": t.graph6,
-                "k": t.k,
-                "bound_id": t.bound_id,
-                "case_label": t.case_label,
-                "witness": t.witness.as_dict(),
-            }
-            for t in report.tight_cases
-        ],
-        "formula_audit_findings": [
-            {
-                "family": a.family,
-                "n": a.n,
-                "k": a.k,
-                "printed_value": a.printed_value,
-                "computed_value": a.computed_value,
-                "agrees": a.agrees,
-            }
-            for a in report.formula_audit_findings
-        ],
+        "tight_cases": [asdict(t) for t in report.tight_cases],
+        "formula_audit_findings": [asdict(a) for a in report.formula_audit_findings],
     }
 
 
-CSV_HEADER = ("n", "graph6", "k", "bound_id", "case_label", "bound_value", "actual", "holds", "tight")
+CSV_HEADER = tuple(f.name for f in fields(CheckRow))
 
 
 def write_checks_csv(rows: Sequence[CheckRow], stream: IO[str]) -> None:

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -107,13 +108,12 @@ def test_cor41_needs_order_four():
         evaluate_bounds(complete(3), 2, ["cor41"])
 
 
-def test_applicable_runs_what_checks_accepts_and_skips_what_it_raises():
+def test_context_runs_what_checks_accepts_and_skips_what_it_raises():
     from steinergut.bounds import GraphContext
 
     # P2: below prop21's and cor41's least order, complement disconnected
-    ctx = GraphContext(path(2))
-    runnable, skipped = ctx.applicable(list(BOUND_IDS))
-    assert runnable == ["lem22.upper", "lem22.lower"]
+    ctx = GraphContext(path(2), BOUND_IDS)
+    skipped = ctx.skipped
     assert list(skipped) == ["prop21", "thm32", "cor41", "ps", "amgm"]
     assert [type(e) for e in skipped.values()] == [
         KOutOfRange, ComplementDisconnected, KOutOfRange, ComplementDisconnected,
@@ -122,10 +122,13 @@ def test_applicable_runs_what_checks_accepts_and_skips_what_it_raises():
     assert str(skipped["prop21"]) == "needs order at least 3"
     assert str(skipped["cor41"]) == "needs order at least 4"
     assert str(skipped["thm32"]) == "complement is disconnected"
-    assert [c[0] for c in ctx.checks(2, runnable)] == runnable
+    # checks raises nothing and runs exactly the ids no skipped group holds
+    assert [c[0] for c in ctx.checks(2)] == ["lem22.upper", "lem22.lower"]
     with pytest.raises(KOutOfRange, match="^needs order at least 3$"):
-        ctx.checks(2, list(BOUND_IDS))
-    assert ctx.applicable(["lem22.upper"]) == (["lem22.upper"], {})
+        evaluate_bounds(path(2), 2, list(BOUND_IDS))
+    only = GraphContext(path(2), ["lem22.upper"])
+    assert [c[0] for c in only.checks(2)] == ["lem22.upper"]
+    assert only.skipped == {}
 
 
 def test_case_labels_cover_the_degree_splits():
@@ -245,8 +248,7 @@ def test_diagnose_equality_fields():
     assert w.all_k_subsets_induce_connected
     assert w.steiner_minimal_in_both
     assert not w.path_with_k_equals_n
-    d = w.as_dict()
-    assert set(d) == {
+    assert set(asdict(w)) == {
         "regular",
         "k_equals_n",
         "n_minus_k_plus_1_connected",

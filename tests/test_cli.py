@@ -482,6 +482,42 @@ def test_verify_rejects_one_file_for_report_and_csv(tmp_path):
     assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
+def test_verify_csv_dash_writes_the_rows_to_stdout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--n-max", "4", "--coconnected", "--out", "r.json"]
+    code, out, err = run(argv + ["--csv", "-"])
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["r.json"]
+    assert run(argv + ["--csv", "c.csv"])[0] == 0
+    assert out == (tmp_path / "c.csv").read_bytes().decode()
+    assert out.splitlines()[0] == "n,graph6,k,bound_id,case_label,bound_value,actual,holds,tight"
+
+
+@pytest.mark.parametrize("out_flag", [[], ["--out", "-"]], ids=["default", "dash"])
+def test_verify_csv_dash_and_stdout_report_is_one_file(tmp_path, monkeypatch, out_flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["verify", "--n-max", "3", *out_flag, "--csv", "-"])
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: --out and --csv name the same file\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "n, k, line",
+    [
+        ("0", "2", "error: enumeration handles orders 1..8, got 0"),
+        ("9", "10", "error: enumeration handles orders 1..8, got 9"),
+        ("5", "6", "error: k=6 outside 2..5"),
+    ],
+)
+def test_extremal_checks_the_order_before_k(n, k, line):
+    code, out, err = run(["extremal", "--n", n, "--k", k, "--objective", "max-sgut"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
 def test_audit_formulas_above_the_table_cap_builds_no_table(count_calls):
     from steinergut import steiner
 

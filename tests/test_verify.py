@@ -183,6 +183,20 @@ def test_sweep_skips_inapplicable_groups_quietly():
     assert report.bound_set == BOUND_IDS
 
 
+def test_sweep_decides_applicability_once_per_cell():
+    from steinergut.bounds import _decide
+
+    graphs = enumerate_graphs(EnumerationSpec(n=6))
+    _decide.cache_clear()
+    sweep(EnumerationSpec(n=6), graphs=graphs)
+    info = _decide.cache_info()
+    # one bound set at one order: a cell per complement connectivity, looked
+    # up once per graph and evaluated once per cell, never per (graph, k)
+    assert {is_connected(complement(g)) for g in graphs} == {True, False}
+    assert info.misses == 2
+    assert info.hits + info.misses == len(graphs) == 112
+
+
 def test_sweep_order_four_coconnected():
     report = sweep(EnumerationSpec(n=4, require_coconnected=True))
     assert report.graphs_scanned == 1
