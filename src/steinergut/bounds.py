@@ -20,15 +20,16 @@ out, each with the error a request for it raises.  The group's least order
 is checked first, then the complement's connectivity, which only the paired
 groups need.
 
-A ``GraphContext`` holds what one graph contributes: G, the complement, its
-connectivity, the signature, both Steiner tables (the complement's built on
-first use), which carry the all-k index sums, and the decision for the ids
-it was built with.  Its ``checks(k)`` is the one evaluator; a check is
-``actual * den <= num`` (or ``>=``, with actual squared for a SquareRoot),
-so no Fraction is built per check.  It guards only G's connectivity, then k
-(Disconnected, then KOutOfRange); ``evaluate_bounds`` and ``equality_witness``
-then raise the first ruled-out group's error (``_requested``), while a sweep
-or a batch reports the ruled-out groups in ``skipped`` and goes on.
+A ``GraphContext`` holds what one graph contributes: G, the complement, the
+connectivity of both, the signature, both Steiner tables (each built on
+first use, after the guards), which carry the all-k index sums, and the
+decision for the ids it was built with.  Its ``checks(k)`` is the one
+evaluator; a check is ``actual * den <= num`` (or ``>=``, with actual
+squared for a SquareRoot), so no Fraction is built per check.  It guards
+only G's connectivity, then k (Disconnected, then KOutOfRange);
+``evaluate_bounds`` and ``equality_witness`` then raise the first ruled-out
+group's error (``_requested``), while a sweep or a batch reports the
+ruled-out groups in ``skipped`` and goes on.
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -45,7 +46,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
-from .indices import _checked_table, _sums, _table, steiner_gutman
+from .indices import _guard, _sums, _table, steiner_gutman
 from .steiner import SteinerTable
 
 BOUND_IDS = (
@@ -326,28 +327,33 @@ _Verdict = Tuple[str, str, Scalar, int, bool, bool]
 class GraphContext:
     """What the bound layer reads about one graph, computed once per graph.
 
-    G's Steiner table is built (or checked against G) at once, the
-    complement and its connectivity too; the complement's table only when
-    first read, which a paired group or an equality witness does.  The
-    all-k index sums are cached on each table.  Which of the bound ids
-    ``wanted`` run here is decided once, by ``_decide``: ``runs`` holds the
-    groups that run, and ``skipped`` maps each requested group it rules
-    out, in BOUND_GROUPS order, to its error.
+    G's connectivity, the complement and its connectivity are found at once;
+    each Steiner table is built (or checked against its graph) only when
+    first read, after the guards, so a disconnected G or a bad k costs no
+    table.  The all-k index sums are cached on each table.  Which of the
+    bound ids ``wanted`` run here is decided once, by ``_decide``: ``runs``
+    holds the groups that run, and ``skipped`` maps each requested group it
+    rules out, in BOUND_GROUPS order, to its error.
     """
 
     def __init__(
         self, g: Graph, wanted: Sequence[str] = (), table: _Table = None, co_table: _Table = None
     ) -> None:
         self.g = g
-        self.table = _table(g, table)
+        self.connected = is_connected(g)
         self.gbar = complement(g)
         self.co_connected = is_connected(self.gbar)
+        self._g_table = table
         self._co_table = co_table
         degs = g.degrees
         self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
         self.runs, skipped, self._paired = _decide(tuple(wanted), g.n, self.co_connected)
         # errors made per context, so a raised one holds no other call's traceback
         self.skipped = {group: error(text) for group, error, text in skipped}
+
+    @cached_property
+    def table(self) -> SteinerTable:
+        return _table(self.g, self._g_table)
 
     @cached_property
     def co_table(self) -> SteinerTable:
@@ -360,7 +366,10 @@ class GraphContext:
         and k are guarded here; the skipped groups are the caller's to report
         or raise.
         """
-        sg = steiner_gutman(self.g, k, table=self.table)  # Disconnected, then KOutOfRange
+        _guard(self.connected, self.g, k)
+        if not self.runs:
+            return []
+        sg = steiner_gutman(self.g, k, table=self.table)
         operands = (sg,)
         if self._paired:
             # a paired group runs only on a connected complement
@@ -380,10 +389,11 @@ class GraphContext:
     def witness(self, k: int) -> EqualityWitness:
         """Every tightness predicate at ``k``; no bound needs to be involved."""
         g, n = self.g, self.g.n
+        _guard(self.connected, g, k)
         # every k-set has Steiner distance at least k - 1, with equality exactly
         # when it induces a connected subgraph, so one cached sum decides all
         all_minimal = (k - 1) * comb(n, k)
-        minimal = _sums(g, _checked_table(g, self.table, k)).sw[k] == all_minimal
+        minimal = _sums(g, self.table).sw[k] == all_minimal
         both_minimal = (
             minimal and self.co_connected
             and _sums(self.gbar, self.co_table).sw[k] == all_minimal
@@ -415,8 +425,6 @@ def evaluate_bounds(
     guards, the first requested group that cannot run raises its error.
     """
     wanted = expand_bound_ids(bound_ids)
-    if not wanted:
-        return []
     return [BoundCheck(*check) for check in _requested(GraphContext(g, wanted, table, co_table), k)]
 
 

@@ -12,19 +12,23 @@ subsets S:
 All values are exact ints.  One pass over the Steiner table gives all three
 indices for every k at once: the vertices split into a low and a high half,
 the degree product, degree sum and size of a subset factor into per-half
-values, and each high-half row of the table is summed per low-popcount
-bucket.  The result is cached on the table, which is bound to the graph it
-was built from, so further calls for any k are lookups.
+values, and each high-half row of the table is weighted and summed as one
+big int with a 64-bit lane per low-half mask (a checked bound keeps every
+lane from wrapping).  The result is cached on the table, which is bound to
+the graph it was built from, so further calls for any k are lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import itemgetter, mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from struct import Struct
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import Disconnected, KOutOfRange
+from .errors import Disconnected, KOutOfRange, OrderTooLarge
 from .graph import Graph, is_connected
 from .steiner import SteinerTable, pairwise_distances, steiner_all_subsets
 
@@ -47,6 +51,13 @@ def _table(g: Graph, table: Optional[SteinerTable]) -> SteinerTable:
     return table
 
 
+def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
+    """The guards of every index, in order: Disconnected, then KOutOfRange."""
+    if not connected:
+        raise Disconnected("invariant defined for connected graphs only")
+    _require_k(g, k, lo)
+
+
 def _checked_table(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2) -> SteinerTable:
     """The table of ``g`` once ``g`` is known connected and ``k`` in range.
 
@@ -54,9 +65,7 @@ def _checked_table(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2)
     is read off the table instead of flooding the graph on every call.
     """
     tb = _table(g, table)
-    if not isinstance(tb.dist, bytes):
-        raise Disconnected("invariant defined for connected graphs only")
-    _require_k(g, k, lo)
+    _guard(isinstance(tb.dist, bytes), g, k, lo)
     return tb
 
 
@@ -68,14 +77,25 @@ class _Sums(NamedTuple):
     sdd: Tuple[int, ...]
 
 
-def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
-    """Degree product, degree sum and popcount of every mask over ``degs``."""
-    prod, total, size = [1], [0], [0]
+def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Degree product and degree sum of every mask over ``degs``."""
+    prod, total = [1], [0]
     for d in degs:
         prod += [p * d for p in prod]
         total += [t + d for t in total]
-        size += [c + 1 for c in size]
-    return prod, total, size
+    return prod, total
+
+
+@lru_cache(maxsize=None)
+def _lane_layout(n: int) -> Tuple[Callable, List[int], Callable]:
+    """The read-back of ``_all_k_sums`` at order ``n``: the order sorting the
+    lanes (a lane per low mask in one accumulator per high popcount c) by
+    k = c + low popcount, the cuts between the k buckets, the lane unpacker."""
+    h = n // 2 + 1
+    keys = [c + lo.bit_count() for c in range(n - h + 1) for lo in range(1 << h)]
+    by_k = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    sizes = (sum(comb(h, k - c) for c in range(min(k, n - h) + 1)) for k in range(n + 1))
+    return by_k, list(accumulate(sizes, initial=0)), Struct(f"<{len(keys)}Q").unpack
 
 
 def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
@@ -83,34 +103,39 @@ def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
 
     A mask splits into a low part over vertices 0..h-1 and a high part over
     the rest, so its degree product, degree sum and size factor into
-    per-half values.  For each high part, its 2^h row of ``dist`` is
-    reordered by low popcount once; every popcount bucket then contributes
-    one dot product per index to k = bucket + popcount(high).
+    per-half values.  Each high part's 2^h row of ``dist`` is read as one
+    int with a 64-bit lane per low mask and added, times hp, hs and 1, into
+    the three accumulators of its popcount c.  The lanes are read back once,
+    sorted by k = c + low popcount and dotted with the low-part weights.  A
+    distance is at most n - 1, so a checked bound keeps every lane below 2^64.
     """
     h = n // 2 + 1
-    lo_prod, lo_sum, lo_size = _half_weights(degs[:h])
-    hi_prod, hi_sum, hi_size = _half_weights(degs[h:])
-    width = 1 << h
-    by_size = itemgetter(*sorted(range(width), key=lo_size.__getitem__))
-    sorted_prod, sorted_sum = by_size(lo_prod), by_size(lo_sum)
-    buckets = []
-    start = 0
-    for j in range(h + 1):
-        stop = start + comb(h, j)
-        buckets.append((j, start, stop, sorted_prod[start:stop], sorted_sum[start:stop]))
-        start = stop
-    sgut = [0] * (n + 1)
-    sw = [0] * (n + 1)
-    sdd = [0] * (n + 1)
-    for hi, (hp, hs, hc) in enumerate(zip(hi_prod, hi_sum, hi_size)):
-        row = by_size(dist[hi * width : (hi + 1) * width])
-        for j, a, b, bucket_prods, bucket_sums in buckets:
-            part = row[a:b]
-            w = sum(part)
-            k = j + hc
-            sgut[k] += hp * sum(map(mul, bucket_prods, part))
-            sw[k] += w
-            sdd[k] += hs * w + sum(map(mul, bucket_sums, part))
+    lo_prod, lo_sum = _half_weights(degs[:h])
+    hi_prod, hi_sum = _half_weights(degs[h:])
+    if (n - 1) * max(sum(hi_prod), sum(hi_sum), len(hi_prod)) >> 64:
+        raise OrderTooLarge(f"index sums at order {n}, degree {max(degs)} overflow 64-bit lanes")
+    row_bytes = 8 << h
+    buf = bytearray(row_bytes)
+    acc_p, acc_s, acc_w = ([0] * (n - h + 1) for _ in range(3))
+    for hi, (hp, hs) in enumerate(zip(hi_prod, hi_sum)):
+        buf[::8] = dist[hi << h : (hi + 1) << h]
+        row = int.from_bytes(buf, "little")
+        c = hi.bit_count()
+        acc_p[c] += hp * row
+        acc_s[c] += hs * row
+        acc_w[c] += row
+    by_k, cuts, unpack = _lane_layout(n)
+    p, s, w = (
+        by_k(unpack(b"".join([x.to_bytes(row_bytes, "little") for x in acc])))
+        for acc in (acc_p, acc_s, acc_w)
+    )
+    wp, ws = by_k(lo_prod * (n - h + 1)), by_k(lo_sum * (n - h + 1))
+    sgut, sw, sdd = [], [], []
+    for a, b in zip(cuts, cuts[1:]):
+        part = w[a:b]
+        sgut.append(sum(map(mul, wp[a:b], p[a:b])))
+        sw.append(sum(part))
+        sdd.append(sum(s[a:b]) + sum(map(mul, ws[a:b], part)))
     return _Sums(tuple(sgut), tuple(sw), tuple(sdd))
 
 

@@ -50,7 +50,7 @@ class SteinerTable:
     that meet several components otherwise, so the type alone tells whether
     the graph is connected.  ``adj`` holds the adjacency rows the table was
     built from; ``indices`` refuses the table for any other graph.  ``sums``
-    holds, once computed, the one-pass index sums of ``indices``.
+    holds, once computed, the index sums for every k (``indices._all_k_sums``).
     """
 
     n: int

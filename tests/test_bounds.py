@@ -343,6 +343,7 @@ GUARDED = {
         for group in BOUND_GROUPS
     },
     "evaluate_bounds": evaluate_bounds,
+    "empty request": lambda g, k: evaluate_bounds(g, k, []),
     "diagnose_equality": diagnose_equality,
 }
 D, K, C = Disconnected, KOutOfRange, ComplementDisconnected
@@ -352,19 +353,23 @@ D, K, C = Disconnected, KOutOfRange, ComplementDisconnected
     "edges, n, k, expected",
     [
         # 2K2: disconnected comes first for every entry point
-        ([(0, 1), (2, 3)], 4, 2, [D, D, D, D, D, D, D, D]),
+        ([(0, 1), (2, 3)], 4, 2, [D, D, D, D, D, D, D, D, D]),
         # P3 with k = 5: connected, then k out of range
-        ([(0, 1), (1, 2)], 3, 5, [K, K, K, K, K, K, K, K]),
+        ([(0, 1), (1, 2)], 3, 5, [K, K, K, K, K, K, K, K, K]),
         # P2: below prop21's and cor41's least order, complement disconnected
-        ([(0, 1)], 2, 2, [K, None, C, K, C, C, K, None]),
+        ([(0, 1)], 2, 2, [K, None, C, K, C, C, K, None, None]),
         # K3: the order guard of cor41 fires before its complement guard
-        ([(0, 1), (0, 2), (1, 2)], 3, 2, [None, None, C, K, C, C, C, None]),
+        ([(0, 1), (0, 2), (1, 2)], 3, 2, [None, None, C, K, C, C, C, None, None]),
         # K1,3: order 4, so only the complement guard remains
-        ([(0, 1), (0, 2), (0, 3)], 4, 2, [None, None, C, C, C, C, C, None]),
+        ([(0, 1), (0, 2), (0, 3)], 4, 2, [None, None, C, C, C, C, C, None, None]),
         # K2 + K1: disconnected before cor41's least order
-        ([(0, 1)], 3, 2, [D, D, D, D, D, D, D, D]),
+        ([(0, 1)], 3, 2, [D, D, D, D, D, D, D, D, D]),
+        # 2K2 with k = 99: disconnected before k, even for an empty request
+        ([(0, 1), (2, 3)], 4, 99, [D, D, D, D, D, D, D, D, D]),
+        # P4 with k = 9: k out of range, even for an empty request
+        ([(0, 1), (1, 2), (2, 3)], 4, 9, [K, K, K, K, K, K, K, K, K]),
     ],
-    ids=["2K2", "P3-k5", "P2", "K3", "K1,3", "K2+K1"],
+    ids=["2K2", "P3-k5", "P2", "K3", "K1,3", "K2+K1", "2K2-k99", "P4-k9"],
 )
 def test_guard_order(edges, n, k, expected):
     g = from_edge_list(n, edges)
@@ -444,3 +449,20 @@ def test_graphs_sharing_a_signature_share_rows_not_verdicts():
     assert (a[0].actual, b[0].actual) == (233, 223)
     assert a == _literal_checks(first, 3)
     assert b == _literal_checks(second, 3)
+
+
+def test_a_disconnected_graph_builds_no_table(count_calls):
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "steiner_all_subsets")
+    g = from_edge_list(16, [(0, 1)])
+    with pytest.raises(Disconnected):
+        evaluate_bounds(g, 2)
+    with pytest.raises(Disconnected):
+        equality_witness(g, 2, "lem22.upper")
+    with pytest.raises(Disconnected):
+        diagnose_equality(g, 2)
+    # a bad k on a connected graph is refused before its table too
+    with pytest.raises(KOutOfRange):
+        evaluate_bounds(path(16), 17)
+    assert calls == []

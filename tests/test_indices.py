@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ import brute
 from steinergut import (
     Disconnected,
     KOutOfRange,
+    OrderTooLarge,
     from_edge_list,
     gutman,
     is_connected,
@@ -114,10 +115,14 @@ def test_index_report_bundles_everything():
 
 def _direct_sums(g, table, k):
     """sgut, sw and sdd at k by a literal k-subset sum over the table."""
-    degs = g.degrees
+    return _subset_sums(table.dist, g.degrees, k)
+
+
+def _subset_sums(dist, degs, k):
+    """sgut, sw and sdd at k by a literal k-subset sum over ``dist``."""
     sgut = sw = sdd = 0
-    for verts in combinations(range(g.n), k):
-        d = table.dist[sum(1 << v for v in verts)]
+    for verts in combinations(range(len(degs)), k):
+        d = dist[sum(1 << v for v in verts)]
         sgut += prod(degs[v] for v in verts) * d
         sw += d
         sdd += sum(degs[v] for v in verts) * d
@@ -132,7 +137,7 @@ def _seeded_connected(rng, n):
             return g
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_all_k_sums_match_direct_subset_sums(n):
     rng = random.Random(n)
     for _ in range(4):
@@ -178,3 +183,50 @@ def test_every_index_rejects_a_disconnected_graph():
             index(g, 9)
     with pytest.raises(Disconnected):
         steiner_wiener(g, 1)
+
+
+def complete(n):
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_complete_graph_at_the_table_cap():
+    # K20 has the largest lanes the cap allows: every degree is 19 and every
+    # k-set has Steiner distance k - 1
+    n = 20
+    g = complete(n)
+    table = steiner_all_subsets(g)
+    for k in range(2, n + 1):
+        sets = (k - 1) * comb(n, k)
+        assert steiner_gutman(g, k, table=table) == sets * 19**k
+        assert steiner_wiener(g, k, table=table) == sets
+        assert steiner_degree_distance(g, k, table=table) == sets * 19 * k
+
+
+@pytest.mark.parametrize("name", ["P20", "seeded"])
+def test_order_20_closed_values(name):
+    n = 20
+    g = path(n) if name == "P20" else _seeded_connected(random.Random(20), n)
+    table = steiner_all_subsets(g)
+    # the whole vertex set spans a tree; k = 2 is the BFS Gutman index
+    assert steiner_gutman(g, n, table=table) == (n - 1) * prod(g.degrees)
+    assert steiner_wiener(g, n, table=table) == n - 1
+    assert steiner_degree_distance(g, n, table=table) == (n - 1) * 2 * g.m
+    assert steiner_gutman(g, 2, table=table) == gutman(g)
+
+
+def test_lane_bound_is_exact_at_its_edge_and_refused_past_it():
+    from steinergut.indices import _all_k_sums
+
+    # order 4 splits into low {0, 1, 2} and high {3}; with every distance at
+    # n - 1 a lane holds (n - 1) * (1 + D), which is 2^64 - 1 at the edge
+    n = 4
+    dist = bytes([0] + [n - 1] * ((1 << n) - 1))
+    edge = (1 << 64) // (n - 1) - 1
+    degs = (1, 1, 1, edge)
+    sums = _all_k_sums(dist, n, degs)
+    for k in range(n + 1):
+        assert (sums.sgut[k], sums.sw[k], sums.sdd[k]) == _subset_sums(dist, degs, k)
+    with pytest.raises(OrderTooLarge, match="64-bit lanes"):
+        _all_k_sums(dist, n, (1, 1, 1, edge + 1))
+    with pytest.raises(OrderTooLarge):
+        _all_k_sums(bytes(1 << 20), 20, (10**6,) * 20)
