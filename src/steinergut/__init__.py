@@ -46,9 +46,8 @@ _EXPORTS = {
         "steiner_single"
     ),
     "verify": (
-        "ENUMERATION_CAP LABELED_CAP CheckRow EnumerationSpec ExtremalResult TightCase "
-        "VerificationReport Violation enumerate_graphs find_extremal report_to_dict shard_graphs "
-        "sweep write_checks_csv"
+        "ENUMERATION_CAP LABELED_CAP EnumerationSpec ExtremalResult TightCase VerificationReport "
+        "Violation enumerate_graphs find_extremal report_to_dict shard_graphs sweep"
     ),
 }
 

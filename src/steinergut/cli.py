@@ -188,7 +188,10 @@ def _parse_edgelist(label: str, text: str) -> Graph:
         if not edges:
             raise _UsageError(f"{label}: no edges and no vertex count line")
         n = max(max(u, v) for u, v in edges) + 1
-    return from_edge_list(n, edges)
+    try:
+        return from_edge_list(n, edges)
+    except SteinerGutError as exc:
+        raise exc.__class__(f"{label}: {exc}") from None
 
 
 def _load_graphs(args) -> List[Tuple[str, str, Graph]]:
@@ -361,14 +364,16 @@ def _cmd_bounds(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
+    import csv
+
     from .verify import (
+        CSV_HEADER,
         ENUMERATION_CAP,
         LABELED_CAP,
         EnumerationSpec,
         enumerate_graphs,
         report_to_dict,
         sweep,
-        write_checks_csv,
     )
 
     ids = _bound_ids(args.bound_set)
@@ -384,14 +389,14 @@ def _cmd_verify(args, out, err) -> int:
         k_range = tuple(_k_list(args.k, args.n_max))
         if any(k < 2 or k > args.n_max for k in k_range):
             raise _UsageError(f"--k must lie in 2..{args.n_max}")
-    collect = args.csv is not None
     with ExitStack() as files:
         # - is stdout for either; files are opened before any order runs, so
         # an unwritable path fails at once
         report_fh = out
         if args.out != "-":
             report_fh = files.enter_context(open(args.out, "w", encoding="utf-8"))
-        if collect:
+        csv_fh = None
+        if args.csv is not None:
             csv_fh = out
             if args.csv != "-":
                 csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
@@ -400,6 +405,8 @@ def _cmd_verify(args, out, err) -> int:
                 and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno())
             ):
                 raise _UsageError("--out and --csv name the same file")
+            # each order's sweep appends its rows as it runs
+            csv.writer(csv_fh).writerow(CSV_HEADER)
         reports = []
         # one pool serves every order's enumeration phases and sweep slices; its
         # class is read off this module, so a caller's rebinding of it is used
@@ -420,7 +427,7 @@ def _cmd_verify(args, out, err) -> int:
                 graphs = enumerate_graphs(spec, mapper, args.jobs)
                 enumerated = time.perf_counter()
                 report = sweep(
-                    spec, ids, graphs=graphs, collect_checks=collect, mapper=mapper, jobs=args.jobs
+                    spec, ids, graphs=graphs, csv_out=csv_fh, mapper=mapper, jobs=args.jobs
                 )
                 swept = time.perf_counter()
                 reports.append(report)
@@ -449,8 +456,6 @@ def _cmd_verify(args, out, err) -> int:
             "reports": [report_to_dict(r) for r in reports],
         }
         print(json.dumps(doc, indent=2), file=report_fh)
-        if collect:
-            write_checks_csv([row for r in reports for row in r.checks], csv_fh)
     return 2 if total_viol else 0
 
 

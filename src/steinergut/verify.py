@@ -29,9 +29,11 @@ life of the process, whichever map built them.
 
 A sweep is sliced like a level: ``sweep`` maps ``_sweep_slice`` over
 contiguous slices of the graphs with the same ``map`` and joins the slices'
-check counts, violations, tight cases and check rows in slice order, so
-every slicing yields the same report; the formula audit runs once, in the
-caller's process.
+check counts, violations and tight cases in slice order, so every slicing
+yields the same report; the formula audit runs once, in the caller's
+process.  For the per-check CSV, a slice renders each check's row as it
+runs it and returns its rows as one text, which ``sweep`` writes out as the
+slice comes back: no check outlives its row.
 
 Labeled enumeration builds one graph per edge bitmask, in ascending order,
 so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
@@ -40,8 +42,8 @@ so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, fields
-from itertools import chain
+import io
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
@@ -251,19 +253,6 @@ class TightCase:
 
 
 @dataclass(frozen=True)
-class CheckRow:
-    n: int
-    graph6: str
-    k: int
-    bound_id: str
-    case_label: str
-    bound_value: Scalar
-    actual: int
-    holds: bool
-    tight: bool
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     spec: EnumerationSpec
     bound_set: Tuple[str, ...]
@@ -272,7 +261,6 @@ class VerificationReport:
     violations: Tuple[Violation, ...]
     tight_cases: Tuple[TightCase, ...]
     formula_audit_findings: Tuple[FormulaAudit, ...]
-    checks: Tuple[CheckRow, ...]
 
 
 def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
@@ -281,15 +269,25 @@ def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
     return tuple(a for a in audit_for_order(n) if not a.agrees)
 
 
+# The per-check CSV's columns; ``_sweep_slice`` renders its rows in this layout.
+CSV_HEADER = (
+    "n", "graph6", "k", "bound_id", "case_label", "bound_value", "actual", "holds", "tight"
+)
+
+
 def _sweep_slice(
     payload: Tuple[Sequence[Graph], Tuple[str, ...], List[int], bool]
-) -> Tuple[int, List[Violation], List[TightCase], List[CheckRow]]:
-    """One contiguous slice of graphs: checks run, violations, tight cases, check rows."""
-    graphs, ids, ks, collect_checks = payload
+) -> Tuple[int, List[Violation], List[TightCase], str]:
+    """One contiguous slice of graphs: checks run, violations, tight cases, CSV rows.
+
+    The rows (bound values in exact notation) are one text, empty unless ``want_csv``.
+    """
+    graphs, ids, ks, want_csv = payload
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
-    rows: List[CheckRow] = []
+    text = io.StringIO()
+    writerow = csv.writer(text).writerow
 
     for g in graphs:
         ctx = GraphContext(g, ids)
@@ -299,11 +297,11 @@ def _sweep_slice(
         witness_cache: Dict[int, EqualityWitness] = {}
 
         for k in ks:
-            for check in ctx.checks(k):
-                bound_id, case, value, actual, holds, tight = check
+            for bound_id, case, value, actual, holds, tight in ctx.checks(k):
                 checks_run += 1
-                if collect_checks:
-                    rows.append(CheckRow(g.n, g6, k, *check))
+                if want_csv:
+                    writerow((g.n, g6, k, bound_id, case, value_str(value),
+                              actual, int(holds), int(tight)))
                 if not holds:
                     violations.append(Violation(g6, k, bound_id, case, value, actual))
                 elif tight:
@@ -311,7 +309,7 @@ def _sweep_slice(
                         witness_cache[k] = ctx.witness(k)
                     tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
 
-    return checks_run, violations, tights, rows
+    return checks_run, violations, tights, text.getvalue()
 
 
 def sweep(
@@ -319,7 +317,7 @@ def sweep(
     bound_set: Optional[Sequence[str]] = None,
     *,
     graphs: Optional[Sequence[Graph]] = None,
-    collect_checks: bool = False,
+    csv_out: Optional[IO[str]] = None,
     mapper: Callable = map,
     jobs: int = 1,
 ) -> VerificationReport:
@@ -329,24 +327,32 @@ def sweep(
     contiguous slices, each swept by ``mapper`` (the builtin ``map``, or a
     process pool's ``map``), and the slices are joined in order, so the
     report does not depend on either; enumeration, when needed, uses the
-    same pair.
+    same pair.  With ``csv_out``, each check's row in the ``CSV_HEADER``
+    layout is written there, a slice's rows as that slice comes back.
     """
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
         graphs = enumerate_graphs(spec, mapper, jobs)
     ks = _k_values(spec)
 
-    payloads = [(part, ids, ks, collect_checks) for part in shard_graphs(graphs, jobs)]
-    runs, violations, tights, rows = zip(*mapper(_sweep_slice, payloads))
+    payloads = [(part, ids, ks, csv_out is not None) for part in shard_graphs(graphs, jobs)]
+    checks_run = 0
+    violations: List[Violation] = []
+    tights: List[TightCase] = []
+    for runs, found, tight, rows in mapper(_sweep_slice, payloads):
+        checks_run += runs
+        violations += found
+        tights += tight
+        if csv_out is not None:
+            csv_out.write(rows)
     return VerificationReport(
         spec=spec,
         bound_set=ids,
         graphs_scanned=len(graphs),
-        checks_run=sum(runs),
-        violations=tuple(chain.from_iterable(violations)),
-        tight_cases=tuple(chain.from_iterable(tights)),
+        checks_run=checks_run,
+        violations=tuple(violations),
+        tight_cases=tuple(tights),
         formula_audit_findings=_audit_findings(spec.n),
-        checks=tuple(chain.from_iterable(rows)),
     )
 
 
@@ -421,19 +427,3 @@ def report_to_dict(report: VerificationReport) -> Dict[str, object]:
         "tight_cases": [asdict(t) for t in report.tight_cases],
         "formula_audit_findings": [asdict(a) for a in report.formula_audit_findings],
     }
-
-
-CSV_HEADER = tuple(f.name for f in fields(CheckRow))
-
-
-def write_checks_csv(rows: Sequence[CheckRow], stream: IO[str]) -> None:
-    """One line per executed check; bound values in exact notation."""
-    writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            (
-                r.n, r.graph6, r.k, r.bound_id, r.case_label,
-                value_str(r.bound_value), r.actual, int(r.holds), int(r.tight),
-            )
-        )

@@ -103,6 +103,23 @@ def test_compute_rejects_malformed_graph6(tmp_path):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 0\n", "loop at vertex 0"),
+        ("1 -2\n", "edge (1, -2) outside vertex range 0..1"),
+        ("100\n0 1\n", "order must be between 1 and 62, got 100"),
+    ],
+    ids=["loop", "endpoint", "order"],
+)
+def test_edgelist_graph_error_names_the_file(tmp_path, text, message):
+    path = write(tmp_path, "g.edges", text)
+    code, out, err = run(["compute", "--graph", path, "--format", "edgelist"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["compute", "bounds"])
 def test_batch_error_names_the_file_line_and_graph(tmp_path, command):
     # line 3 holds the edgeless graph of order 2, which is disconnected

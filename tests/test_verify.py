@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -32,7 +33,6 @@ from steinergut import (
     shard_graphs,
     steiner_gutman,
     sweep,
-    write_checks_csv,
 )
 from steinergut import cli, verify
 from strategies import connected_graphs
@@ -66,6 +66,9 @@ ALL_SHA256 = {
 # sha256 of `verify --n-max 7 --coconnected --set all` stdout and its --csv file
 ORDER_SEVEN_REPORT_SHA256 = "37b05eb6d0a923199000e56291b535d7263995623f0c95f49a6f848c981c5511"
 ORDER_SEVEN_CSV_SHA256 = "3948b21259f37cbd0e3e7a0623deb5360f79ca1724def9b20f40c2e7f75d36bf"
+# the same through order 8, with --out FILE: (sha256, size in bytes) of each file
+ORDER_EIGHT_REPORT = ("52c6795e0ca96a58dded20abcf3110791e5da115795756a0be87c6f865b72d73", 1024811)
+ORDER_EIGHT_CSV = ("1fa6f9ebe4f93bc66c8237f6efc81362e44b94ca5e4ea218664bc340136a8524", 70714343)
 
 
 @pytest.fixture
@@ -203,7 +206,6 @@ def test_sweep_order_four_coconnected():
     assert report.checks_run == 3 * 16
     assert report.violations == ()
     assert len(report.formula_audit_findings) == 5
-    assert report.checks == ()  # not collected unless asked
 
 
 def test_sweep_order_five_finds_the_min_aggregate_violations():
@@ -234,15 +236,15 @@ def test_sweep_k_range_restriction():
         sweep(EnumerationSpec(n=5, k_range=(6,)))
 
 
-def test_collect_checks_and_csv(tmp_path):
-    report = sweep(EnumerationSpec(n=4, require_coconnected=True), collect_checks=True)
-    assert len(report.checks) == report.checks_run
-    out = tmp_path / "checks.csv"
-    with open(out, "w", newline="") as fh:
-        write_checks_csv(report.checks, fh)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == report.checks_run + 1
-    assert lines[0].startswith("n,graph6,k,bound_id")
+def test_sweep_writes_one_csv_row_per_check():
+    rows = io.StringIO()
+    report = sweep(EnumerationSpec(n=5, require_coconnected=True), csv_out=rows)
+    lines = rows.getvalue().split("\r\n")
+    assert lines.pop() == ""
+    # 16 checks for each of the four k values of each graph
+    assert len(lines) == report.checks_run == 16 * 4 * report.graphs_scanned
+    assert lines[0] == "5,DBg,2,prop21.upper,,128,44,1,0"
+    assert len(next(csv.reader(lines))) == len(verify.CSV_HEADER)
 
 
 def test_shard_graphs_partitions_in_order():
@@ -260,10 +262,12 @@ def test_shard_graphs_partitions_in_order():
 def test_sliced_sweep_matches_the_one_slice_report(n, jobs):
     # order 4 has one co-connected graph, so two of its three slices are empty
     spec = EnumerationSpec(n=n, require_coconnected=True)
-    direct = sweep(spec, collect_checks=True, jobs=1)
-    sliced = sweep(spec, collect_checks=True, jobs=jobs)
+    direct_rows, sliced_rows = io.StringIO(), io.StringIO()
+    direct = sweep(spec, csv_out=direct_rows, jobs=1)
+    sliced = sweep(spec, csv_out=sliced_rows, jobs=jobs)
     assert report_to_dict(sliced) == report_to_dict(direct)
-    assert sliced.checks == direct.checks
+    assert sliced_rows.getvalue() == direct_rows.getvalue()
+    assert sliced_rows.getvalue().count("\n") == direct.checks_run
 
 
 def test_report_to_dict_is_json_ready():
@@ -328,6 +332,18 @@ def test_pooled_verify_matches_golden_digests_with_one_pool(tmp_path, fresh_leve
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == ORDER_SEVEN_CSV_SHA256
     assert counted_pools == [{"max_workers": 2}]
+
+
+@pytest.mark.slow
+def test_pooled_order_eight_verify_matches_golden_digests(tmp_path):
+    # 1.1 million CSV rows, written order by order; about 10 s on 2 cores
+    report_path, csv_path = tmp_path / "r.json", tmp_path / "c.csv"
+    argv = ["verify", "--n-max", "8", "--coconnected", "--set", "all", "--jobs", "2",
+            "--out", str(report_path), "--csv", str(csv_path)]
+    assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 2
+    for path, pinned in ((report_path, ORDER_EIGHT_REPORT), (csv_path, ORDER_EIGHT_CSV)):
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned, path.name
 
 
 @pytest.mark.parametrize("jobs,pools", [("1", 0), ("2", 1)])
