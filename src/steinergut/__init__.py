@@ -47,7 +47,7 @@ _EXPORTS = {
     ),
     "verify": (
         "ENUMERATION_CAP LABELED_CAP EnumerationSpec ExtremalResult TightCase VerificationReport "
-        "Violation enumerate_graphs find_extremal report_to_dict shard_graphs sweep"
+        "Violation enumerate_graphs find_extremal report_to_dict sweep"
     ),
 }
 

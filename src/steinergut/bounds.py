@@ -21,12 +21,13 @@ is checked first, then the complement's connectivity, which only the paired
 groups need.
 
 A ``GraphContext`` holds what one graph contributes: G, the complement, the
-connectivity of both, the signature, both Steiner tables (each built on
-first use, after the guards), which carry the all-k index sums, and the
-decision for the ids it was built with.  Its ``checks(k)`` is the one
-evaluator; a check is ``actual * den <= num`` (or ``>=``, with actual
-squared for a SquareRoot), so no Fraction is built per check.  It guards
-only G's connectivity, then k (Disconnected, then KOutOfRange);
+connectivity of both, the signature, both Steiner tables, which carry the
+all-k index sums, and the decision for the ids it was built with.  The
+complement is built only when a paired group would run or a caller reads
+it, and each table on first use, after the guards.  Its ``checks(k)`` is
+the one evaluator; a check is ``actual * den <= num`` (or ``>=``, with
+actual squared for a SquareRoot), so no Fraction is built per check.  It
+guards only G's connectivity, then k (Disconnected, then KOutOfRange);
 ``evaluate_bounds`` and ``equality_witness`` then raise the first ruled-out
 group's error (``_requested``), while a sweep or a batch reports the
 ruled-out groups in ``skipped`` and goes on.
@@ -327,13 +328,16 @@ _Verdict = Tuple[str, str, Scalar, int, bool, bool]
 class GraphContext:
     """What the bound layer reads about one graph, computed once per graph.
 
-    G's connectivity, the complement and its connectivity are found at once;
+    G's connectivity is found at once.  The complement and its connectivity
+    are found when first read, which a sweep of unpaired groups never does;
     each Steiner table is built (or checked against its graph) only when
     first read, after the guards, so a disconnected G or a bad k costs no
     table.  The all-k index sums are cached on each table.  Which of the
     bound ids ``wanted`` run here is decided once, by ``_decide``: ``runs``
     holds the groups that run, and ``skipped`` maps each requested group it
-    rules out, in BOUND_GROUPS order, to its error.
+    rules out, in BOUND_GROUPS order, to its error.  The decision assumes a
+    connected complement and is taken again only when a paired group would
+    run and the complement turns out disconnected.
     """
 
     def __init__(
@@ -341,15 +345,26 @@ class GraphContext:
     ) -> None:
         self.g = g
         self.connected = is_connected(g)
-        self.gbar = complement(g)
-        self.co_connected = is_connected(self.gbar)
         self._g_table = table
         self._co_table = co_table
         degs = g.degrees
         self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
-        self.runs, skipped, self._paired = _decide(tuple(wanted), g.n, self.co_connected)
+        # the complement matters only to a paired group that would run
+        wanted = tuple(wanted)
+        decision = _decide(wanted, g.n, True)
+        if decision.paired and not self.co_connected:
+            decision = _decide(wanted, g.n, False)
+        self.runs, skipped, self._paired = decision
         # errors made per context, so a raised one holds no other call's traceback
         self.skipped = {group: error(text) for group, error, text in skipped}
+
+    @cached_property
+    def gbar(self) -> Graph:
+        return complement(self.g)
+
+    @cached_property
+    def co_connected(self) -> bool:
+        return is_connected(self.gbar)
 
     @cached_property
     def table(self) -> SteinerTable:

@@ -30,18 +30,26 @@ import os
 import sys
 import time
 from contextlib import ExitStack, contextmanager, nullcontext
+from functools import partial
 from typing import IO, List, Optional, Tuple
 
 from .errors import SteinerGutError
-from .graph import Graph, from_edge_list
+from .graph import Graph, from_edge_list, is_connected
 from .graph6 import graph6_decode, graph6_encode
-from .indices import OBJECTIVES, gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
+from .indices import (
+    OBJECTIVES, _guard, gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
+)
 from .steiner import require_table_order, steiner_all_subsets
 
 INDEX_NAMES = ("sgut", "sw", "sdd", "gut")
 
 # Most worker processes `verify --jobs` may start; the pool lives for the whole run.
 MAX_JOBS = 64
+
+# Graphs (or enumeration parents) per pool task.  The order-8 level has only
+# 853 parents, so a task must hold far fewer than that to keep every worker
+# busy; and a task's CSV text waits whole in memory until it is written.
+POOL_CHUNK = 64
 
 # CLI family names to library family identifiers
 FAMILY_NAMES = {
@@ -277,11 +285,18 @@ def _emit_records(recs, columns, fmt: str, out: IO[str]) -> None:
 
 def _cmd_compute(args, out, err) -> int:
     names = _index_names(args.indices)
+    asked = set(names)
+    # every record passes the index guard, a gut-only one too; sw alone allows k = 1
+    lo = 1 if asked == {"sw"} else 2
     recs = []
     for where, g6, g in _load_graphs(args):
         with _naming(where, g6):
-            table = steiner_all_subsets(g)
-            for k in _k_list(args.k, g.n):
+            ks = _k_list(args.k, g.n)
+            connected = is_connected(g)
+            for k in ks:
+                _guard(connected, g, k, lo)
+            table = None if asked == {"gut"} else steiner_all_subsets(g)
+            for k in ks:
                 rec = {"graph6": g6, "n": g.n, "m": g.m, "k": k}
                 if "sgut" in names:
                     rec["sgut"] = steiner_gutman(g, k, table=table)
@@ -408,13 +423,13 @@ def _cmd_verify(args, out, err) -> int:
             # each order's sweep appends its rows as it runs
             csv.writer(csv_fh).writerow(CSV_HEADER)
         reports = []
-        # one pool serves every order's enumeration phases and sweep slices; its
-        # class is read off this module, so a caller's rebinding of it is used
+        # one pool serves every order's enumeration levels and sweep; its class
+        # is read off this module, so a caller's rebinding of it is used
         pooling = nullcontext()
         if args.jobs > 1:
             pooling = sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs)
         with pooling as pool:
-            mapper = map if pool is None else pool.map
+            mapper = map if pool is None else partial(pool.map, chunksize=POOL_CHUNK)
             for n in range(2, args.n_max + 1):
                 spec = EnumerationSpec(
                     n=n,
@@ -424,11 +439,9 @@ def _cmd_verify(args, out, err) -> int:
                     k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
                 )
                 start = time.perf_counter()
-                graphs = enumerate_graphs(spec, mapper, args.jobs)
+                graphs = enumerate_graphs(spec, mapper)
                 enumerated = time.perf_counter()
-                report = sweep(
-                    spec, ids, graphs=graphs, csv_out=csv_fh, mapper=mapper, jobs=args.jobs
-                )
+                report = sweep(spec, ids, graphs=graphs, csv_out=csv_fh, mapper=mapper)
                 swept = time.perf_counter()
                 reports.append(report)
                 print(

@@ -19,21 +19,17 @@ has a smaller degree than the new vertex: every class can be rebuilt from
 the deletion of such a least-degree vertex, so none is lost.  Each kept
 child gets one lex-min canon, and children are deduped by its key.
 
-A level is built in one pass, mapped over contiguous slices of the parents
-with the caller's ``map``: the builtin one in process, or a process pool's.
-Each slice returns canonical key -> canonical rows, and the maps are merged
-in slice order.  A class's canonical rows do not depend on which child
-found it and the level is sorted by (edge count, edge mask), so every
-slicing yields the same level.  Built levels are kept in one cache for the
-life of the process, whichever map built them.
-
-A sweep is sliced like a level: ``sweep`` maps ``_sweep_slice`` over
-contiguous slices of the graphs with the same ``map`` and joins the slices'
-check counts, violations and tight cases in slice order, so every slicing
-yields the same report; the formula audit runs once, in the caller's
-process.  For the per-check CSV, a slice renders each check's row as it
-runs it and returns its rows as one text, which ``sweep`` writes out as the
-slice comes back: no check outlives its row.
+Levels and sweeps are mapped one item at a time with the caller's ``map``
+(the builtin one in process, or a process pool's): ``_children`` maps a
+parent to canonical key -> canonical rows of its kept children, and
+``_sweep_graph`` maps a graph to its checks run, violations, tight cases and
+CSV rows.  Results are merged in input order; a class's canonical rows do
+not depend on which child found it and a level is sorted by (edge count,
+edge mask), so neither the map nor its grouping of items into pool tasks
+changes a level or a report.  ``sweep`` writes a graph's CSV rows as the
+graph comes back, so no check outlives its row.  Built levels are kept in
+one cache for the life of the process, whichever map built them; the
+formula audit runs once, in the caller's process.
 
 Labeled enumeration builds one graph per edge bitmask, in ascending order,
 so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
@@ -44,7 +40,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, TypeVar, Union
+from functools import partial
+from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
 from .canon import Key, canonical_key_and_perms, relabel_rows
@@ -57,8 +54,6 @@ from .indices import OBJECTIVES, steiner_gutman
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -132,34 +127,32 @@ def _keeps(rows: Rows, connected_only: bool) -> bool:
     return True
 
 
-def _level_slice(payload: Tuple[Tuple[Rows, ...], int, bool]) -> Dict[Key, Rows]:
-    """One slice of parents: canonical key -> canonical rows of each child kept.
+def _children(n: int, connected_only: bool, parent: Rows) -> Dict[Key, Rows]:
+    """One parent's kept children: canonical key -> canonical rows.
 
-    Each parent's optimal orderings are its automorphisms, because parents
+    The parent's optimal orderings are its automorphisms, because parents
     are canonical; only the least attachment mask of each orbit is tried,
     and only the children that ``_keeps`` are canonised.
     """
-    parents, n, connected_only = payload
     top = 1 << (n - 1)
+    auts = canonical_key_and_perms(parent)[1]
+    base = list(parent) + [0]
     found: Dict[Key, Rows] = {}
-    for parent in parents:
-        auts = canonical_key_and_perms(parent)[1]
-        base = list(parent) + [0]
-        for mask in _orbit_minima(auts, int(connected_only), n - 1):
-            adj = list(base)
-            adj[n - 1] = mask
-            for v in iter_bits(mask):
-                adj[v] |= top
-            rows = tuple(adj)
-            if _keeps(rows, connected_only):
-                key, perms = canonical_key_and_perms(rows)
-                if key not in found:
-                    found[key] = relabel_rows(rows, perms[0])
+    for mask in _orbit_minima(auts, int(connected_only), n - 1):
+        adj = list(base)
+        adj[n - 1] = mask
+        for v in iter_bits(mask):
+            adj[v] |= top
+        rows = tuple(adj)
+        if _keeps(rows, connected_only):
+            key, perms = canonical_key_and_perms(rows)
+            if key not in found:
+                found[key] = relabel_rows(rows, perms[0])
     return found
 
 
 def _build_level(
-    parents: Sequence[Graph], n: int, connected_only: bool, mapper: Callable, jobs: int
+    parents: Sequence[Graph], n: int, connected_only: bool, mapper: Callable
 ) -> Tuple[Graph, ...]:
     """The order-n classes grown from the order-(n-1) classes ``parents``.
 
@@ -170,35 +163,28 @@ def _build_level(
     automorphism of C - v, so it gives a child isomorphic to C whose new
     vertex passes ``_keeps``: no class is lost.
 
-    ``mapper`` maps ``_level_slice`` over ``jobs`` contiguous slices of the
-    parents, and the key -> rows maps are merged with ``setdefault``.  The
-    canonical rows of a class do not depend on which child found it, and
-    the result is sorted by (m, edge mask), so neither the slicing nor the
-    merge order can change the output.
+    ``mapper`` maps ``_children`` over the parents, and the key -> rows maps
+    are merged with ``setdefault``.  The canonical rows of a class do not
+    depend on which child found it, and the result is sorted by (m, edge
+    mask), so neither the map nor the merge order can change the output.
     """
-    payloads = [
-        (tuple(g.adj for g in part), n, connected_only)
-        for part in shard_graphs(parents, jobs)
-    ]
     seen: Dict[Key, Rows] = {}
-    for found in mapper(_level_slice, payloads):
+    for found in mapper(partial(_children, n, connected_only), [g.adj for g in parents]):
         for key, rows in found.items():
             seen.setdefault(key, rows)
     graphs = [Graph(n, rows, sum(r.bit_count() for r in rows) // 2) for rows in seen.values()]
     return tuple(sorted(graphs, key=lambda g: (g.m, edge_mask(g))))
 
 
-def _canonical_graphs(
-    n: int, connected_only: bool, mapper: Callable = map, jobs: int = 1
-) -> Tuple[Graph, ...]:
+def _canonical_graphs(n: int, connected_only: bool, mapper: Callable = map) -> Tuple[Graph, ...]:
     """All order-n graphs up to isomorphism, in canonical labeling, cached per level."""
     key = (n, connected_only)
     if key not in _LEVELS:
         if n == 1:
             _LEVELS[key] = (Graph(1, (0,), 0),)
         else:
-            parents = _canonical_graphs(n - 1, connected_only, mapper, jobs)
-            _LEVELS[key] = _build_level(parents, n, connected_only, mapper, jobs)
+            parents = _canonical_graphs(n - 1, connected_only, mapper)
+            _LEVELS[key] = _build_level(parents, n, connected_only, mapper)
     return _LEVELS[key]
 
 
@@ -210,20 +196,18 @@ def _require_order(spec: EnumerationSpec) -> None:
         raise OrderTooLarge(f"labeled enumeration handles orders 1..{LABELED_CAP}, got {spec.n}")
 
 
-def enumerate_graphs(
-    spec: EnumerationSpec, mapper: Callable = map, jobs: int = 1
-) -> List[Graph]:
+def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Graph]:
     """Materialize the graphs selected by ``spec``, in deterministic order.
 
     Deduped mode orders canonical representatives by (edge count, edge
     bitmask); labeled mode orders by ascending edge bitmask.  Levels not yet
     cached are built with ``mapper`` (the builtin ``map``, or a process
-    pool's ``map``) over ``jobs`` slices; the result does not depend on either.
+    pool's ``map``), one parent per item; the result does not depend on it.
     """
     n = spec.n
     _require_order(spec)
     if spec.dedup_isomorphism:
-        pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper, jobs)
+        pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper)
     else:
         pool = [from_edge_mask(n, em) for em in range(1 << (n * (n - 1) // 2))]
         if spec.require_connected:
@@ -269,45 +253,42 @@ def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
     return tuple(a for a in audit_for_order(n) if not a.agrees)
 
 
-# The per-check CSV's columns; ``_sweep_slice`` renders its rows in this layout.
+# The per-check CSV's columns; ``_sweep_graph`` renders its rows in this layout.
 CSV_HEADER = (
     "n", "graph6", "k", "bound_id", "case_label", "bound_value", "actual", "holds", "tight"
 )
 
 
-def _sweep_slice(
-    payload: Tuple[Sequence[Graph], Tuple[str, ...], List[int], bool]
+def _sweep_graph(
+    ids: Tuple[str, ...], ks: List[int], want_csv: bool, g: Graph
 ) -> Tuple[int, List[Violation], List[TightCase], str]:
-    """One contiguous slice of graphs: checks run, violations, tight cases, CSV rows.
+    """One graph: checks run, violations, tight cases, CSV rows.
 
     The rows (bound values in exact notation) are one text, empty unless ``want_csv``.
     """
-    graphs, ids, ks, want_csv = payload
+    ctx = GraphContext(g, ids)
+    if not ctx.runs:
+        return 0, [], [], ""
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
+    g6 = graph6_encode(g)
+    witness_cache: Dict[int, EqualityWitness] = {}
 
-    for g in graphs:
-        ctx = GraphContext(g, ids)
-        if not ctx.runs:
-            continue
-        g6 = graph6_encode(g)
-        witness_cache: Dict[int, EqualityWitness] = {}
-
-        for k in ks:
-            for bound_id, case, value, actual, holds, tight in ctx.checks(k):
-                checks_run += 1
-                if want_csv:
-                    writerow((g.n, g6, k, bound_id, case, value_str(value),
-                              actual, int(holds), int(tight)))
-                if not holds:
-                    violations.append(Violation(g6, k, bound_id, case, value, actual))
-                elif tight:
-                    if k not in witness_cache:
-                        witness_cache[k] = ctx.witness(k)
-                    tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
+    for k in ks:
+        for bound_id, case, value, actual, holds, tight in ctx.checks(k):
+            checks_run += 1
+            if want_csv:
+                writerow((g.n, g6, k, bound_id, case, value_str(value),
+                          actual, int(holds), int(tight)))
+            if not holds:
+                violations.append(Violation(g6, k, bound_id, case, value, actual))
+            elif tight:
+                if k not in witness_cache:
+                    witness_cache[k] = ctx.witness(k)
+                tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
 
     return checks_run, violations, tights, text.getvalue()
 
@@ -319,27 +300,27 @@ def sweep(
     graphs: Optional[Sequence[Graph]] = None,
     csv_out: Optional[IO[str]] = None,
     mapper: Callable = map,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs`` overrides enumeration.  The graphs are cut into ``jobs``
-    contiguous slices, each swept by ``mapper`` (the builtin ``map``, or a
-    process pool's ``map``), and the slices are joined in order, so the
-    report does not depend on either; enumeration, when needed, uses the
-    same pair.  With ``csv_out``, each check's row in the ``CSV_HEADER``
-    layout is written there, a slice's rows as that slice comes back.
+    ``graphs`` overrides enumeration.  ``mapper`` (the builtin ``map``, or a
+    process pool's ``map``) sweeps the graphs one per item, and their results
+    are joined in graph order, so the report does not depend on it;
+    enumeration, when needed, uses the same map.  With ``csv_out``, each
+    check's row in the ``CSV_HEADER`` layout is written there, a graph's rows
+    as that graph comes back.
     """
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
-        graphs = enumerate_graphs(spec, mapper, jobs)
+        graphs = enumerate_graphs(spec, mapper)
     ks = _k_values(spec)
 
-    payloads = [(part, ids, ks, csv_out is not None) for part in shard_graphs(graphs, jobs)]
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
-    for runs, found, tight, rows in mapper(_sweep_slice, payloads):
+    for runs, found, tight, rows in mapper(
+        partial(_sweep_graph, ids, ks, csv_out is not None), graphs
+    ):
         checks_run += runs
         violations += found
         tights += tight
@@ -354,23 +335,6 @@ def sweep(
         tight_cases=tuple(tights),
         formula_audit_findings=_audit_findings(spec.n),
     )
-
-
-def shard_graphs(graphs: Sequence[T], jobs: int) -> List[List[T]]:
-    """Split into ``jobs`` contiguous slices of near-equal size, order kept.
-
-    Used for graphs and for parents' rows alike.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    total = len(graphs)
-    out = []
-    start = 0
-    for i in range(jobs):
-        stop = start + (total - start + (jobs - i - 1)) // (jobs - i)
-        out.append(list(graphs[start:stop]))
-        start = stop
-    return out
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,31 @@ def test_compute_csv_leaves_missing_gut_empty(tmp_path):
     assert lines[2] == "Bg,3,2,3,2,"
 
 
+@pytest.mark.parametrize(
+    "g6, k, message",
+    [("Ch", "99", "k must satisfy 2 <= k <= 4, got 99"),
+     ("B?", "3", "invariant defined for connected graphs only")],
+    ids=["p4-k99", "edgeless"],
+)
+def test_compute_guards_a_gut_only_query(tmp_path, g6, k, message):
+    path = write(tmp_path, "g.g6", f"{g6}\n")
+    code, out, err = run(["compute", "--graph", path, "--k", k, "--indices", "gut"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:1: {g6}: {message}\n"
+
+
+def test_compute_gut_only_builds_no_table(tmp_path, count_calls):
+    from steinergut import steiner
+
+    tables = count_calls(steiner, "steiner_all_subsets")
+    path = write(tmp_path, "g.g6", "Ch\n")
+    code, out, _ = run(["compute", "--graph", path, "--indices", "gut"])
+    assert code == 0
+    assert [rec["gut"] for rec in json.loads(out)] == [19, None, None]
+    assert tables == []
+
+
 def test_compute_reads_stdin(monkeypatch):
     code, out, _ = run(
         ["compute", "--graph", "-", "--k", "2", "--indices", "sgut"],

@@ -35,14 +35,13 @@ EXPORTS = {
     "steiner": "INF DreyfusWagner SteinerTable pairwise_distances steiner_all_subsets "
     "steiner_oracle steiner_single",
     "verify": "ENUMERATION_CAP LABELED_CAP EnumerationSpec ExtremalResult TightCase "
-    "VerificationReport Violation enumerate_graphs find_extremal report_to_dict shard_graphs "
-    "sweep",
+    "VerificationReport Violation enumerate_graphs find_extremal report_to_dict sweep",
 }
 HOMES = {name: module for module, names in EXPORTS.items() for name in names.split()}
 
 
 def test_exports_are_the_pinned_names():
-    assert len(HOMES) == 82
+    assert len(HOMES) == 81
     assert sorted(steinergut.__all__) == sorted(HOMES)
     assert len(set(steinergut.__all__)) == len(steinergut.__all__)
 

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from itertools import combinations
 from math import factorial
 
@@ -30,7 +33,6 @@ from steinergut import (
     relabel,
     report_to_dict,
     run_cli,
-    shard_graphs,
     steiner_gutman,
     sweep,
 )
@@ -89,6 +91,20 @@ def counted_pools(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Counted)
     return made
+
+
+@contextmanager
+def mapping(chunksize, mp_context=None):
+    """The builtin map for None, else a 2-worker pool's map at that chunk size."""
+    if chunksize is None:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=2, mp_context=mp_context) as pool:
+        yield partial(pool.map, chunksize=chunksize)
+
+
+# the mappers every map-taking function must agree over
+CHUNKSIZES = (None, 1, 3)
 
 
 def _names_digest(graphs):
@@ -194,10 +210,12 @@ def test_sweep_decides_applicability_once_per_cell():
     sweep(EnumerationSpec(n=6), graphs=graphs)
     info = _decide.cache_info()
     # one bound set at one order: a cell per complement connectivity, looked
-    # up once per graph and evaluated once per cell, never per (graph, k)
-    assert {is_connected(complement(g)) for g in graphs} == {True, False}
+    # up once per graph (and again when its complement is disconnected) and
+    # evaluated once per cell, never per (graph, k)
+    co_disconnected = sum(not is_connected(complement(g)) for g in graphs)
+    assert 0 < co_disconnected < len(graphs) == 112
     assert info.misses == 2
-    assert info.hits + info.misses == len(graphs) == 112
+    assert info.hits + info.misses == len(graphs) + co_disconnected
 
 
 def test_sweep_order_four_coconnected():
@@ -247,27 +265,42 @@ def test_sweep_writes_one_csv_row_per_check():
     assert len(next(csv.reader(lines))) == len(verify.CSV_HEADER)
 
 
-def test_shard_graphs_partitions_in_order():
-    items = list(range(7))
-    shards = shard_graphs(items, 3)
-    assert [len(s) for s in shards] == [3, 2, 2]
-    assert [x for s in shards for x in s] == items
-    with pytest.raises(ValueError):
-        shard_graphs(items, 0)
-
-
 @pytest.mark.parametrize(
-    "n, jobs", [(5, 2), (5, 3), (4, 3)], ids=["n5-jobs2", "n5-jobs3", "n4-jobs3"]
+    "n, chunksize", [(5, 1), (5, 3), (4, 3)], ids=["n5-chunk1", "n5-chunk3", "n4-chunk3"]
 )
-def test_sliced_sweep_matches_the_one_slice_report(n, jobs):
-    # order 4 has one co-connected graph, so two of its three slices are empty
+def test_pooled_sweep_matches_the_in_process_report(n, chunksize):
+    # order 4 has one co-connected graph, so its one task is not full
     spec = EnumerationSpec(n=n, require_coconnected=True)
-    direct_rows, sliced_rows = io.StringIO(), io.StringIO()
-    direct = sweep(spec, csv_out=direct_rows, jobs=1)
-    sliced = sweep(spec, csv_out=sliced_rows, jobs=jobs)
-    assert report_to_dict(sliced) == report_to_dict(direct)
-    assert sliced_rows.getvalue() == direct_rows.getvalue()
-    assert sliced_rows.getvalue().count("\n") == direct.checks_run
+    direct_rows, pooled_rows = io.StringIO(), io.StringIO()
+    direct = sweep(spec, csv_out=direct_rows)
+    with mapping(chunksize) as mapper:
+        pooled = sweep(spec, csv_out=pooled_rows, mapper=mapper)
+    assert report_to_dict(pooled) == report_to_dict(direct)
+    assert pooled_rows.getvalue() == direct_rows.getvalue()
+    assert pooled_rows.getvalue().count("\n") == direct.checks_run
+
+
+def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
+    from steinergut.bounds import GraphContext
+
+    events = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            names = {row[1] for row in csv.reader(io.StringIO(text))}
+            events.append(("rows", names))
+            return super().write(text)
+
+    def context(g, *args):
+        events.append(("graph", graph6_encode(g)))
+        return GraphContext(g, *args)
+
+    monkeypatch.setattr(verify, "GraphContext", context)
+    report = sweep(EnumerationSpec(n=5, require_coconnected=True), csv_out=Recorder())
+    names = [name for kind, name in events if kind == "graph"]
+    assert len(names) == report.graphs_scanned == 8
+    # each graph's context is built only once the previous graph's rows are out
+    assert events == [event for g6 in names for event in (("graph", g6), ("rows", {g6}))]
 
 
 def test_report_to_dict_is_json_ready():
@@ -360,38 +393,50 @@ def test_verify_opens_at_most_one_pool_per_run(jobs, pools, fresh_levels, counte
 
 def test_pool_enumeration_matches_golden_digests(fresh_levels):
     with ProcessPoolExecutor(max_workers=2) as pool:
+        mapper = partial(pool.map, chunksize=cli.POOL_CHUNK)
         for n, digest in CONNECTED_SHA256.items():
-            got = enumerate_graphs(EnumerationSpec(n=n), pool.map, 2)
+            got = enumerate_graphs(EnumerationSpec(n=n), mapper)
             assert _names_digest(got) == digest, n
         for n, digest in ALL_SHA256.items():
-            got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False), pool.map, 2)
+            got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False), mapper)
             assert _names_digest(got) == digest, n
 
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slicing_does_not_change_any_level(connected, monkeypatch):
     levels = []
-    for jobs in (1, 2, 3):
+    for chunksize in CHUNKSIZES:
         monkeypatch.setattr(verify, "_LEVELS", {})
         spec = EnumerationSpec(n=7, require_connected=connected)
-        enumerate_graphs(spec, map, jobs)
+        with mapping(chunksize) as mapper:
+            enumerate_graphs(spec, mapper)
         levels.append(dict(verify._LEVELS))
     assert levels[0] == levels[1] == levels[2]
     assert sorted(levels[0]) == [(n, connected) for n in range(1, 8)]
 
 
-def test_enumeration_canonises_each_class_once(count_calls, monkeypatch):
-    from steinergut import canon
+def test_enumeration_canonises_each_class_once(monkeypatch):
+    # the counter lives in shared memory and the counting wrapper is bound
+    # before the pool forks its workers, so their canons are counted too
+    fork = multiprocessing.get_context("fork")
+    canons = fork.Value("i", 0)
+    original = verify.canonical_key_and_perms
 
-    canons = count_calls(canon, "canonical_key_and_perms")
-    for jobs in (1, 2):
+    def counted(rows):
+        with canons.get_lock():
+            canons.value += 1
+        return original(rows)
+
+    monkeypatch.setattr(verify, "canonical_key_and_perms", counted)
+    for chunksize in CHUNKSIZES:
         monkeypatch.setattr(verify, "_LEVELS", {})
-        del canons[:]
-        for n in range(1, 9):
-            enumerate_graphs(EnumerationSpec(n=n), map, jobs)
+        canons.value = 0
+        with mapping(chunksize, fork) as mapper:
+            for n in range(1, 9):
+                enumerate_graphs(EnumerationSpec(n=n), mapper)
         # through order 8: one canon per parent for its automorphisms (996)
         # and one per orbit-minimum child kept by the deletion rule (18,311)
-        assert len(canons) == 19307, jobs
+        assert canons.value == 19307, chunksize
 
 
 def _rows(n, edges):
@@ -428,10 +473,11 @@ def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
 
 
 @pytest.mark.slow
-def test_order_nine_level_matches_its_golden_digest(fresh_levels):
-    # above ENUMERATION_CAP, so the level is built directly; about 80 s on 2 cores
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        level = verify._canonical_graphs(9, True, pool.map, 2)
+@pytest.mark.parametrize("chunksize", CHUNKSIZES, ids=["map", "chunk1", "chunk3"])
+def test_order_nine_level_matches_its_golden_digest(chunksize, fresh_levels):
+    # above ENUMERATION_CAP, so the level is built directly; 55-120 s on 2 cores
+    with mapping(chunksize) as mapper:
+        level = verify._canonical_graphs(9, True, mapper)
     assert len(level) == 261080
     assert _names_digest(level) == (
         "ecaa74d8e3822ff8af5ef9bbc0f57044d74d41bc8c54d50531b30c6754dc643f"
@@ -456,6 +502,19 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
     # family members; each table's all-k sums are computed once
     assert len(tables) == len(sums) == 1496
     assert len(complements) == scanned
+
+
+def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
+    from steinergut import graph
+
+    spec = EnumerationSpec(n=7)
+    graphs = enumerate_graphs(spec)
+    complements = count_calls(graph, "complement")
+    report = sweep(spec, ["lem22"], graphs=graphs)
+    # lem22 never reads the complement; only the equality witness of each
+    # tight graph asks whether its complement is connected
+    assert report.graphs_scanned == 853
+    assert len(complements) == len({t.graph6 for t in report.tight_cases}) == 4
 
 
 def test_order_eight_coconnected_sweep_matches_golden_totals(universe):
