@@ -27,10 +27,11 @@ complement is built only when a paired group would run or a caller reads
 it, and each table on first use, after the guards.  Its ``checks(k)`` is
 the one evaluator; a check is ``actual * den <= num`` (or ``>=``, with
 actual squared for a SquareRoot), so no Fraction is built per check.  It
-guards only G's connectivity, then k (Disconnected, then KOutOfRange);
-``evaluate_bounds`` and ``equality_witness`` then raise the first ruled-out
-group's error (``_requested``), while a sweep or a batch reports the
-ruled-out groups in ``skipped`` and goes on.
+guards only G's connectivity, then k (Disconnected, then KOutOfRange), once
+per (graph, k), and then reads the table's cached sums, never a public
+index function; ``evaluate_bounds`` and ``equality_witness`` then raise the
+first ruled-out group's error (``_requested``), while a sweep or a batch
+reports the ruled-out groups in ``skipped`` and goes on.
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -47,7 +48,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
-from .indices import _guard, _sums, _table, steiner_gutman
+from .indices import _guard, _sums, _table
 from .steiner import SteinerTable
 
 BOUND_IDS = (
@@ -384,7 +385,7 @@ class GraphContext:
         _guard(self.connected, self.g, k)
         if not self.runs:
             return []
-        sg = steiner_gutman(self.g, k, table=self.table)
+        sg = _sums(self.g, self.table).sgut[k]
         operands = (sg,)
         if self._paired:
             # a paired group runs only on a connected complement

@@ -530,10 +530,7 @@ def run_cli(argv, stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] = 
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
-    except SteinerGutError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+    except (SteinerGutError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

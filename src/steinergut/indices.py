@@ -38,11 +38,6 @@ from .steiner import SteinerTable, pairwise_distances, steiner_all_subsets
 OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")
 
 
-def _require_k(g: Graph, k: int, lo: int = 2) -> None:
-    if not lo <= k <= g.n:
-        raise KOutOfRange(f"k must satisfy {lo} <= k <= {g.n}, got {k}")
-
-
 def _table(g: Graph, table: Optional[SteinerTable]) -> SteinerTable:
     if table is None:
         return steiner_all_subsets(g)
@@ -55,18 +50,8 @@ def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
     """The guards of every index, in order: Disconnected, then KOutOfRange."""
     if not connected:
         raise Disconnected("invariant defined for connected graphs only")
-    _require_k(g, k, lo)
-
-
-def _checked_table(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2) -> SteinerTable:
-    """The table of ``g`` once ``g`` is known connected and ``k`` in range.
-
-    Only a connected graph's table stores ``dist`` as bytes, so connectivity
-    is read off the table instead of flooding the graph on every call.
-    """
-    tb = _table(g, table)
-    _guard(isinstance(tb.dist, bytes), g, k, lo)
-    return tb
+    if not lo <= k <= g.n:
+        raise KOutOfRange(f"k must satisfy {lo} <= k <= {g.n}, got {k}")
 
 
 class _Sums(NamedTuple):
@@ -146,22 +131,26 @@ def _sums(g: Graph, tb: SteinerTable) -> _Sums:
     return tb.sums[0]
 
 
+def _index_sums(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2) -> _Sums:
+    """The all-k sums of ``g`` for an index request at ``k``, guarded (one
+    flood of ``g``) before any table is built or checked."""
+    _guard(is_connected(g), g, k, lo)
+    return _sums(g, _table(g, table))
+
+
 def steiner_gutman(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-product weighted Steiner k-distance sum."""
-    return _sums(g, _checked_table(g, table, k)).sgut[k]
+    return _index_sums(g, table, k).sgut[k]
 
 
 def steiner_wiener(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Plain Steiner k-distance sum; k = 1 is allowed and gives 0."""
-    tb = _checked_table(g, table, k, lo=1)
-    if k == 1:
-        return 0
-    return _sums(g, tb).sw[k]
+    return _index_sums(g, table, k, lo=1).sw[k]
 
 
 def steiner_degree_distance(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
     """Degree-sum weighted Steiner k-distance sum."""
-    return _sums(g, _checked_table(g, table, k)).sdd[k]
+    return _index_sums(g, table, k).sdd[k]
 
 
 def gutman(g: Graph) -> int:
@@ -192,12 +181,12 @@ class IndexReport:
 
 
 def index_report(g: Graph, k: int, graph_id: str = "", *, table: Optional[SteinerTable] = None) -> IndexReport:
-    tb = _table(g, table)
+    sums = _index_sums(g, table, k)
     return IndexReport(
         graph_id=graph_id,
         k=k,
-        sgut=steiner_gutman(g, k, table=tb),
-        sw=steiner_wiener(g, k, table=tb),
-        sdd=steiner_degree_distance(g, k, table=tb),
+        sgut=sums.sgut[k],
+        sw=sums.sw[k],
+        sdd=sums.sdd[k],
         gut=gutman(g) if k == 2 else None,
     )

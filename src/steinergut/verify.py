@@ -45,7 +45,7 @@ from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
 from .canon import Key, canonical_key_and_perms, relabel_rows
-from .errors import KOutOfRange, NoCaseApplies, OrderTooLarge
+from .errors import Disconnected, KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
@@ -196,6 +196,14 @@ def _require_order(spec: EnumerationSpec) -> None:
         raise OrderTooLarge(f"labeled enumeration handles orders 1..{LABELED_CAP}, got {spec.n}")
 
 
+def _require_sweepable(spec: EnumerationSpec) -> None:
+    """Refuse an order enumeration does not handle, then disconnected graphs,
+    which no index or bound is defined for, before any enumeration."""
+    _require_order(spec)
+    if not spec.require_connected:
+        raise Disconnected("sweeps and extremal searches need require_connected=True")
+
+
 def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Graph]:
     """Materialize the graphs selected by ``spec``, in deterministic order.
 
@@ -303,15 +311,17 @@ def sweep(
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs`` overrides enumeration.  ``mapper`` (the builtin ``map``, or a
-    process pool's ``map``) sweeps the graphs one per item, and their results
-    are joined in graph order, so the report does not depend on it;
-    enumeration, when needed, uses the same map.  With ``csv_out``, each
-    check's row in the ``CSV_HEADER`` layout is written there, a graph's rows
-    as that graph comes back.
+    ``graphs`` overrides enumeration; without it, a spec that admits
+    disconnected graphs raises ``Disconnected`` first.  ``mapper`` (the
+    builtin ``map``, or a process pool's ``map``) sweeps the graphs one per
+    item, and their results are joined in graph order, so the report does
+    not depend on it; enumeration, when needed, uses the same map.  With
+    ``csv_out``, each check's row in the ``CSV_HEADER`` layout is written
+    there, a graph's rows as that graph comes back.
     """
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
+        _require_sweepable(spec)
         graphs = enumerate_graphs(spec, mapper)
     ks = _k_values(spec)
 
@@ -350,11 +360,11 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
 
     The sum and product objectives compare a graph with its complement and
     silently restrict to graphs whose complement is connected.  The order is
-    checked before k, and both before any enumeration.
+    checked first, then connectivity, then k, all before any enumeration.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    _require_order(spec)
+    _require_sweepable(spec)
     if not 2 <= k <= spec.n:
         raise KOutOfRange(f"k={k} outside 2..{spec.n}")
     sense, quantity = objective.split("-", 1)

@@ -53,7 +53,10 @@ def test_wiener_k1_is_zero():
     assert steiner_wiener(path(4), 1) == 0
 
 
-def test_k_guards():
+def test_k_guards(count_calls):
+    from steinergut import steiner
+
+    tables = count_calls(steiner, "steiner_all_subsets")
     g = path(4)
     with pytest.raises(KOutOfRange):
         steiner_gutman(g, 1)
@@ -61,6 +64,11 @@ def test_k_guards():
         steiner_gutman(g, 5)
     with pytest.raises(KOutOfRange):
         steiner_wiener(g, 0)
+    # at the table cap, a bad k is refused before the 2^20 table is built
+    with pytest.raises(KOutOfRange) as err:
+        steiner_gutman(path(20), 99)
+    assert str(err.value) == "k must satisfy 2 <= k <= 20, got 99"
+    assert len(tables) == 0
 
 
 def test_disconnected_rejected():
@@ -170,9 +178,12 @@ def test_reused_table_for_another_graph_is_rejected():
         index_report(other, 2, table=table)
 
 
-def test_every_index_rejects_a_disconnected_graph():
+def test_every_index_rejects_a_disconnected_graph(count_calls):
+    from steinergut import steiner
+
     g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
     table = steiner_all_subsets(g)
+    tables = count_calls(steiner, "steiner_all_subsets")
     for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
         for k in range(2, 6):
             for tb in (None, table):
@@ -183,6 +194,14 @@ def test_every_index_rejects_a_disconnected_graph():
             index(g, 9)
     with pytest.raises(Disconnected):
         steiner_wiener(g, 1)
+    # at the table cap, one edge: each index and the report refuse the graph
+    # before its 2^20 table is built
+    one_edge = from_edge_list(20, [(0, 1)])
+    for index in (steiner_gutman, steiner_wiener, steiner_degree_distance, index_report):
+        with pytest.raises(Disconnected) as err:
+            index(one_edge, 3)
+        assert str(err.value) == "invariant defined for connected graphs only"
+    assert len(tables) == 0
 
 
 def complete(n):

@@ -17,6 +17,7 @@ from hypothesis import given
 import brute
 from steinergut import (
     BOUND_IDS,
+    Disconnected,
     EnumerationSpec,
     KOutOfRange,
     NoCaseApplies,
@@ -485,23 +486,36 @@ def test_order_nine_level_matches_its_golden_digest(chunksize, fresh_levels):
 
 
 def test_sweep_builds_each_invariant_once_per_graph(count_calls):
-    from steinergut import graph, indices, steiner
+    from steinergut import families, graph, indices, steiner
 
     specs = [EnumerationSpec(n=n, require_coconnected=True) for n in range(2, 8)]
     pools = [enumerate_graphs(spec) for spec in specs]
     tables = count_calls(steiner, "steiner_all_subsets")
     sums = count_calls(indices, "_all_k_sums")
     complements = count_calls(graph, "complement")
-    scanned = checks = 0
+    guards = count_calls(indices, "_guard")
+    sgut, sw, sdd = (
+        count_calls(indices, name)
+        for name in ("steiner_gutman", "steiner_wiener", "steiner_degree_distance")
+    )
+    scanned = checks = graph_ks = witnesses = audits = 0
     for spec, pool in zip(specs, pools):
         report = sweep(spec, ["all"], graphs=pool)
         scanned += report.graphs_scanned
         checks += report.checks_run
+        graph_ks += report.graphs_scanned * (spec.n - 1)
+        witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
+        audits += len(families._PRINTED_FORMS) * (spec.n - 1)
     assert (scanned, checks) == (739, 69552)
     # G's and the complement's table per graph, plus the formula audit's
     # family members; each table's all-k sums are computed once
     assert len(tables) == len(sums) == 1496
     assert len(complements) == scanned
+    # one guard per (graph, k), per tight (graph, k)'s witness and per formula
+    # audit row; the checks read the cached sums, so only the audit calls a
+    # public index function
+    assert (len(sgut), len(sw), len(sdd)) == (audits, 0, 0)
+    assert len(guards) == graph_ks + witnesses + audits
 
 
 def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
@@ -515,6 +529,23 @@ def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count
     # tight graph asks whether its complement is connected
     assert report.graphs_scanned == 853
     assert len(complements) == len({t.graph6 for t in report.tight_cases}) == 4
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda spec: sweep(spec), lambda spec: find_extremal(spec, 3, "max-sgut")],
+    ids=["sweep", "find_extremal"],
+)
+def test_a_search_over_disconnected_graphs_is_refused_before_enumerating(
+    fresh_levels, count_calls, search
+):
+    from steinergut import canon
+
+    canons = count_calls(canon, "canonical_key_and_perms")
+    with pytest.raises(Disconnected) as err:
+        search(EnumerationSpec(n=4, require_connected=False))
+    assert "\n" not in str(err.value)
+    assert len(canons) == 0
 
 
 def test_order_eight_coconnected_sweep_matches_golden_totals(universe):
