@@ -21,17 +21,17 @@ is checked first, then the complement's connectivity, which only the paired
 groups need.
 
 A ``GraphContext`` holds what one graph contributes: G, the complement, the
-connectivity of both, the signature, both Steiner tables, which carry the
-all-k index sums, and the decision for the ids it was built with.  The
+connectivity of both, the signature, the all-k index sums of both, and the
+decision for the ids it was built with; it is the only per-graph memo.  The
 complement is built only when a paired group would run or a caller reads
-it, and each table on first use, after the guards.  Its ``checks(k)`` is
-the one evaluator; a check is ``actual * den <= num`` (or ``>=``, with
-actual squared for a SquareRoot), so no Fraction is built per check.  It
-guards only G's connectivity, then k (Disconnected, then KOutOfRange), once
-per (graph, k), and then reads the table's cached sums, never a public
-index function; ``evaluate_bounds`` and ``equality_witness`` then raise the
-first ruled-out group's error (``_requested``), while a sweep or a batch
-reports the ruled-out groups in ``skipped`` and goes on.
+it, and each graph's sums on first use, after the guards.  Its
+``checks(k)`` is the one evaluator; a check is ``actual * den <= num`` (or
+``>=``, with actual squared for a SquareRoot), so no Fraction is built per
+check.  It guards only G's connectivity, then k (Disconnected, then
+KOutOfRange), once per (graph, k), and then reads the cached sums, never a
+public index function; ``evaluate_bounds`` and ``equality_witness`` then
+raise the first ruled-out group's error (``_requested``), while a sweep or
+a batch reports the ruled-out groups in ``skipped`` and goes on.
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -48,8 +48,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
-from .indices import _guard, _sums, _table
-from .steiner import SteinerTable
+from .indices import _guard, _Sums, _sums
 
 BOUND_IDS = (
     "prop21.upper",
@@ -90,7 +89,6 @@ class BoundCheck:
 
 
 _Row = Tuple[str, Scalar]
-_Table = Optional[SteinerTable]
 
 
 def _prop21(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
@@ -330,24 +328,20 @@ class GraphContext:
     """What the bound layer reads about one graph, computed once per graph.
 
     G's connectivity is found at once.  The complement and its connectivity
-    are found when first read, which a sweep of unpaired groups never does;
-    each Steiner table is built (or checked against its graph) only when
-    first read, after the guards, so a disconnected G or a bad k costs no
-    table.  The all-k index sums are cached on each table.  Which of the
-    bound ids ``wanted`` run here is decided once, by ``_decide``: ``runs``
-    holds the groups that run, and ``skipped`` maps each requested group it
-    rules out, in BOUND_GROUPS order, to its error.  The decision assumes a
-    connected complement and is taken again only when a paired group would
-    run and the complement turns out disconnected.
+    are found when first read, which a sweep of unpaired groups never does.
+    ``sums`` and ``co_sums``, the all-k index sums of G and the complement,
+    are computed when first read, after the guards, so a disconnected G or
+    a bad k costs no Steiner table.  Which of the bound ids ``wanted`` run
+    here is decided once, by ``_decide``: ``runs`` holds the groups that
+    run, and ``skipped`` maps each requested group it rules out, in
+    BOUND_GROUPS order, to its error.  The decision assumes a connected
+    complement and is taken again only when a paired group would run and
+    the complement turns out disconnected.
     """
 
-    def __init__(
-        self, g: Graph, wanted: Sequence[str] = (), table: _Table = None, co_table: _Table = None
-    ) -> None:
+    def __init__(self, g: Graph, wanted: Sequence[str] = ()) -> None:
         self.g = g
         self.connected = is_connected(g)
-        self._g_table = table
-        self._co_table = co_table
         degs = g.degrees
         self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
         # the complement matters only to a paired group that would run
@@ -368,12 +362,12 @@ class GraphContext:
         return is_connected(self.gbar)
 
     @cached_property
-    def table(self) -> SteinerTable:
-        return _table(self.g, self._g_table)
+    def sums(self) -> _Sums:
+        return _sums(self.g)
 
     @cached_property
-    def co_table(self) -> SteinerTable:
-        return _table(self.gbar, self._co_table)
+    def co_sums(self) -> _Sums:
+        return _sums(self.gbar)
 
     def checks(self, k: int) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.
@@ -385,11 +379,11 @@ class GraphContext:
         _guard(self.connected, self.g, k)
         if not self.runs:
             return []
-        sg = _sums(self.g, self.table).sgut[k]
+        sg = self.sums.sgut[k]
         operands = (sg,)
         if self._paired:
             # a paired group runs only on a connected complement
-            sgbar = _sums(self.gbar, self.co_table).sgut[k]
+            sgbar = self.co_sums.sgut[k]
             operands = (sg, sg + sgbar, sg * sgbar)
         out = []
         for group, kinds in self.runs:
@@ -409,11 +403,8 @@ class GraphContext:
         # every k-set has Steiner distance at least k - 1, with equality exactly
         # when it induces a connected subgraph, so one cached sum decides all
         all_minimal = (k - 1) * comb(n, k)
-        minimal = _sums(g, self.table).sw[k] == all_minimal
-        both_minimal = (
-            minimal and self.co_connected
-            and _sums(self.gbar, self.co_table).sw[k] == all_minimal
-        )
+        minimal = self.sums.sw[k] == all_minimal
+        both_minimal = minimal and self.co_connected and self.co_sums.sw[k] == all_minimal
         path = _is_path(g)
         return EqualityWitness(
             regular=is_regular(g),
@@ -427,12 +418,7 @@ class GraphContext:
 
 
 def evaluate_bounds(
-    g: Graph,
-    k: int,
-    bound_ids: Optional[Sequence[str]] = None,
-    *,
-    table: _Table = None,
-    co_table: _Table = None,
+    g: Graph, k: int, bound_ids: Optional[Sequence[str]] = None
 ) -> List[BoundCheck]:
     """Evaluate the requested bound checks in the canonical BOUND_IDS order.
 
@@ -441,7 +427,7 @@ def evaluate_bounds(
     guards, the first requested group that cannot run raises its error.
     """
     wanted = expand_bound_ids(bound_ids)
-    return [BoundCheck(*check) for check in _requested(GraphContext(g, wanted, table, co_table), k)]
+    return [BoundCheck(*check) for check in _requested(GraphContext(g, wanted), k)]
 
 
 def _requested(ctx: GraphContext, k: int) -> List[_Verdict]:
@@ -492,15 +478,9 @@ def _is_path(g: Graph) -> bool:
     return degs[0] == degs[1] == 1 and (g.n == 2 or degs[2:] == [2] * (g.n - 2))
 
 
-def diagnose_equality(
-    g: Graph,
-    k: int,
-    *,
-    table: Optional[SteinerTable] = None,
-    co_table: Optional[SteinerTable] = None,
-) -> EqualityWitness:
+def diagnose_equality(g: Graph, k: int) -> EqualityWitness:
     """Evaluate every tightness predicate; no bound needs to be involved."""
-    return GraphContext(g, (), table, co_table).witness(k)
+    return GraphContext(g).witness(k)
 
 
 def equality_witness(g: Graph, k: int, bound_id: str) -> EqualityWitness:

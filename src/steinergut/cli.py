@@ -36,10 +36,8 @@ from typing import IO, List, Optional, Tuple
 from .errors import SteinerGutError
 from .graph import Graph, from_edge_list, is_connected
 from .graph6 import graph6_decode, graph6_encode
-from .indices import (
-    OBJECTIVES, _guard, gutman, steiner_degree_distance, steiner_gutman, steiner_wiener
-)
-from .steiner import require_table_order, steiner_all_subsets
+from .indices import OBJECTIVES, _guard, _sums, gutman
+from .steiner import require_table_order
 
 INDEX_NAMES = ("sgut", "sw", "sdd", "gut")
 
@@ -295,15 +293,12 @@ def _cmd_compute(args, out, err) -> int:
             connected = is_connected(g)
             for k in ks:
                 _guard(connected, g, k, lo)
-            table = None if asked == {"gut"} else steiner_all_subsets(g)
+            sums = None if asked == {"gut"} else _sums(g)
             for k in ks:
                 rec = {"graph6": g6, "n": g.n, "m": g.m, "k": k}
-                if "sgut" in names:
-                    rec["sgut"] = steiner_gutman(g, k, table=table)
-                if "sw" in names:
-                    rec["sw"] = steiner_wiener(g, k, table=table)
-                if "sdd" in names:
-                    rec["sdd"] = steiner_degree_distance(g, k, table=table)
+                for name in ("sgut", "sw", "sdd"):
+                    if name in names:
+                        rec[name] = getattr(sums, name)[k]
                 if "gut" in names:
                     rec["gut"] = gutman(g) if k == 2 else None
                 recs.append(rec)

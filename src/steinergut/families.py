@@ -17,8 +17,8 @@ from typing import List, Optional
 
 from .errors import InvalidFamilyOrder, KOutOfRange
 from .graph import Graph, from_edge_list
-from .indices import steiner_gutman
-from .steiner import require_table_order, steiner_all_subsets
+from .indices import _sums
+from .steiner import require_table_order
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_minus_perfect_matching")
 
@@ -107,11 +107,10 @@ def audit_for_order(n: int) -> List[FormulaAudit]:
     out: List[FormulaAudit] = []
     for family, form in _PRINTED_FORMS:
         g = generate(FamilySpec(family, n))
-        table = steiner_all_subsets(g)
+        sgut = _sums(g).sgut
         for k in range(2, n + 1):
             printed = form(n, k)
-            computed = steiner_gutman(g, k, table=table)
-            out.append(FormulaAudit(family, n, k, printed, computed, printed == computed))
+            out.append(FormulaAudit(family, n, k, printed, sgut[k], printed == sgut[k]))
     return out
 
 

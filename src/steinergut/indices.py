@@ -14,8 +14,11 @@ indices for every k at once: the vertices split into a low and a high half,
 the degree product, degree sum and size of a subset factor into per-half
 values, and each high-half row of the table is weighted and summed as one
 big int with a 64-bit lane per low-half mask (a checked bound keeps every
-lane from wrapping).  The result is cached on the table, which is bound to
-the graph it was built from, so further calls for any k are lookups.
+lane from wrapping).  ``_sums(g)`` builds G's table and returns that
+pass's result, and the table is dropped: the sums are the only per-graph
+value, and a caller that wants several k or indices of one graph keeps
+them (``bounds.GraphContext`` does).  Every public index guards G's
+connectivity and k before any table is built.
 """
 
 from __future__ import annotations
@@ -30,20 +33,12 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange, OrderTooLarge
 from .graph import Graph, is_connected
-from .steiner import SteinerTable, pairwise_distances, steiner_all_subsets
+from .steiner import pairwise_distances, steiner_all_subsets
 
 
 # Extremal objectives (verify.find_extremal): the max or min of SGut_k(G), or
 # of SGut_k(G) and SGut_k(complement) summed or multiplied.
 OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")
-
-
-def _table(g: Graph, table: Optional[SteinerTable]) -> SteinerTable:
-    if table is None:
-        return steiner_all_subsets(g)
-    if table.adj != g.adj:
-        raise KOutOfRange("precomputed table is for a different graph")
-    return table
 
 
 def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
@@ -124,33 +119,31 @@ def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
     return _Sums(tuple(sgut), tuple(sw), tuple(sdd))
 
 
-def _sums(g: Graph, tb: SteinerTable) -> _Sums:
-    """The all-k sums of ``g`` from its table ``tb``, computed once per table."""
-    if not tb.sums:
-        tb.sums.append(_all_k_sums(tb.dist, g.n, g.degrees))
-    return tb.sums[0]
+def _sums(g: Graph) -> _Sums:
+    """The all-k sums of a connected ``g``, from a table built for this call."""
+    return _all_k_sums(steiner_all_subsets(g).dist, g.n, g.degrees)
 
 
-def _index_sums(g: Graph, table: Optional[SteinerTable], k: int, lo: int = 2) -> _Sums:
+def _index_sums(g: Graph, k: int, lo: int = 2) -> _Sums:
     """The all-k sums of ``g`` for an index request at ``k``, guarded (one
-    flood of ``g``) before any table is built or checked."""
+    flood of ``g``) before any table is built."""
     _guard(is_connected(g), g, k, lo)
-    return _sums(g, _table(g, table))
+    return _sums(g)
 
 
-def steiner_gutman(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
+def steiner_gutman(g: Graph, k: int) -> int:
     """Degree-product weighted Steiner k-distance sum."""
-    return _index_sums(g, table, k).sgut[k]
+    return _index_sums(g, k).sgut[k]
 
 
-def steiner_wiener(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
+def steiner_wiener(g: Graph, k: int) -> int:
     """Plain Steiner k-distance sum; k = 1 is allowed and gives 0."""
-    return _index_sums(g, table, k, lo=1).sw[k]
+    return _index_sums(g, k, lo=1).sw[k]
 
 
-def steiner_degree_distance(g: Graph, k: int, *, table: Optional[SteinerTable] = None) -> int:
+def steiner_degree_distance(g: Graph, k: int) -> int:
     """Degree-sum weighted Steiner k-distance sum."""
-    return _index_sums(g, table, k).sdd[k]
+    return _index_sums(g, k).sdd[k]
 
 
 def gutman(g: Graph) -> int:
@@ -180,8 +173,8 @@ class IndexReport:
     gut: Optional[int]  # only populated at k = 2
 
 
-def index_report(g: Graph, k: int, graph_id: str = "", *, table: Optional[SteinerTable] = None) -> IndexReport:
-    sums = _index_sums(g, table, k)
+def index_report(g: Graph, k: int, graph_id: str = "") -> IndexReport:
+    sums = _index_sums(g, k)
     return IndexReport(
         graph_id=graph_id,
         k=k,

@@ -15,6 +15,9 @@ Three algorithms that share no code path:
   that miss S.  The counts are kept bit-sliced, one 2^n-bit int per bit of
   the count with each family added by ripple carry, so only the
   ceil(log2 n) slices are spread out to one byte per mask, at the end.
+  The table is a plain value of the order and the distances: the index
+  layer builds one per graph it sums and keeps none, and orders past
+  TABLE_CAP are refused before any work.
 * DreyfusWagner / steiner_single: terminal-subset DP with merge and
   tree-grow transitions, for one query set at a time.
 * steiner_oracle: literal transcription of the definition, supersets by
@@ -23,9 +26,9 @@ Three algorithms that share no code path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import EmptySet, IndexOutOfRange, OrderTooLarge
 from .graph import Graph, induced_connected, iter_bits
@@ -35,7 +38,7 @@ from .graph import Graph, induced_connected, iter_bits
 INF = 1 << 64
 
 # 2^n table entries; beyond this the full table stops being a desk job.
-DEFAULT_TABLE_CAP = 20
+TABLE_CAP = 20
 
 # '0'/'1' digits of a binary string to the byte values 0/1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -48,15 +51,11 @@ class SteinerTable:
     Index 0 (the empty set) is stored as 0 and has no meaning.  ``dist`` is
     ``bytes`` for a connected graph and a tuple holding INF for the sets
     that meet several components otherwise, so the type alone tells whether
-    the graph is connected.  ``adj`` holds the adjacency rows the table was
-    built from; ``indices`` refuses the table for any other graph.  ``sums``
-    holds, once computed, the index sums for every k (``indices._all_k_sums``).
+    the graph is connected.
     """
 
     n: int
     dist: Union[bytes, Tuple[int, ...]]
-    adj: Tuple[int, ...]
-    sums: List[Any] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -84,13 +83,13 @@ def _down_closure(fam: int, has: Tuple[int, ...]) -> int:
     return fam
 
 
-def require_table_order(n: int, cap: int = DEFAULT_TABLE_CAP) -> None:
-    """Refuse an order whose full table (2^n entries) is past ``cap``."""
-    if n > cap:
-        raise OrderTooLarge(f"full table wants n <= {cap}, got {n}")
+def require_table_order(n: int) -> None:
+    """Refuse an order whose full table (2^n entries) is past the cap."""
+    if n > TABLE_CAP:
+        raise OrderTooLarge(f"full table wants n <= {TABLE_CAP}, got {n}")
 
 
-def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
+def steiner_all_subsets(g: Graph) -> SteinerTable:
     """Steiner distances of every nonempty vertex subset of ``g``.
 
     A family of vertex sets is one 2^n-bit int, bit t standing for mask t,
@@ -103,7 +102,7 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     closure misses S.
     """
     n = g.n
-    require_table_order(n, cap)
+    require_table_order(n)
     size = 1 << n
     full = (1 << size) - 1
     has = _member_families(n)
@@ -145,8 +144,8 @@ def steiner_all_subsets(g: Graph, cap: int = DEFAULT_TABLE_CAP) -> SteinerTable:
     dist = counts.to_bytes(size, "little")
     if missing:
         # disconnected: the sets no level reached were counted at every level
-        return SteinerTable(n, tuple(INF if d == levels else d for d in dist), g.adj)
-    return SteinerTable(n, dist, g.adj)
+        return SteinerTable(n, tuple(INF if d == levels else d for d in dist))
+    return SteinerTable(n, dist)
 
 
 def _bfs_row(g: Graph, src: int) -> List[int]:

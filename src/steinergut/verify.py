@@ -50,7 +50,7 @@ from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
-from .indices import OBJECTIVES, steiner_gutman
+from .indices import OBJECTIVES
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -311,8 +311,9 @@ def sweep(
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs`` overrides enumeration; without it, a spec that admits
-    disconnected graphs raises ``Disconnected`` first.  ``mapper`` (the
+    ``graphs`` overrides enumeration; without it, the order, then a spec
+    that admits disconnected graphs, then the spec's k are refused before
+    any enumeration.  ``mapper`` (the
     builtin ``map``, or a process pool's ``map``) sweeps the graphs one per
     item, and their results are joined in graph order, so the report does
     not depend on it; enumeration, when needed, uses the same map.  With
@@ -322,8 +323,9 @@ def sweep(
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
         _require_sweepable(spec)
-        graphs = enumerate_graphs(spec, mapper)
     ks = _k_values(spec)
+    if graphs is None:
+        graphs = enumerate_graphs(spec, mapper)
 
     checks_run = 0
     violations: List[Violation] = []
@@ -372,11 +374,11 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     hits: List[str] = []
     for g in enumerate_graphs(spec):
         ctx = GraphContext(g)
-        val = steiner_gutman(g, k, table=ctx.table)
+        val = ctx.sums.sgut[k]
         if quantity != "sgut":
             if not ctx.co_connected:
                 continue
-            co_val = steiner_gutman(ctx.gbar, k, table=ctx.co_table)
+            co_val = ctx.co_sums.sgut[k]
             val = val + co_val if quantity == "sum" else val * co_val
         if best is None or (val > best if sense == "max" else val < best):
             best = val

@@ -92,9 +92,8 @@ def test_criterion_02_pair_reduction(universe):
 def test_criterion_03_star_formula():
     for n in range(2, 13):
         g = generate(FamilySpec("star", n))
-        table = steiner_all_subsets(g)
         for k in range(2, n + 1):
-            assert closed_form_star(n, k) == steiner_gutman(g, k, table=table)
+            assert closed_form_star(n, k) == steiner_gutman(g, k)
 
 
 @criterion(4, "formula audit flags the printed complete and path forms")
@@ -110,9 +109,8 @@ def test_criterion_04_formula_audit():
     assert (flagged.printed_value, flagged.computed_value) == (16, 28)
     for n in range(2, 11):
         g = generate(FamilySpec("complete", n))
-        table = steiner_all_subsets(g)
         for k in range(2, n + 1):
-            assert closed_form_complete_corrected(n, k) == steiner_gutman(g, k, table=table)
+            assert closed_form_complete_corrected(n, k) == steiner_gutman(g, k)
 
 
 @criterion(5, "worked family values reproduce exactly")
@@ -140,9 +138,8 @@ def test_criterion_06_prop21_soundness_and_tightness(universe):
     start = time.monotonic()
     for n in range(3, 8):
         for g in universe[n]:
-            table = steiner_all_subsets(g)
             for k in range(2, n + 1):
-                up, lo = evaluate_bounds(g, k, ["prop21"], table=table)
+                up, lo = evaluate_bounds(g, k, ["prop21"])
                 assert up.holds and lo.holds
                 if up.tight:
                     assert is_regular(g) and k == n

@@ -101,6 +101,17 @@ def test_compute_gut_only_builds_no_table(tmp_path, count_calls):
     assert tables == []
 
 
+def test_compute_all_k_builds_one_table_per_graph(tmp_path, count_calls):
+    from steinergut import steiner
+
+    tables = count_calls(steiner, "steiner_all_subsets")
+    path = write(tmp_path, "g.g6", "Bg\nCh\nDhc\n")
+    code, out, _ = run(["compute", "--graph", path, "--k", "all"])
+    assert code == 0
+    assert len(json.loads(out)) == 2 + 3 + 4
+    assert len(tables) == 3
+
+
 def test_compute_reads_stdin(monkeypatch):
     code, out, _ = run(
         ["compute", "--graph", "-", "--k", "2", "--indices", "sgut"],
@@ -570,6 +581,16 @@ def test_audit_formulas_above_the_table_cap_builds_no_table(count_calls):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "n <= 20" in err
     assert calls == []
+
+
+def test_audit_formulas_builds_one_table_per_family_and_order(count_calls):
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "steiner_all_subsets")
+    code, _, _ = run(["audit-formulas", "--n-max", "6"])
+    assert code == 2
+    # star, complete and path at each order 2..6, whatever the number of k
+    assert sorted(args[0].n for args in calls) == [n for n in range(2, 7) for _ in range(3)]
 
 
 # argv fuzz: each subcommand's options, mostly with values it accepts, some

@@ -13,7 +13,6 @@ from steinergut import (
     closed_form_star,
     generate,
     is_connected,
-    steiner_all_subsets,
     steiner_gutman,
 )
 
@@ -60,17 +59,15 @@ def test_closed_form_guards():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_star_form_matches_computation(n):
     g = generate(FamilySpec("star", n))
-    table = steiner_all_subsets(g)
     for k in range(2, n + 1):
-        assert closed_form_star(n, k) == steiner_gutman(g, k, table=table)
+        assert closed_form_star(n, k) == steiner_gutman(g, k)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_corrected_complete_form_matches_computation(n):
     g = generate(FamilySpec("complete", n))
-    table = steiner_all_subsets(g)
     for k in range(2, n + 1):
-        assert closed_form_complete_corrected(n, k) == steiner_gutman(g, k, table=table)
+        assert closed_form_complete_corrected(n, k) == steiner_gutman(g, k)
 
 
 def test_printed_complete_form_overcounts():

@@ -20,6 +20,7 @@ from steinergut import (
     steiner_gutman,
     steiner_wiener,
 )
+from steinergut.indices import _all_k_sums, _sums
 from strategies import connected_graphs
 
 
@@ -79,20 +80,14 @@ def test_disconnected_rejected():
         gutman(g)
 
 
-def test_table_order_mismatch_rejected():
-    with pytest.raises(KOutOfRange):
-        steiner_gutman(path(4), 2, table=steiner_all_subsets(path(3)))
-
-
 @given(connected_graphs(min_n=2, max_n=6), st.data())
 @settings(max_examples=60)
 def test_indices_match_brute_oracles(g, data):
     k = data.draw(st.integers(min_value=2, max_value=g.n))
     h = brute.to_networkx(g)
-    table = steiner_all_subsets(g)
-    assert steiner_gutman(g, k, table=table) == brute.steiner_gutman(h, k)
-    assert steiner_wiener(g, k, table=table) == brute.steiner_wiener(h, k)
-    assert steiner_degree_distance(g, k, table=table) == brute.steiner_degree_distance(h, k)
+    assert steiner_gutman(g, k) == brute.steiner_gutman(h, k)
+    assert steiner_wiener(g, k) == brute.steiner_wiener(h, k)
+    assert steiner_degree_distance(g, k) == brute.steiner_degree_distance(h, k)
 
 
 @given(connected_graphs(min_n=2, max_n=7))
@@ -121,11 +116,6 @@ def test_index_report_bundles_everything():
     assert rep3.sgut == 4
 
 
-def _direct_sums(g, table, k):
-    """sgut, sw and sdd at k by a literal k-subset sum over the table."""
-    return _subset_sums(table.dist, g.degrees, k)
-
-
 def _subset_sums(dist, degs, k):
     """sgut, sw and sdd at k by a literal k-subset sum over ``dist``."""
     sgut = sw = sdd = 0
@@ -150,45 +140,28 @@ def test_all_k_sums_match_direct_subset_sums(n):
     rng = random.Random(n)
     for _ in range(4):
         g = _seeded_connected(rng, n)
-        table = steiner_all_subsets(g)
-        assert steiner_wiener(g, 1, table=table) == 0
+        dist = steiner_all_subsets(g).dist
+        sums = _sums(g)
+        assert sums.sw[1] == steiner_wiener(g, 1) == 0
         for k in range(2, n + 1):
-            got = (
-                steiner_gutman(g, k, table=table),
-                steiner_wiener(g, k, table=table),
-                steiner_degree_distance(g, k, table=table),
-            )
-            assert got == _direct_sums(g, table, k), (n, k)
-
-
-def test_reused_table_for_another_graph_is_rejected():
-    # a 6-cycle and a 6-path with a chord share an order but not their rows:
-    # the cycle's table must not yield sums for the path
-    c6 = cycle(6)
-    other = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
-    table = steiner_all_subsets(c6)
-    for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
-        for k in range(2, 7):
-            with pytest.raises(KOutOfRange) as exc:
-                index(other, k, table=table)
-            assert "\n" not in str(exc.value)
-    for k in range(2, 7):
-        assert steiner_gutman(c6, k, table=table) == _direct_sums(c6, table, k)[0]
-    with pytest.raises(KOutOfRange):
-        index_report(other, 2, table=table)
+            got = (sums.sgut[k], sums.sw[k], sums.sdd[k])
+            assert got == _subset_sums(dist, g.degrees, k), (n, k)
+        # each public index reads the same sums, at one k per graph
+        if n >= 2:
+            k = rng.randint(2, n)
+            public = (steiner_gutman(g, k), steiner_wiener(g, k), steiner_degree_distance(g, k))
+            assert public == (sums.sgut[k], sums.sw[k], sums.sdd[k]), (n, k)
 
 
 def test_every_index_rejects_a_disconnected_graph(count_calls):
     from steinergut import steiner
 
     g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
-    table = steiner_all_subsets(g)
     tables = count_calls(steiner, "steiner_all_subsets")
     for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
         for k in range(2, 6):
-            for tb in (None, table):
-                with pytest.raises(Disconnected):
-                    index(g, k, table=tb)
+            with pytest.raises(Disconnected):
+                index(g, k)
         # a bad k on a disconnected graph still reports the disconnection first
         with pytest.raises(Disconnected):
             index(g, 9)
@@ -213,29 +186,27 @@ def test_complete_graph_at_the_table_cap():
     # k-set has Steiner distance k - 1
     n = 20
     g = complete(n)
-    table = steiner_all_subsets(g)
+    sums = _sums(g)
     for k in range(2, n + 1):
         sets = (k - 1) * comb(n, k)
-        assert steiner_gutman(g, k, table=table) == sets * 19**k
-        assert steiner_wiener(g, k, table=table) == sets
-        assert steiner_degree_distance(g, k, table=table) == sets * 19 * k
+        assert sums.sgut[k] == sets * 19**k
+        assert sums.sw[k] == sets
+        assert sums.sdd[k] == sets * 19 * k
 
 
 @pytest.mark.parametrize("name", ["P20", "seeded"])
 def test_order_20_closed_values(name):
     n = 20
     g = path(n) if name == "P20" else _seeded_connected(random.Random(20), n)
-    table = steiner_all_subsets(g)
+    sums = _sums(g)
     # the whole vertex set spans a tree; k = 2 is the BFS Gutman index
-    assert steiner_gutman(g, n, table=table) == (n - 1) * prod(g.degrees)
-    assert steiner_wiener(g, n, table=table) == n - 1
-    assert steiner_degree_distance(g, n, table=table) == (n - 1) * 2 * g.m
-    assert steiner_gutman(g, 2, table=table) == gutman(g)
+    assert sums.sgut[n] == (n - 1) * prod(g.degrees)
+    assert sums.sw[n] == n - 1
+    assert sums.sdd[n] == (n - 1) * 2 * g.m
+    assert sums.sgut[2] == gutman(g)
 
 
 def test_lane_bound_is_exact_at_its_edge_and_refused_past_it():
-    from steinergut.indices import _all_k_sums
-
     # order 4 splits into low {0, 1, 2} and high {3}; with every distance at
     # n - 1 a lane holds (n - 1) * (1 + D), which is 2^64 - 1 at the edge
     n = 4

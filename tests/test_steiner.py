@@ -58,9 +58,10 @@ def test_every_engine_returns_the_int_inf_across_components():
 
 
 def test_table_cap():
-    g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    with pytest.raises(OrderTooLarge):
-        steiner_all_subsets(g, cap=4)
+    g = from_edge_list(21, [(i, i + 1) for i in range(20)])
+    with pytest.raises(OrderTooLarge) as err:
+        steiner_all_subsets(g)
+    assert str(err.value) == "full table wants n <= 20, got 21"
 
 
 def test_query_guards():

@@ -505,17 +505,16 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
         checks += report.checks_run
         graph_ks += report.graphs_scanned * (spec.n - 1)
         witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
-        audits += len(families._PRINTED_FORMS) * (spec.n - 1)
+        audits += len(families._PRINTED_FORMS)
     assert (scanned, checks) == (739, 69552)
-    # G's and the complement's table per graph, plus the formula audit's
-    # family members; each table's all-k sums are computed once
-    assert len(tables) == len(sums) == 1496
+    # G's and the complement's table per graph, plus one per formula audit
+    # family member; each table's all-k sums are computed once
+    assert len(tables) == len(sums) == 2 * scanned + audits == 1496
     assert len(complements) == scanned
-    # one guard per (graph, k), per tight (graph, k)'s witness and per formula
-    # audit row; the checks read the cached sums, so only the audit calls a
-    # public index function
-    assert (len(sgut), len(sw), len(sdd)) == (audits, 0, 0)
-    assert len(guards) == graph_ks + witnesses + audits
+    # one guard per (graph, k) and per tight (graph, k)'s witness; the checks
+    # and the audit read their graph's sums, never a public index function
+    assert (len(sgut), len(sw), len(sdd)) == (0, 0, 0)
+    assert len(guards) == graph_ks + witnesses
 
 
 def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
@@ -545,6 +544,24 @@ def test_a_search_over_disconnected_graphs_is_refused_before_enumerating(
     with pytest.raises(Disconnected) as err:
         search(EnumerationSpec(n=4, require_connected=False))
     assert "\n" not in str(err.value)
+    assert len(canons) == 0
+
+
+@pytest.mark.parametrize(
+    "n, error, text",
+    [(7, KOutOfRange, "k=99 outside 2..7"),
+     (9, OrderTooLarge, "enumeration handles orders 1..8, got 9")],
+    ids=["bad-k", "order-first"],
+)
+def test_a_sweep_with_a_bad_k_is_refused_before_enumerating(
+    fresh_levels, count_calls, n, error, text
+):
+    from steinergut import canon
+
+    canons = count_calls(canon, "canonical_key_and_perms")
+    with pytest.raises(error) as err:
+        sweep(EnumerationSpec(n=n, k_range=(99,)))
+    assert str(err.value) == text
     assert len(canons) == 0
 
 
