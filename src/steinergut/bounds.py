@@ -24,14 +24,16 @@ A ``GraphContext`` holds what one graph contributes: G, the complement, the
 connectivity of both, the signature, the all-k index sums of both, and the
 decision for the ids it was built with; it is the only per-graph memo.  The
 complement is built only when a paired group would run or a caller reads
-it, and each graph's sums on first use, after the guards.  Its
-``checks(k)`` is the one evaluator; a check is ``actual * den <= num`` (or
-``>=``, with actual squared for a SquareRoot), so no Fraction is built per
-check.  It guards only G's connectivity, then k (Disconnected, then
-KOutOfRange), once per (graph, k), and then reads the cached sums, never a
-public index function; ``evaluate_bounds`` and ``equality_witness`` then
-raise the first ruled-out group's error (``_requested``), while a sweep or
-a batch reports the ruled-out groups in ``skipped`` and goes on.
+it, and each graph's sums (sgut and sw; no bound reads sdd) on first use,
+after the guards, or, for a sweep's batch (``GraphContext.batch``), all at
+once from one batched table pass.  Its ``checks(k)`` is the one evaluator;
+a check is ``actual * den <= num`` (or ``>=``, with actual squared for a
+SquareRoot), so no Fraction is built per check.  It guards only G's
+connectivity, then k (Disconnected, then KOutOfRange), once per (graph,
+k), and then reads the cached sums, never a public index function;
+``evaluate_bounds`` and ``equality_witness`` then raise the first
+ruled-out group's error (``_requested``), while a sweep or a batch
+reports the ruled-out groups in ``skipped`` and goes on.
 
 Values stay exact: Fractions, and for the one half-integer exponent an exact
 SquareRoot compared by squaring, never through floats.
@@ -48,7 +50,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
-from .indices import _guard, _Sums, _sums
+from .indices import _batch_sums, _guard, _Sums, _sums
 
 BOUND_IDS = (
     "prop21.upper",
@@ -329,9 +331,10 @@ class GraphContext:
 
     G's connectivity is found at once.  The complement and its connectivity
     are found when first read, which a sweep of unpaired groups never does.
-    ``sums`` and ``co_sums``, the all-k index sums of G and the complement,
-    are computed when first read, after the guards, so a disconnected G or
-    a bad k costs no Steiner table.  Which of the bound ids ``wanted`` run
+    ``sums`` and ``co_sums``, the all-k sgut and sw of G and the
+    complement, are computed when first read, after the guards, so a
+    disconnected G or a bad k costs no Steiner table; ``batch`` fills them
+    for many graphs at once.  Which of the bound ids ``wanted`` run
     here is decided once, by ``_decide``: ``runs`` holds the groups that
     run, and ``skipped`` maps each requested group it rules out, in
     BOUND_GROUPS order, to its error.  The decision assumes a connected
@@ -361,13 +364,30 @@ class GraphContext:
     def co_connected(self) -> bool:
         return is_connected(self.gbar)
 
+    @classmethod
+    def batch(cls, graphs: Sequence[Graph], wanted: Sequence[str] = ()) -> List["GraphContext"]:
+        """The contexts of ``graphs``, all of one order, their sums read at
+        once: G's where a group runs on a connected G, and the complement's
+        where a paired group runs, all from one batched table pass."""
+        ctxs = [cls(g, wanted) for g in graphs]
+        wants = []
+        for ctx in ctxs:
+            if ctx.connected and ctx.runs:
+                wants.append((ctx, "sums", ctx.g))
+                if ctx._paired:
+                    wants.append((ctx, "co_sums", ctx.gbar))
+        for (ctx, name, _), sums in zip(wants, _batch_sums([h for _, _, h in wants])):
+            # setting the instance attribute fills the cached_property
+            setattr(ctx, name, sums)
+        return ctxs
+
     @cached_property
     def sums(self) -> _Sums:
-        return _sums(self.g)
+        return _sums(self.g, sdd=False)
 
     @cached_property
     def co_sums(self) -> _Sums:
-        return _sums(self.gbar)
+        return _sums(self.gbar, sdd=False)
 
     def checks(self, k: int) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.

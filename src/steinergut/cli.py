@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from contextlib import ExitStack, contextmanager, nullcontext
-from functools import partial
 from typing import IO, List, Optional, Tuple
 
 from .errors import SteinerGutError
@@ -43,11 +42,6 @@ INDEX_NAMES = ("sgut", "sw", "sdd", "gut")
 
 # Most worker processes `verify --jobs` may start; the pool lives for the whole run.
 MAX_JOBS = 64
-
-# Graphs (or enumeration parents) per pool task.  The order-8 level has only
-# 853 parents, so a task must hold far fewer than that to keep every worker
-# busy; and a task's CSV text waits whole in memory until it is written.
-POOL_CHUNK = 64
 
 # CLI family names to library family identifiers
 FAMILY_NAMES = {
@@ -424,7 +418,8 @@ def _cmd_verify(args, out, err) -> int:
         if args.jobs > 1:
             pooling = sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs)
         with pooling as pool:
-            mapper = map if pool is None else partial(pool.map, chunksize=POOL_CHUNK)
+            # the library batches the graphs, so each batch is one pool task
+            mapper = map if pool is None else pool.map
             for n in range(2, args.n_max + 1):
                 spec = EnumerationSpec(
                     n=n,

@@ -17,7 +17,10 @@ big int with a 64-bit lane per low-half mask (a checked bound keeps every
 lane from wrapping).  ``_sums(g)`` builds G's table and returns that
 pass's result, and the table is dropped: the sums are the only per-graph
 value, and a caller that wants several k or indices of one graph keeps
-them (``bounds.GraphContext`` does).  Every public index guards G's
+them (``bounds.GraphContext`` does).  The bound layer reads only sgut and
+sw, so its sums skip the sdd accumulator (``sdd=False``), and a sweep
+reads a batch's sums from ``_batch_sums``, which builds the tables of
+each order in one batched pass.  Every public index guards G's
 connectivity and k before any table is built.
 """
 
@@ -33,7 +36,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange, OrderTooLarge
 from .graph import Graph, is_connected
-from .steiner import pairwise_distances, steiner_all_subsets
+from .steiner import _tables, pairwise_distances, steiner_all_subsets
 
 
 # Extremal objectives (verify.find_extremal): the max or min of SGut_k(G), or
@@ -54,7 +57,7 @@ class _Sums(NamedTuple):
 
     sgut: Tuple[int, ...]
     sw: Tuple[int, ...]
-    sdd: Tuple[int, ...]
+    sdd: Optional[Tuple[int, ...]]  # None when the pass was asked for sgut and sw only
 
 
 def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -78,16 +81,17 @@ def _lane_layout(n: int) -> Tuple[Callable, List[int], Callable]:
     return by_k, list(accumulate(sizes, initial=0)), Struct(f"<{len(keys)}Q").unpack
 
 
-def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
-    """sgut, sw and sdd for every k in one pass over the table.
+def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...], sdd: bool = True) -> _Sums:
+    """sgut, sw and, when ``sdd`` is asked for, sdd for every k in one pass over the table.
 
     A mask splits into a low part over vertices 0..h-1 and a high part over
     the rest, so its degree product, degree sum and size factor into
     per-half values.  Each high part's 2^h row of ``dist`` is read as one
-    int with a 64-bit lane per low mask and added, times hp, hs and 1, into
-    the three accumulators of its popcount c.  The lanes are read back once,
-    sorted by k = c + low popcount and dotted with the low-part weights.  A
-    distance is at most n - 1, so a checked bound keeps every lane below 2^64.
+    int with a 64-bit lane per low mask and added, times hp, 1 and (for
+    sdd) hs, into the accumulators of its popcount c.  The lanes are read
+    back once, sorted by k = c + low popcount and dotted with the low-part
+    weights.  A distance is at most n - 1, so a checked bound keeps every
+    lane below 2^64.
     """
     h = n // 2 + 1
     lo_prod, lo_sum = _half_weights(degs[:h])
@@ -102,26 +106,35 @@ def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...]) -> _Sums:
         row = int.from_bytes(buf, "little")
         c = hi.bit_count()
         acc_p[c] += hp * row
-        acc_s[c] += hs * row
         acc_w[c] += row
+        if sdd:
+            acc_s[c] += hs * row
     by_k, cuts, unpack = _lane_layout(n)
-    p, s, w = (
-        by_k(unpack(b"".join([x.to_bytes(row_bytes, "little") for x in acc])))
-        for acc in (acc_p, acc_s, acc_w)
-    )
-    wp, ws = by_k(lo_prod * (n - h + 1)), by_k(lo_sum * (n - h + 1))
-    sgut, sw, sdd = [], [], []
-    for a, b in zip(cuts, cuts[1:]):
-        part = w[a:b]
-        sgut.append(sum(map(mul, wp[a:b], p[a:b])))
-        sw.append(sum(part))
-        sdd.append(sum(s[a:b]) + sum(map(mul, ws[a:b], part)))
-    return _Sums(tuple(sgut), tuple(sw), tuple(sdd))
+
+    def lanes(acc: List[int]) -> Tuple[int, ...]:
+        return by_k(unpack(b"".join([x.to_bytes(row_bytes, "little") for x in acc])))
+
+    p, w = lanes(acc_p), lanes(acc_w)
+    wp = by_k(lo_prod * (n - h + 1))
+    ranges = list(zip(cuts, cuts[1:]))
+    sgut = tuple(sum(map(mul, wp[a:b], p[a:b])) for a, b in ranges)
+    sw = tuple(sum(w[a:b]) for a, b in ranges)
+    if not sdd:
+        return _Sums(sgut, sw, None)
+    s, ws = lanes(acc_s), by_k(lo_sum * (n - h + 1))
+    return _Sums(sgut, sw, tuple(sum(s[a:b]) + sum(map(mul, ws[a:b], w[a:b])) for a, b in ranges))
 
 
-def _sums(g: Graph) -> _Sums:
-    """The all-k sums of a connected ``g``, from a table built for this call."""
-    return _all_k_sums(steiner_all_subsets(g).dist, g.n, g.degrees)
+def _sums(g: Graph, sdd: bool = True) -> _Sums:
+    """The all-k sums of a connected ``g``, from a table built for this call;
+    sdd is None unless asked for."""
+    return _all_k_sums(steiner_all_subsets(g).dist, g.n, g.degrees, sdd)
+
+
+def _batch_sums(graphs: Sequence[Graph]) -> List[_Sums]:
+    """sgut and sw (sdd None) of connected ``graphs`` of one order, their
+    tables built in one batched pass."""
+    return [_all_k_sums(t.dist, g.n, g.degrees, sdd=False) for g, t in zip(graphs, _tables(graphs))]
 
 
 def _index_sums(g: Graph, k: int, lo: int = 2) -> _Sums:

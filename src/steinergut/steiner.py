@@ -15,9 +15,12 @@ Three algorithms that share no code path:
   that miss S.  The counts are kept bit-sliced, one 2^n-bit int per bit of
   the count with each family added by ripple carry, so only the
   ceil(log2 n) slices are spread out to one byte per mask, at the end.
-  The table is a plain value of the order and the distances: the index
-  layer builds one per graph it sums and keeps none, and orders past
-  TABLE_CAP are refused before any work.
+  No shift leaves the 2^n-bit block of its graph, so ``_tables`` builds
+  the tables of B graphs of one order in one pass over B * 2^n-bit ints,
+  and steiner_all_subsets is its batch of one.  A table is a plain value
+  of the order and the distances: the index layer builds the tables of
+  the graphs it sums and keeps none, and orders past TABLE_CAP are
+  refused before any work.
 * DreyfusWagner / steiner_single: terminal-subset DP with merge and
   tree-grow transitions, for one query set at a time.
 * steiner_oracle: literal transcription of the definition, supersets by
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import EmptySet, IndexOutOfRange, OrderTooLarge
 from .graph import Graph, induced_connected, iter_bits
@@ -89,31 +92,62 @@ def require_table_order(n: int) -> None:
         raise OrderTooLarge(f"full table wants n <= {TABLE_CAP}, got {n}")
 
 
-def steiner_all_subsets(g: Graph) -> SteinerTable:
-    """Steiner distances of every nonempty vertex subset of ``g``.
+def _stack(parts: Sequence[int], n: int) -> int:
+    """One int holding the 2^n-bit family ``parts[i]`` in block i."""
+    if len(parts) == 1:
+        return parts[0]
+    if n < 3:
+        return sum(part << (i << n) for i, part in enumerate(parts))
+    width = 1 << (n - 3)
+    return int.from_bytes(b"".join([part.to_bytes(width, "little") for part in parts]), "little")
 
-    A family of vertex sets is one 2^n-bit int, bit t standing for mask t,
-    so each step below handles all 2^n masks in a few big-int operations.
-    Level s holds the connected sets of size s + 1: a connected set minus a
-    non-cut vertex v is a connected set adjacent to v, so level s + 1 is the
-    union over v of level s, restricted to the masks without v that meet
-    N(v), shifted by 2^v.  The down-closure of levels 0..s is the family of
-    sets with Steiner distance at most s, and dist[S] counts the levels whose
-    closure misses S.
+
+def steiner_all_subsets(g: Graph) -> SteinerTable:
+    """Steiner distances of every nonempty vertex subset of ``g``: the batch of one."""
+    return _tables([g])[0]
+
+
+def _tables(graphs: Sequence[Graph]) -> List[SteinerTable]:
+    """The tables of ``graphs``, all of one order, in one bit-parallel pass.
+
+    A family of vertex sets is a 2^n-bit block, bit t standing for mask t,
+    and graph i owns block i of one B * 2^n-bit int, so each step below
+    handles every mask of every graph in a few big-int operations.  Level s
+    holds the connected sets of size s + 1: a connected set minus a non-cut
+    vertex v is a connected set adjacent to v, so level s + 1 is the union
+    over v of level s, restricted to the masks without v that meet N(v),
+    shifted up by 2^v.  The down-closure of levels 0..s, which drops a
+    vertex a mask has by shifting it down by 2^v, is the family of sets
+    with Steiner distance at most s, and dist[S] counts the levels whose
+    closure misses S.  Neither shift leaves its block, so each block
+    evolves as its graph's table would alone; the pass ends once every
+    closure is full or no level grows.
     """
-    n = g.n
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("a batch of tables needs graphs of one order")
     require_table_order(n)
     size = 1 << n
-    full = (1 << size) - 1
-    has = _member_families(n)
-    # grow[v]: the masks without v that meet N(v), so adding v keeps them connected
-    grow = []
-    for v, row in enumerate(g.adj):
-        meets = 0
-        for u in iter_bits(row):
-            meets |= has[u]
-        grow.append(meets & ~has[v])
-    level = sum(1 << (1 << v) for v in range(n))
+    blocks = len(graphs)
+    full = (1 << (blocks << n)) - 1
+    # every block's copy of a one-block family: bit i * 2^n set for each block i
+    spread = full // ((1 << size) - 1)
+    one = _member_families(n)
+    has = one if blocks == 1 else tuple(fam * spread for fam in one)
+    # grow[v]: per block, the masks without v that meet N(v), so adding v keeps them connected
+    rows = []
+    for g in graphs:
+        row = []
+        for v, adj in enumerate(g.adj):
+            meets = 0
+            for u in iter_bits(adj):
+                meets |= one[u]
+            row.append(meets & ~one[v])
+        rows.append(row)
+    grow = [_stack([row[v] for row in rows], n) for v in range(n)]
+    level = sum(1 << (1 << v) for v in range(n)) * spread
     within = _down_closure(level, has)
     # slices[i] holds bit i of every mask's count, added to by ripple carry
     slices: List[int] = []
@@ -141,11 +175,16 @@ def steiner_all_subsets(g: Graph) -> SteinerTable:
     counts = 0
     for i, bits in enumerate(slices):
         counts |= int.from_bytes(format(bits, "b").encode().translate(_BIT_BYTES), "big") << i
-    dist = counts.to_bytes(size, "little")
-    if missing:
-        # disconnected: the sets no level reached were counted at every level
-        return SteinerTable(n, tuple(INF if d == levels else d for d in dist))
-    return SteinerTable(n, dist)
+    dists = counts.to_bytes(blocks << n, "little")
+    tables = []
+    for i in range(blocks):
+        dist = dists[i << n : (i + 1) << n]
+        if missing and missing >> (i << n) & (1 << size) - 1:
+            # disconnected: the sets no level reached were counted at every level
+            tables.append(SteinerTable(n, tuple(INF if d == levels else d for d in dist)))
+        else:
+            tables.append(SteinerTable(n, dist))
+    return tables
 
 
 def _bfs_row(g: Graph, src: int) -> List[int]:

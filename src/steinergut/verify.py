@@ -15,21 +15,25 @@ parent's automorphisms (the optimal orderings of its canonical search) map
 attachment masks to masks giving isomorphic children, so only the least mask
 of each orbit is tried.  A child is kept only if no vertex that may be
 deleted (any vertex, or a non-cut one when only connected graphs are built)
-has a smaller degree than the new vertex: every class can be rebuilt from
-the deletion of such a least-degree vertex, so none is lost.  Each kept
-child gets one lex-min canon, and children are deduped by its key.
+is smaller than the new vertex by (degree, sorted neighbour degrees), an
+isomorphism invariant: every class can be rebuilt from the deletion of a
+least such vertex, so none is lost, and most duplicate children are dropped
+before they cost a canon.  Each kept child gets one lex-min canon, and
+children are deduped by its key.
 
-Levels and sweeps are mapped one item at a time with the caller's ``map``
-(the builtin one in process, or a process pool's): ``_children`` maps a
-parent to canonical key -> canonical rows of its kept children, and
-``_sweep_graph`` maps a graph to its checks run, violations, tight cases and
-CSV rows.  Results are merged in input order; a class's canonical rows do
-not depend on which child found it and a level is sorted by (edge count,
-edge mask), so neither the map nor its grouping of items into pool tasks
-changes a level or a report.  ``sweep`` writes a graph's CSV rows as the
-graph comes back, so no check outlives its row.  Built levels are kept in
-one cache for the life of the process, whichever map built them; the
-formula audit runs once, in the caller's process.
+Levels and sweeps are mapped in batches of up to ``BATCH`` items with the
+caller's ``map`` (the builtin one in process, or a process pool's, which
+sends each batch as one task): ``_children`` maps a batch of parents to
+canonical key -> canonical rows of their kept children, and
+``_sweep_batch`` maps a batch of graphs, whose Steiner tables it builds in
+one pass, to its checks run, violations, tight cases and CSV rows.  Results
+are merged in input order; a class's canonical rows do not depend on which
+child found it and a level is sorted by (edge count, edge mask), so neither
+the map nor the batches change a level or a report.  ``sweep`` writes a
+batch's CSV rows as the batch comes back, so no check outlives its batch's
+text.  Built levels are kept in one cache for the life of the process,
+whichever map built them; the formula audit runs once, in the caller's
+process.
 
 Labeled enumeration builds one graph per edge bitmask, in ascending order,
 so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
@@ -102,23 +106,43 @@ def _orbit_minima(auts: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[
 
 Rows = Tuple[int, ...]
 
+# Graphs, or enumeration parents, per item of every map: a sweep builds a
+# batch's Steiner tables in one pass, a pool sends each batch as one task,
+# and the order-8 level has only 853 parents, so a batch must hold far
+# fewer than that to keep every worker busy.  A batch's CSV text waits
+# whole in memory until it is written.
+BATCH = 64
+
+
+def _batches(items: Sequence) -> List[Sequence]:
+    """``items`` cut into consecutive batches of up to ``BATCH``."""
+    return [items[i : i + BATCH] for i in range(0, len(items), BATCH)]
+
+
 # Every level built so far, keyed by (order, connected only); shared by all
 # callers in the process whatever map built the level.
 _LEVELS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
 
 
 def _keeps(rows: Rows, connected_only: bool) -> bool:
-    """The deletion rule: no deletable vertex has a smaller degree than the new, last one.
+    """The deletion rule: no deletable vertex is smaller than the new, last one
+    by (degree, sorted degrees of its neighbours).
 
     In all-graphs mode every vertex is deletable; in connected mode only the
-    non-cut ones are, so a vertex of smaller degree rejects the child only
-    when the rest stays connected without it.
+    non-cut ones are, so a smaller vertex rejects the child only when the
+    rest stays connected without it.  The neighbour degrees are compared
+    only between vertices of one degree, where they have one length.
     """
     n = len(rows)
-    d = rows[-1].bit_count()
+    degs = [r.bit_count() for r in rows]
+    d = degs[-1]
+
+    def around(v: int) -> List[int]:
+        return sorted([degs[w] for w in iter_bits(rows[v])])
+
     full = (1 << n) - 1
     for u in range(n - 1):
-        if rows[u].bit_count() < d:
+        if degs[u] < d or degs[u] == d and around(u) < around(n - 1):
             if not connected_only:
                 return False
             rest = full ^ 1 << u
@@ -127,27 +151,28 @@ def _keeps(rows: Rows, connected_only: bool) -> bool:
     return True
 
 
-def _children(n: int, connected_only: bool, parent: Rows) -> Dict[Key, Rows]:
-    """One parent's kept children: canonical key -> canonical rows.
+def _children(n: int, connected_only: bool, parents: Sequence[Rows]) -> Dict[Key, Rows]:
+    """A batch of parents' kept children: canonical key -> canonical rows.
 
-    The parent's optimal orderings are its automorphisms, because parents
+    The parents' optimal orderings are their automorphisms, because parents
     are canonical; only the least attachment mask of each orbit is tried,
     and only the children that ``_keeps`` are canonised.
     """
     top = 1 << (n - 1)
-    auts = canonical_key_and_perms(parent)[1]
-    base = list(parent) + [0]
     found: Dict[Key, Rows] = {}
-    for mask in _orbit_minima(auts, int(connected_only), n - 1):
-        adj = list(base)
-        adj[n - 1] = mask
-        for v in iter_bits(mask):
-            adj[v] |= top
-        rows = tuple(adj)
-        if _keeps(rows, connected_only):
-            key, perms = canonical_key_and_perms(rows)
-            if key not in found:
-                found[key] = relabel_rows(rows, perms[0])
+    for parent in parents:
+        auts = canonical_key_and_perms(parent)[1]
+        base = list(parent) + [0]
+        for mask in _orbit_minima(auts, int(connected_only), n - 1):
+            adj = list(base)
+            adj[n - 1] = mask
+            for v in iter_bits(mask):
+                adj[v] |= top
+            rows = tuple(adj)
+            if _keeps(rows, connected_only):
+                key, perms = canonical_key_and_perms(rows)
+                if key not in found:
+                    found[key] = relabel_rows(rows, perms[0])
     return found
 
 
@@ -156,20 +181,23 @@ def _build_level(
 ) -> Tuple[Graph, ...]:
     """The order-n classes grown from the order-(n-1) classes ``parents``.
 
-    A class C is rebuilt from C - v, where v is a vertex of least degree
-    among those whose deletion leaves a graph of the previous level (the
-    non-cut vertices in connected mode, any vertex otherwise).  Some
-    orbit-minimum attachment to C - v is the image of N(v) under an
-    automorphism of C - v, so it gives a child isomorphic to C whose new
-    vertex passes ``_keeps``: no class is lost.
+    A class C is rebuilt from C - v, where v is a vertex least by (degree,
+    sorted neighbour degrees) among those whose deletion leaves a graph of
+    the previous level (the non-cut vertices in connected mode, any vertex
+    otherwise).  Some orbit-minimum attachment to C - v is the image of N(v)
+    under an automorphism of C - v, so it gives a child isomorphic to C by
+    a map taking the new vertex to v; the rule's key is an isomorphism
+    invariant, so that vertex passes ``_keeps``: no class is lost.
 
-    ``mapper`` maps ``_children`` over the parents, and the key -> rows maps
-    are merged with ``setdefault``.  The canonical rows of a class do not
-    depend on which child found it, and the result is sorted by (m, edge
-    mask), so neither the map nor the merge order can change the output.
+    ``mapper`` maps ``_children`` over batches of up to ``BATCH`` parents,
+    and the key -> rows maps are merged with ``setdefault``.  The canonical
+    rows of a class do not depend on which child found it, and the result
+    is sorted by (m, edge mask), so neither the map, the batches nor the
+    merge order can change the output.
     """
     seen: Dict[Key, Rows] = {}
-    for found in mapper(partial(_children, n, connected_only), [g.adj for g in parents]):
+    batches = _batches([g.adj for g in parents])
+    for found in mapper(partial(_children, n, connected_only), batches):
         for key, rows in found.items():
             seen.setdefault(key, rows)
     graphs = [Graph(n, rows, sum(r.bit_count() for r in rows) // 2) for rows in seen.values()]
@@ -210,7 +238,8 @@ def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Grap
     Deduped mode orders canonical representatives by (edge count, edge
     bitmask); labeled mode orders by ascending edge bitmask.  Levels not yet
     cached are built with ``mapper`` (the builtin ``map``, or a process
-    pool's ``map``), one parent per item; the result does not depend on it.
+    pool's ``map``), a batch of parents per item; the result does not
+    depend on it.
     """
     n = spec.n
     _require_order(spec)
@@ -261,42 +290,44 @@ def _audit_findings(n: int) -> Tuple[FormulaAudit, ...]:
     return tuple(a for a in audit_for_order(n) if not a.agrees)
 
 
-# The per-check CSV's columns; ``_sweep_graph`` renders its rows in this layout.
+# The per-check CSV's columns; ``_sweep_batch`` renders its rows in this layout.
 CSV_HEADER = (
     "n", "graph6", "k", "bound_id", "case_label", "bound_value", "actual", "holds", "tight"
 )
 
 
-def _sweep_graph(
-    ids: Tuple[str, ...], ks: List[int], want_csv: bool, g: Graph
+def _sweep_batch(
+    ids: Tuple[str, ...], ks: List[int], want_csv: bool, graphs: Sequence[Graph]
 ) -> Tuple[int, List[Violation], List[TightCase], str]:
-    """One graph: checks run, violations, tight cases, CSV rows.
+    """A batch of graphs: checks run, violations, tight cases, CSV rows.
 
-    The rows (bound values in exact notation) are one text, empty unless ``want_csv``.
+    The batch's contexts read their sums from one batched table pass.  The
+    rows (bound values in exact notation) are one text, empty unless
+    ``want_csv``.
     """
-    ctx = GraphContext(g, ids)
-    if not ctx.runs:
-        return 0, [], [], ""
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    g6 = graph6_encode(g)
-    witness_cache: Dict[int, EqualityWitness] = {}
-
-    for k in ks:
-        for bound_id, case, value, actual, holds, tight in ctx.checks(k):
-            checks_run += 1
-            if want_csv:
-                writerow((g.n, g6, k, bound_id, case, value_str(value),
-                          actual, int(holds), int(tight)))
-            if not holds:
-                violations.append(Violation(g6, k, bound_id, case, value, actual))
-            elif tight:
-                if k not in witness_cache:
-                    witness_cache[k] = ctx.witness(k)
-                tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
+    for ctx in GraphContext.batch(graphs, ids):
+        if not ctx.runs:
+            continue
+        g = ctx.g
+        g6 = graph6_encode(g)
+        witness_cache: Dict[int, EqualityWitness] = {}
+        for k in ks:
+            for bound_id, case, value, actual, holds, tight in ctx.checks(k):
+                checks_run += 1
+                if want_csv:
+                    writerow((g.n, g6, k, bound_id, case, value_str(value),
+                              actual, int(holds), int(tight)))
+                if not holds:
+                    violations.append(Violation(g6, k, bound_id, case, value, actual))
+                elif tight:
+                    if k not in witness_cache:
+                        witness_cache[k] = ctx.witness(k)
+                    tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
 
     return checks_run, violations, tights, text.getvalue()
 
@@ -311,14 +342,14 @@ def sweep(
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs`` overrides enumeration; without it, the order, then a spec
-    that admits disconnected graphs, then the spec's k are refused before
-    any enumeration.  ``mapper`` (the
-    builtin ``map``, or a process pool's ``map``) sweeps the graphs one per
-    item, and their results are joined in graph order, so the report does
-    not depend on it; enumeration, when needed, uses the same map.  With
-    ``csv_out``, each check's row in the ``CSV_HEADER`` layout is written
-    there, a graph's rows as that graph comes back.
+    ``graphs``, of order ``spec.n``, overrides enumeration; without it,
+    the order, then a spec that admits disconnected graphs, then the
+    spec's k are refused before any enumeration.  ``mapper`` (the builtin
+    ``map``, or a process pool's ``map``) sweeps the graphs in batches of
+    up to ``BATCH``, and their results are joined in graph order, so the
+    report does not depend on it; enumeration, when needed, uses the same
+    map.  With ``csv_out``, each check's row in the ``CSV_HEADER`` layout
+    is written there, a batch's rows as that batch comes back.
     """
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
@@ -331,7 +362,7 @@ def sweep(
     violations: List[Violation] = []
     tights: List[TightCase] = []
     for runs, found, tight, rows in mapper(
-        partial(_sweep_graph, ids, ks, csv_out is not None), graphs
+        partial(_sweep_batch, ids, ks, csv_out is not None), _batches(graphs)
     ):
         checks_run += runs
         violations += found

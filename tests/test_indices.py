@@ -20,7 +20,7 @@ from steinergut import (
     steiner_gutman,
     steiner_wiener,
 )
-from steinergut.indices import _all_k_sums, _sums
+from steinergut.indices import _all_k_sums, _batch_sums, _sums
 from strategies import connected_graphs
 
 
@@ -220,3 +220,18 @@ def test_lane_bound_is_exact_at_its_edge_and_refused_past_it():
         _all_k_sums(dist, n, (1, 1, 1, edge + 1))
     with pytest.raises(OrderTooLarge):
         _all_k_sums(bytes(1 << 20), 20, (10**6,) * 20)
+
+
+def test_the_sdd_free_pass_keeps_sgut_and_sw():
+    # every connected graph through order 7, as a sweep reads them
+    from steinergut import EnumerationSpec, enumerate_graphs
+
+    for n in range(1, 8):
+        for g in enumerate_graphs(EnumerationSpec(n=n)):
+            full, lean = _sums(g), _sums(g, sdd=False)
+            assert (lean.sgut, lean.sw, lean.sdd) == (full.sgut, full.sw, None), g.adj
+
+
+def test_batched_sums_match_each_graphs_own():
+    graphs = [path(6), cycle(6), from_edge_list(6, [(0, v) for v in range(1, 6)])]
+    assert _batch_sums(graphs) == [_sums(g, sdd=False) for g in graphs]

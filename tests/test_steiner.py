@@ -12,6 +12,7 @@ from steinergut import (
     IndexOutOfRange,
     OrderTooLarge,
     from_edge_list,
+    from_edge_mask,
     induced_connected,
     iter_bits,
     mask_of,
@@ -20,7 +21,7 @@ from steinergut import (
     steiner_oracle,
     steiner_single,
 )
-from steinergut.steiner import INF
+from steinergut.steiner import INF, _tables
 from strategies import connected_graphs, graphs
 
 
@@ -196,3 +197,52 @@ def test_path_plus_isolated_vertex_is_inf_exactly_across_components(n, across):
             assert d == INF
         else:
             assert d == path_part.bit_length() - (path_part & -path_part).bit_length()
+
+
+@st.composite
+def batches_of_one_order(draw, min_n=2, max_n=9, max_size=70):
+    """1..max_size connected graphs of one order: a random tree plus random edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    batch = []
+    for _ in range(size):
+        parents = draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+        extra = draw(st.integers(min_value=0, max_value=(1 << n * (n - 1) // 2) - 1))
+        g = from_edge_mask(n, extra)
+        tree = [(p % v, v) for v, p in enumerate(parents, 1)]
+        batch.append(from_edge_list(n, list(g.edges()) + tree))
+    return batch
+
+
+@given(batches_of_one_order())
+@settings(max_examples=40)
+def test_a_batch_of_tables_matches_each_graphs_own(batch):
+    # each graph's 2^n-bit block evolves as its own table would alone
+    assert [t.dist for t in _tables(batch)] == [steiner_all_subsets(g).dist for g in batch]
+
+
+def test_a_disconnected_graph_as_a_batch_of_one_keeps_inf():
+    g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
+    (table,) = _tables([g])
+    assert isinstance(table.dist, tuple)
+    assert [s for s in range(1, 32) if table.dist[s] == INF] == [
+        s for s in range(1, 32) if s & 0b00111 and s & 0b11000
+    ]
+    assert table.dist == tuple(steiner_oracle(g, s) if s else 0 for s in range(32))
+
+
+def test_a_mixed_batch_keeps_inf_only_in_its_disconnected_blocks():
+    # the connected path needs more levels than either disconnected graph
+    split = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
+    path = from_edge_list(6, [(i, i + 1) for i in range(5)])
+    star_and_point = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    tables = _tables([split, path, star_and_point])
+    assert [type(t.dist) for t in tables] == [tuple, bytes, tuple]
+    for g, t in zip((split, path, star_and_point), tables):
+        assert tuple(t.dist) == tuple(steiner_oracle(g, s) if s else 0 for s in range(64))
+
+
+def test_a_batch_of_tables_is_empty_or_of_one_order():
+    assert _tables([]) == []
+    with pytest.raises(ValueError):
+        _tables([from_edge_list(3, [(0, 1), (1, 2)]), from_edge_list(2, [(0, 1)])])

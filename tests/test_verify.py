@@ -281,6 +281,22 @@ def test_pooled_sweep_matches_the_in_process_report(n, chunksize):
     assert pooled_rows.getvalue().count("\n") == direct.checks_run
 
 
+@pytest.mark.parametrize("batch", [1, 5])
+def test_batch_size_does_not_change_a_report_or_a_level(batch, fresh_levels, monkeypatch):
+    spec = EnumerationSpec(n=6, require_coconnected=True)
+    direct_rows = io.StringIO()
+    direct = sweep(spec, csv_out=direct_rows)
+    levels = dict(verify._LEVELS)
+    monkeypatch.setattr(verify, "BATCH", batch)
+    monkeypatch.setattr(verify, "_LEVELS", {})
+    rows = io.StringIO()
+    with mapping(1) as mapper:
+        report = sweep(spec, csv_out=rows, mapper=mapper)
+    assert verify._LEVELS == levels
+    assert report_to_dict(report) == report_to_dict(direct)
+    assert rows.getvalue() == direct_rows.getvalue()
+
+
 def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
     from steinergut.bounds import GraphContext
 
@@ -292,16 +308,20 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
             events.append(("rows", names))
             return super().write(text)
 
-    def context(g, *args):
-        events.append(("graph", graph6_encode(g)))
-        return GraphContext(g, *args)
+    class Recorded(GraphContext):
+        @classmethod
+        def batch(cls, graphs, wanted=()):
+            events.append(("batch", {graph6_encode(g) for g in graphs}))
+            return super().batch(graphs, wanted)
 
-    monkeypatch.setattr(verify, "GraphContext", context)
+    monkeypatch.setattr(verify, "GraphContext", Recorded)
+    monkeypatch.setattr(verify, "BATCH", 3)
     report = sweep(EnumerationSpec(n=5, require_coconnected=True), csv_out=Recorder())
-    names = [name for kind, name in events if kind == "graph"]
-    assert len(names) == report.graphs_scanned == 8
-    # each graph's context is built only once the previous graph's rows are out
-    assert events == [event for g6 in names for event in (("graph", g6), ("rows", {g6}))]
+    batches = [names for kind, names in events if kind == "batch"]
+    assert [len(names) for names in batches] == [3, 3, 2]
+    assert sum(map(len, batches)) == report.graphs_scanned == 8
+    # each batch's contexts are built only once the previous batch's rows are out
+    assert events == [event for names in batches for event in (("batch", names), ("rows", names))]
 
 
 def test_report_to_dict_is_json_ready():
@@ -393,8 +413,9 @@ def test_verify_opens_at_most_one_pool_per_run(jobs, pools, fresh_levels, counte
 
 
 def test_pool_enumeration_matches_golden_digests(fresh_levels):
+    # the library sends each batch of parents as one task, as the CLI's pool does
     with ProcessPoolExecutor(max_workers=2) as pool:
-        mapper = partial(pool.map, chunksize=cli.POOL_CHUNK)
+        mapper = pool.map
         for n, digest in CONNECTED_SHA256.items():
             got = enumerate_graphs(EnumerationSpec(n=n), mapper)
             assert _names_digest(got) == digest, n
@@ -436,8 +457,8 @@ def test_enumeration_canonises_each_class_once(monkeypatch):
             for n in range(1, 9):
                 enumerate_graphs(EnumerationSpec(n=n), mapper)
         # through order 8: one canon per parent for its automorphisms (996)
-        # and one per orbit-minimum child kept by the deletion rule (18,311)
-        assert canons.value == 19307, chunksize
+        # and one per orbit-minimum child kept by the deletion rule (12,858)
+        assert canons.value == 13854, chunksize
 
 
 def _rows(n, edges):
@@ -462,15 +483,47 @@ def test_deletion_rule_ignores_a_smaller_degree_cut_vertex():
     assert not verify._keeps(rows, False)
 
 
+def test_deletion_rule_rejects_a_non_cut_vertex_with_smaller_neighbour_degrees():
+    # a 4-path 0-1-2-3 with the new leaf 4 on vertex 2: no vertex has a smaller
+    # degree, but the leaf 0 has the new vertex's degree, and its neighbour's
+    # degree 2 is below the new one's 3
+    rows = _rows(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    assert not verify._keeps(rows, True)
+    assert not verify._keeps(rows, False)
+
+
+def test_deletion_rule_ignores_a_cut_vertex_with_smaller_neighbour_degrees():
+    # a K5 and a K4 joined through vertex 5, of degree 2 with neighbour
+    # degrees (4, 5); the new vertex 10 on K5 vertices 0 and 1 has degree 2
+    # with neighbour degrees (5, 5), and every non-cut vertex but it has
+    # degree at least 3
+    blocks = ((0, 1, 2, 3, 4), (6, 7, 8, 9))
+    edges = [(u, v) for block in blocks for u, v in combinations(block, 2)]
+    rows = _rows(11, edges + [(3, 5), (5, 6), (0, 10), (1, 10)])
+    assert verify._keeps(rows, True)
+    # with every vertex deletable, vertex 5 rejects the child
+    assert not verify._keeps(rows, False)
+
+
+def _rank(g, v):
+    """The deletion rule's order on vertices: degree, then sorted neighbour degrees."""
+    return g.degrees[v], sorted(g.degrees[u] for u in g.neighbors[v])
+
+
 @given(connected_graphs(min_n=2, max_n=8))
 def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
-    # the premise of the enumeration: every class has a child that is kept
+    # the premise of the enumeration: every class has a child that is kept,
+    # the one whose new vertex is least by the rule's order among the
+    # deletable vertices
     def last(v):
         return relabel(g, [u - (u > v) if u != v else g.n - 1 for u in range(g.n)]).adj
 
+    def least(vertices):
+        return min(vertices, key=lambda v: _rank(g, v))
+
     non_cut = [u for u in range(g.n) if induced_connected(g, g.full_mask ^ 1 << u)]
-    assert verify._keeps(last(min(non_cut, key=g.degrees.__getitem__)), True)
-    assert verify._keeps(last(min(range(g.n), key=g.degrees.__getitem__)), False)
+    assert verify._keeps(last(least(non_cut)), True)
+    assert verify._keeps(last(least(range(g.n))), False)
 
 
 @pytest.mark.slow
@@ -490,7 +543,7 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
 
     specs = [EnumerationSpec(n=n, require_coconnected=True) for n in range(2, 8)]
     pools = [enumerate_graphs(spec) for spec in specs]
-    tables = count_calls(steiner, "steiner_all_subsets")
+    tables = count_calls(steiner, "_tables")
     sums = count_calls(indices, "_all_k_sums")
     complements = count_calls(graph, "complement")
     guards = count_calls(indices, "_guard")
@@ -507,9 +560,13 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
         witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
         audits += len(families._PRINTED_FORMS)
     assert (scanned, checks) == (739, 69552)
-    # G's and the complement's table per graph, plus one per formula audit
-    # family member; each table's all-k sums are computed once
-    assert len(tables) == len(sums) == 2 * scanned + audits == 1496
+    # G's and the complement's table block per graph, plus one per formula
+    # audit family member; each block's all-k sums are computed once, and a
+    # sweep builds all the blocks of a batch in one pass
+    blocks = [g for batch, in tables for g in batch]
+    assert len(blocks) == len(sums) == 2 * scanned + audits == 1496
+    batches = sum(-(-len(pool) // verify.BATCH) for pool in pools)
+    assert len(tables) == audits + batches == 18 + 15
     assert len(complements) == scanned
     # one guard per (graph, k) and per tight (graph, k)'s witness; the checks
     # and the audit read their graph's sums, never a public index function
