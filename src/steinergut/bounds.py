@@ -490,12 +490,9 @@ class EqualityWitness:
 
 
 def _is_path(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    if g.m != g.n - 1 or not is_connected(g):
-        return False
-    degs = sorted(g.degrees)
-    return degs[0] == degs[1] == 1 and (g.n == 2 or degs[2:] == [2] * (g.n - 2))
+    """Whether ``g`` is a path, for a connected ``g`` of order at least 2 (the
+    witness's guards ensure both): a tree with no degree above 2."""
+    return g.m == g.n - 1 and max(g.degrees) <= 2
 
 
 def diagnose_equality(g: Graph, k: int) -> EqualityWitness:

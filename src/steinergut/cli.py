@@ -372,19 +372,15 @@ def _cmd_verify(args, out, err) -> int:
 
     from .verify import (
         CSV_HEADER,
-        ENUMERATION_CAP,
-        LABELED_CAP,
         EnumerationSpec,
+        _require_order,
         enumerate_graphs,
         report_to_dict,
         sweep,
     )
 
     ids = _bound_ids(args.bound_set)
-    if not 1 <= args.n_max <= ENUMERATION_CAP:
-        raise _UsageError(f"--n-max must lie in 1..{ENUMERATION_CAP}, got {args.n_max}")
-    if not args.dedup and args.n_max > LABELED_CAP:
-        raise _UsageError(f"--labeled needs --n-max in 1..{LABELED_CAP}, got {args.n_max}")
+    _require_order(EnumerationSpec(n=args.n_max, dedup_isomorphism=args.dedup))
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
     if args.k == "all":
@@ -465,8 +461,6 @@ def _cmd_verify(args, out, err) -> int:
 def _cmd_audit(args, out, err) -> int:
     from .families import audit_formulas
 
-    if args.n_max < 2:
-        raise _UsageError("--n-max must be at least 2")
     audits = audit_formulas(args.n_max)
     bad = [a for a in audits if not a.agrees]
     for a in bad:

@@ -81,7 +81,7 @@ def _lane_layout(n: int) -> Tuple[Callable, List[int], Callable]:
     return by_k, list(accumulate(sizes, initial=0)), Struct(f"<{len(keys)}Q").unpack
 
 
-def _all_k_sums(dist: Sequence[int], n: int, degs: Tuple[int, ...], sdd: bool = True) -> _Sums:
+def _all_k_sums(dist: bytes, n: int, degs: Tuple[int, ...], sdd: bool = True) -> _Sums:
     """sgut, sw and, when ``sdd`` is asked for, sdd for every k in one pass over the table.
 
     A mask splits into a low part over vertices 0..h-1 and a high part over

@@ -2,8 +2,10 @@
 
 The Steiner distance of a vertex set S is the least number of edges of a
 connected subgraph containing S, equivalently min{|T| - 1 : S is a subset of
-T and the subgraph induced by T is connected}.  Singletons get distance 0 and
-a set meeting several components gets INF.
+T and the subgraph induced by T is connected}.  Singletons get distance 0.
+The engines that take any graph (DreyfusWagner, steiner_oracle and the BFS
+rows) give INF to a set meeting several components; the full table is
+built for connected graphs only.
 
 Three algorithms that share no code path:
 
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from .errors import EmptySet, IndexOutOfRange, OrderTooLarge
+from .errors import Disconnected, EmptySet, IndexOutOfRange, OrderTooLarge
 from .graph import Graph, induced_connected, iter_bits
 
 # The distance of a set meeting several components: an int above any sum of
@@ -51,14 +53,13 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 class SteinerTable:
     """dist[mask] is the Steiner distance of the vertex set ``mask``.
 
-    Index 0 (the empty set) is stored as 0 and has no meaning.  ``dist`` is
-    ``bytes`` for a connected graph and a tuple holding INF for the sets
-    that meet several components otherwise, so the type alone tells whether
-    the graph is connected.
+    Index 0 (the empty set) is stored as 0 and has no meaning.  Tables are
+    built for connected graphs only, so every distance is at most n - 1 and
+    ``dist`` is ``bytes``.
     """
 
     n: int
-    dist: Union[bytes, Tuple[int, ...]]
+    dist: bytes
 
 
 @lru_cache(maxsize=None)
@@ -120,8 +121,9 @@ def _tables(graphs: Sequence[Graph]) -> List[SteinerTable]:
     vertex a mask has by shifting it down by 2^v, is the family of sets
     with Steiner distance at most s, and dist[S] counts the levels whose
     closure misses S.  Neither shift leaves its block, so each block
-    evolves as its graph's table would alone; the pass ends once every
-    closure is full or no level grows.
+    evolves as its graph's table would alone.  The pass ends once every
+    closure is full; a level that comes up empty before that leaves a set
+    meeting two components of some graph, and the batch is refused.
     """
     if not graphs:
         return []
@@ -151,7 +153,6 @@ def _tables(graphs: Sequence[Graph]) -> List[SteinerTable]:
     within = _down_closure(level, has)
     # slices[i] holds bit i of every mask's count, added to by ripple carry
     slices: List[int] = []
-    levels = 0
     while True:
         missing = full ^ within
         if not missing:
@@ -164,27 +165,19 @@ def _tables(graphs: Sequence[Graph]) -> List[SteinerTable]:
                 break
         else:
             slices.append(carry)
-        levels += 1
         nxt = 0
         for v, gv in enumerate(grow):
             nxt |= (level & gv) << (1 << v)
         level = nxt
         if not level:
-            break
+            # no connected set grows, yet some set is in no closure: it meets two components
+            raise Disconnected("Steiner tables are built for connected graphs only")
         within = _down_closure(within | level, has)
     counts = 0
     for i, bits in enumerate(slices):
         counts |= int.from_bytes(format(bits, "b").encode().translate(_BIT_BYTES), "big") << i
     dists = counts.to_bytes(blocks << n, "little")
-    tables = []
-    for i in range(blocks):
-        dist = dists[i << n : (i + 1) << n]
-        if missing and missing >> (i << n) & (1 << size) - 1:
-            # disconnected: the sets no level reached were counted at every level
-            tables.append(SteinerTable(n, tuple(INF if d == levels else d for d in dist)))
-        else:
-            tables.append(SteinerTable(n, dist))
-    return tables
+    return [SteinerTable(n, dists[i << n : (i + 1) << n]) for i in range(blocks)]
 
 
 def _bfs_row(g: Graph, src: int) -> List[int]:

@@ -2,6 +2,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -331,6 +332,17 @@ def test_steiner_minimality_matches_a_direct_subset_scan(connected_by_order):
                 both = minimal and is_connected(gbar) and every_k_set_connected(gbar, k)
                 assert w.steiner_minimal_in_both == both
 
+
+
+def test_path_predicates_match_networkx(connected_by_order):
+    # the witness's path test reads only m and the degrees of a connected G
+    for n, graphs in connected_by_order.items():
+        for g in graphs:
+            is_path = nx.is_isomorphic(brute.to_networkx(g), nx.path_graph(n))
+            for k in range(2, n + 1):
+                w = diagnose_equality(g, k)
+                assert w.path_with_k_equals_n == (is_path and k == n)
+                assert w.p3_with_k_2 == (is_path and n == 3 and k == 2)
 
 GUARDED = {
     **{

@@ -336,7 +336,7 @@ def test_verify_labeled_refuses_order_seven_before_any_order_runs(monkeypatch):
     code, out, err = run(["verify", "--labeled", "--n-max", "7"])
     assert code == 1
     assert out == ""
-    assert err.splitlines() == ["usage error: --labeled needs --n-max in 1..6, got 7"]
+    assert err.splitlines() == ["error: labeled enumeration handles orders 1..6, got 7"]
 
 
 def test_audit_formulas_cli():
@@ -418,8 +418,13 @@ def test_verify_limits_fail_before_any_order_runs(argv):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
-    # one usage line and no per-order progress line: nothing was swept
-    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+    # one line and no per-order progress line: nothing was swept; the order
+    # is refused by the enumeration cap, in extremal's words, --jobs by the CLI
+    (line,) = err.splitlines()
+    if "9" in argv:
+        assert line == "error: enumeration handles orders 1..8, got 9"
+    else:
+        assert line.startswith("usage error: --jobs")
 
 
 @pytest.mark.parametrize("jobs", ["65", "5000"])
@@ -580,6 +585,17 @@ def test_audit_formulas_above_the_table_cap_builds_no_table(count_calls):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "n <= 20" in err
+    assert calls == []
+
+
+def test_audit_formulas_below_order_two_builds_no_table(count_calls):
+    from steinergut import steiner
+
+    calls = count_calls(steiner, "_tables")
+    code, out, err = run(["audit-formulas", "--n-max", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: n_max must be at least 2, got 1"]
     assert calls == []
 
 

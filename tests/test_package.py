@@ -116,3 +116,15 @@ def test_verify_in_one_process_imports_no_pool():
     _, code, loaded = _loaded(["verify", "--n-max", "4", "--jobs", "1"], ["concurrent.futures.process"])
     assert code == 0
     assert loaded == []
+
+
+def test_the_readme_examples_run_as_written():
+    # every >>> example of README.md, with the exported names as globals
+    import doctest
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = {name: getattr(steinergut, name) for name in steinergut.__all__}
+    test = doctest.DocTestParser().get_doctest(text, names, "README.md", "README.md", 0)
+    runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
+    runner.run(test)
+    assert runner.summarize(verbose=False) == doctest.TestResults(0, 5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import brute
 from steinergut import (
+    Disconnected,
     DreyfusWagner,
     EmptySet,
     IndexOutOfRange,
@@ -14,6 +15,7 @@ from steinergut import (
     from_edge_list,
     from_edge_mask,
     induced_connected,
+    is_connected,
     iter_bits,
     mask_of,
     pairwise_distances,
@@ -35,25 +37,44 @@ def test_path_table():
     assert t.dist[0b1111] == 3
 
 
+def _refused(graphs):
+    """The one-line refusal of a batch of tables holding a disconnected graph."""
+    with pytest.raises(Disconnected) as err:
+        _tables(graphs)
+    assert str(err.value) == "Steiner tables are built for connected graphs only"
+
+
+def _table_if_connected(g):
+    """G's table, or None once the table of a disconnected G is refused."""
+    if is_connected(g):
+        return steiner_all_subsets(g)
+    with pytest.raises(Disconnected):
+        steiner_all_subsets(g)
+    return None
+
+
 def test_singletons_are_zero():
+    dist = steiner_all_subsets(from_edge_list(3, [(0, 1), (1, 2)])).dist
+    assert [dist[1 << v] for v in range(3)] == [0, 0, 0]
     g = from_edge_list(3, [(0, 1)])  # vertex 2 isolated
-    t = steiner_all_subsets(g)
-    assert t.dist[0b001] == 0
-    assert t.dist[0b100] == 0
-    assert t.dist[0b101] == INF
+    _refused([g])
+    for engine in (steiner_single, steiner_oracle):
+        assert engine(g, 0b001) == engine(g, 0b100) == 0
+        assert engine(g, 0b101) == INF
 
 
 def test_every_engine_returns_the_int_inf_across_components():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     s = 0b0101
+    with pytest.raises(Disconnected):
+        steiner_all_subsets(g)
     got = [
-        steiner_all_subsets(g).dist[s],
         steiner_single(g, s),
         DreyfusWagner(g).distance(0b1111),
         steiner_oracle(g, s),
         pairwise_distances(g)[0][2],
     ]
-    assert got == [INF] * 5
+    assert got == [INF] * 4
     assert all(type(d) is int for d in got)
     assert INF > 2 * 61  # above any sum of two finite distances at MAX_ORDER = 62
 
@@ -78,18 +99,23 @@ def test_query_guards():
 @settings(max_examples=60)
 def test_table_matches_brute_oracle(g):
     h = brute.to_networkx(g)
-    t = steiner_all_subsets(g)
+    t = _table_if_connected(g)
+    dw = DreyfusWagner(g)
     for s in range(1, 1 << g.n):
-        assert t.dist[s] == brute.steiner_distance(h, iter_bits(s))
+        d = brute.steiner_distance(h, iter_bits(s))
+        assert dw.distance(s) == d
+        assert t is None or t.dist[s] == d
 
 
 @given(graphs(max_n=6))
 @settings(max_examples=60)
 def test_three_engines_agree(g):
-    t = steiner_all_subsets(g)
+    t = _table_if_connected(g)
     dw = DreyfusWagner(g)
     for s in range(1, 1 << g.n):
-        assert t.dist[s] == dw.distance(s) == steiner_oracle(g, s)
+        d = dw.distance(s)
+        assert d == steiner_oracle(g, s)
+        assert t is None or t.dist[s] == d
 
 
 def test_fresh_and_cached_dreyfus_wagner_agree():
@@ -118,10 +144,11 @@ def test_pairs_equal_bfs(g):
 
 @given(graphs(max_n=7), st.data())
 def test_distance_floor_hits_exactly_on_connected_subsets(g, data):
-    t = steiner_all_subsets(g)
+    t = _table_if_connected(g)
     s = data.draw(st.integers(min_value=1, max_value=g.full_mask))
     size = s.bit_count()
-    d = t.dist[s]
+    d = steiner_single(g, s)
+    assert t is None or t.dist[s] == d
     assert d >= size - 1
     assert (d == size - 1) == induced_connected(g, s)
 
@@ -151,24 +178,26 @@ def _sampled_subsets(seed, n, count, max_size):
     [(1, 10, 0.3), (2, 11, 0.5), (3, 12, 0.25), (4, 13, 0.4), (5, 14, 0.35)],
 )
 def test_table_matches_dreyfus_wagner_on_sampled_subsets(seed, n, p):
+    # seed 3 draws a disconnected graph, whose table is refused; the oracle
+    # stands in for it there
     g = _seeded_graph(seed, n, p)
-    t = steiner_all_subsets(g)
+    t = _table_if_connected(g)
     dw = DreyfusWagner(g)
     for s in _sampled_subsets(seed, n, 120, 6):
-        assert t.dist[s] == dw.distance(s), bin(s)
+        assert dw.distance(s) == (steiner_oracle(g, s) if t is None else t.dist[s]), bin(s)
 
 
 def test_disconnected_table_keeps_inf_for_sets_across_components():
     # a 5-cycle, a 4-path and an isolated vertex: order 10, three components
+    # the table is refused; the DP, which takes any graph, keeps INF
     g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8)])
-    t = steiner_all_subsets(g)
-    assert isinstance(t.dist, tuple)
+    _refused([g])
     dw = DreyfusWagner(g)
     comps = (0b0000011111, 0b0111100000, 0b1000000000)
     inside = [s for c in comps for s in range(1, c + 1) if s & c == s]
     for s in inside + _sampled_subsets(6, 10, 200, 6) + [g.full_mask, 0b1111100000]:
-        d = t.dist[s]
-        assert d == dw.distance(s)
+        d = dw.distance(s)
+        assert d == steiner_oracle(g, s)
         meets = sum(1 for c in comps if s & c)
         assert (d == INF) == (meets > 1)
         if meets == 1:
@@ -187,11 +216,17 @@ def test_path_table_carries_into_each_new_count_slice(n):
 
 @pytest.mark.parametrize("n, across", [(5, 31), (9, 511), (17, 131_071)])
 def test_path_plus_isolated_vertex_is_inf_exactly_across_components(n, across):
+    # the table is refused only after the path part's last level; the DP
+    # gives INF exactly across components, on every set where that is cheap
     g = from_edge_list(n + 1, [(i, i + 1) for i in range(n - 1)])
-    dist = steiner_all_subsets(g).dist
+    _refused([g])
+    dw = DreyfusWagner(g)
     on_path = (1 << n) - 1
-    assert sum(d == INF for d in dist) == across == (1 << n) - 1
-    for s, d in enumerate(dist):
+    sets = range(1, 1 << (n + 1)) if n < 10 else _sampled_subsets(n, n + 1, 300, 5)
+    dist = {s: dw.distance(s) for s in sets}
+    if n < 10:
+        assert sum(d == INF for d in dist.values()) == across == (1 << n) - 1
+    for s, d in dist.items():
         path_part = s & on_path
         if s >> n and path_part:
             assert d == INF
@@ -222,24 +257,26 @@ def test_a_batch_of_tables_matches_each_graphs_own(batch):
 
 
 def test_a_disconnected_graph_as_a_batch_of_one_keeps_inf():
+    # the table is refused; the oracle keeps INF exactly across components
     g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
-    (table,) = _tables([g])
-    assert isinstance(table.dist, tuple)
-    assert [s for s in range(1, 32) if table.dist[s] == INF] == [
+    _refused([g])
+    assert [s for s in range(1, 32) if steiner_oracle(g, s) == INF] == [
         s for s in range(1, 32) if s & 0b00111 and s & 0b11000
     ]
-    assert table.dist == tuple(steiner_oracle(g, s) if s else 0 for s in range(32))
 
 
 def test_a_mixed_batch_keeps_inf_only_in_its_disconnected_blocks():
-    # the connected path needs more levels than either disconnected graph
+    # a batch holding a disconnected graph is refused wherever it stands,
+    # also when the connected path needs more levels than it; the path's
+    # own table stays exact
     split = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
     path = from_edge_list(6, [(i, i + 1) for i in range(5)])
     star_and_point = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    tables = _tables([split, path, star_and_point])
-    assert [type(t.dist) for t in tables] == [tuple, bytes, tuple]
-    for g, t in zip((split, path, star_and_point), tables):
-        assert tuple(t.dist) == tuple(steiner_oracle(g, s) if s else 0 for s in range(64))
+    for batch in ([split, path, star_and_point], [path, split], [path, star_and_point]):
+        _refused(batch)
+    (table,) = _tables([path])
+    assert type(table.dist) is bytes
+    assert tuple(table.dist) == tuple(steiner_oracle(path, s) if s else 0 for s in range(64))
 
 
 def test_a_batch_of_tables_is_empty_or_of_one_order():

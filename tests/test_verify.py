@@ -574,6 +574,25 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
     assert len(guards) == graph_ks + witnesses
 
 
+def test_a_sweep_without_the_coconnected_filter_tables_connected_graphs_only(count_calls):
+    # the table kernel refuses a disconnected graph, so a sweep's batch may
+    # send it only connected G's and the complements a paired group reads
+    from steinergut import steiner
+
+    spec = EnumerationSpec(n=6)
+    pool = enumerate_graphs(spec)
+    tables = count_calls(steiner, "_tables")
+    report = sweep(spec, ["all"], graphs=pool)
+    assert report.graphs_scanned == len(pool) == 112
+    blocks = [g for batch, in tables for g in batch]
+    assert all(is_connected(g) for g in blocks)
+    # 112 graphs, the 68 connected complements and 3 formula audit tables,
+    # in 2 sweep batches and 3 audit passes
+    coconnected = sum(is_connected(complement(g)) for g in pool)
+    assert len(blocks) == len(pool) + coconnected + 3 == 183
+    assert len(tables) == 5
+
+
 def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
     from steinergut import graph
 
