@@ -11,15 +11,17 @@ counted as run.
 
 Enumeration is capped at order 8.  Deduped enumeration builds each level by
 attaching one new vertex to every canonical graph of the previous level.  A
-parent's automorphisms (the optimal orderings of its canonical search) map
-attachment masks to masks giving isomorphic children, so only the least mask
-of each orbit is tried.  A child is kept only if no vertex that may be
-deleted (any vertex, or a non-cut one when only connected graphs are built)
-is smaller than the new vertex by (degree, sorted neighbour degrees), an
-isomorphism invariant: every class can be rebuilt from the deletion of a
-least such vertex, so none is lost, and most duplicate children are dropped
-before they cost a canon.  Each kept child gets one lex-min canon, and
-children are deduped by its key.
+parent's automorphisms map attachment masks to masks giving isomorphic
+children, so only the least mask of each orbit is tried; the orbits are
+closed over generators of the group (the optimal orderings of the parent's
+twin-pruned canonical search and a transposition per consecutive pair of
+each twin class), never over the whole group.  A child is kept only if no
+vertex that may be deleted (any vertex, or a non-cut one when only
+connected graphs are built) is smaller than the new vertex by (degree,
+sorted neighbour degrees), an isomorphism invariant: every class can be
+rebuilt from the deletion of a least such vertex, so none is lost, and most
+duplicate children are dropped before they cost a canon.  Each kept child
+gets one lex-min canon, and children are deduped by its key.
 
 Levels and sweeps are mapped in batches of up to ``BATCH`` items with the
 caller's ``map`` (the builtin one in process, or a process pool's, which
@@ -48,7 +50,7 @@ from functools import partial
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
-from .canon import Key, canonical_key_and_perms, relabel_rows
+from .canon import Key, _search, relabel_rows
 from .errors import Disconnected, KOutOfRange, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
@@ -82,29 +84,62 @@ def _k_values(spec: EnumerationSpec) -> List[int]:
     return sorted(set(ks))
 
 
-def _orbit_minima(auts: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[int]:
-    """The least mask of each orbit of ``auts`` on the masks lo..2^width - 1.
+Rows = Tuple[int, ...]
 
-    Masks are visited in ascending order, so the first mask of an orbit met
-    is its least; its whole orbit is then marked.  ``lo`` is 0 or 1, and the
-    empty mask is a one-mask orbit, so the range is a union of orbits.
+
+def _generators(parent: Rows) -> List[Tuple[int, ...]]:
+    """Permutations that generate the automorphism group of a canonical graph.
+
+    The parent is canonical, so the optimal orderings of its search are
+    automorphisms; with a transposition of each consecutive pair of every
+    twin class they generate the group, whose other members the search
+    pruned.
     """
-    covered = bytearray(1 << width)
+    _, orderings, classes = _search(parent)
+    identity = tuple(range(len(parent)))
+    gens = [seq for seq in orderings if seq != identity]
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            swap = list(identity)
+            swap[a], swap[b] = b, a
+            gens.append(tuple(swap))
+    return gens
+
+
+def _orbit_minima(gens: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[int]:
+    """The least mask of each orbit, on the masks lo..2^width - 1, of the
+    group ``gens`` generate.
+
+    Each generator's images of all masks are tabled once.  Masks are
+    visited in ascending order, so the first mask of an orbit met is its
+    least; its orbit is then closed over the tables.  ``lo`` is 0 or 1, and
+    the empty mask is a one-mask orbit, so the range is a union of orbits.
+    """
+    size = 1 << width
+    tables = []
+    for seq in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << seq[low.bit_length() - 1]
+        tables.append(image)
+    covered = bytearray(size)
     minima = []
-    for mask in range(lo, 1 << width):
+    for mask in range(lo, size):
         if covered[mask]:
             continue
         minima.append(mask)
-        bits = list(iter_bits(mask))
-        for seq in auts:
-            image = 0
-            for v in bits:
-                image |= 1 << seq[v]
-            covered[image] = 1
+        covered[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in tables:
+                other = image[m]
+                if not covered[other]:
+                    covered[other] = 1
+                    stack.append(other)
     return minima
 
-
-Rows = Tuple[int, ...]
 
 # Graphs, or enumeration parents, per item of every map: a sweep builds a
 # batch's Steiner tables in one pass, a pool sends each batch as one task,
@@ -141,8 +176,15 @@ def _keeps(rows: Rows, connected_only: bool) -> bool:
         return sorted([degs[w] for w in iter_bits(rows[v])])
 
     full = (1 << n) - 1
+    new: Optional[List[int]] = None  # the new vertex's, at its first degree tie
     for u in range(n - 1):
-        if degs[u] < d or degs[u] == d and around(u) < around(n - 1):
+        if degs[u] == d:
+            if new is None:
+                new = around(n - 1)
+            smaller = around(u) < new
+        else:
+            smaller = degs[u] < d
+        if smaller:
             if not connected_only:
                 return False
             rest = full ^ 1 << u
@@ -154,25 +196,23 @@ def _keeps(rows: Rows, connected_only: bool) -> bool:
 def _children(n: int, connected_only: bool, parents: Sequence[Rows]) -> Dict[Key, Rows]:
     """A batch of parents' kept children: canonical key -> canonical rows.
 
-    The parents' optimal orderings are their automorphisms, because parents
-    are canonical; only the least attachment mask of each orbit is tried,
-    and only the children that ``_keeps`` are canonised.
+    Only the least attachment mask of each orbit of a parent's automorphism
+    group is tried, and only the children that ``_keeps`` are canonised.
     """
     top = 1 << (n - 1)
     found: Dict[Key, Rows] = {}
     for parent in parents:
-        auts = canonical_key_and_perms(parent)[1]
         base = list(parent) + [0]
-        for mask in _orbit_minima(auts, int(connected_only), n - 1):
+        for mask in _orbit_minima(_generators(parent), int(connected_only), n - 1):
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
             if _keeps(rows, connected_only):
-                key, perms = canonical_key_and_perms(rows)
+                key, orderings, _ = _search(rows)
                 if key not in found:
-                    found[key] = relabel_rows(rows, perms[0])
+                    found[key] = relabel_rows(rows, orderings[0])
     return found
 
 

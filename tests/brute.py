@@ -2,13 +2,14 @@
 
 Nothing here shares an algorithm with the package under test: Steiner
 distances come from literal superset search over networkx subgraphs, the
-index oracles re-sum everything from scratch, and a square-root bound is
+index oracles re-sum everything from scratch, the canonical key is the
+least over every vertex ordering, and a square-root bound is
 compared as a Fraction squared, not through the package's scaled integers.
 Test-suite use only.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 
@@ -19,6 +20,24 @@ def compare_root(root, x) -> int:
     """Sign of sqrt(root.square) - x for a rational x >= 0, found by squaring."""
     square = Fraction(x) ** 2
     return (root.square > square) - (root.square < square)
+
+
+def canonical_key_and_perms(adj):
+    """The least column key over all n! orderings, and the sorted orderings
+    that reach it: column j packs the adjacency of seq[j] to seq[0..j-1],
+    seq[0] most significant."""
+    n = len(adj)
+    best, hits = None, []
+    for seq in permutations(range(n)):
+        key = tuple(
+            sum((adj[seq[i]] >> seq[j] & 1) << (j - 1 - i) for i in range(j))
+            for j in range(1, n)
+        )
+        if best is None or key < best:
+            best, hits = key, [seq]
+        elif key == best:
+            hits.append(seq)
+    return best, tuple(sorted(hits))
 
 
 def to_networkx(g: Graph) -> nx.Graph:

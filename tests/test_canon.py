@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
 from steinergut import (
     OrderTooLarge,
     canonical_graph,
@@ -11,7 +13,7 @@ from steinergut import (
     from_edge_list,
     relabel,
 )
-from steinergut.canon import CANON_CAP, relabel_rows
+from steinergut.canon import CANON_CAP, _search, relabel_rows
 from strategies import graphs
 
 
@@ -111,3 +113,56 @@ def test_path_at_the_cap_still_canonicalizes():
     assert cg.m == CANON_CAP - 1
     assert len(canonical_key_and_perms(cg.adj)[1]) == 2
     assert canonical_graph(relabel(p9, [(2 * i + 1) % CANON_CAP for i in range(CANON_CAP)])) == cg
+
+
+@given(graphs(max_n=6))
+@settings(max_examples=60)
+def test_key_and_orderings_match_the_least_over_all_orderings(g):
+    assert canonical_key_and_perms(g.adj) == brute.canonical_key_and_perms(g.adj)
+
+
+def _twin_rich():
+    def edges(n, pairs):
+        return from_edge_list(n, list(pairs))
+
+    for n in range(1, 8):
+        yield f"K{n}", _complete(n)
+        yield f"empty{n}", edges(n, [])
+        yield f"star{n}", edges(n, [(0, v) for v in range(1, n)])
+    for a in range(1, 4):
+        for b in range(a, 8 - a):
+            yield f"K{a},{b}", edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    for n in (2, 4, 6):
+        yield f"K{n}-matching", edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1]
+        )
+    # a triangle of true twins 0, 1, 2 and leaves 4, 5, 6, false twins, on 3
+    yield "true+false", edges(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
+                                  (3, 4), (3, 5), (3, 6)])
+
+
+@pytest.mark.parametrize("name,g", list(_twin_rich()), ids=[name for name, _ in _twin_rich()])
+def test_twin_rich_graphs_match_the_least_over_all_orderings(name, g):
+    # the pruned search places twins in increasing order only, so every
+    # labeling of the classes must still expand to all optimal orderings
+    for perm in (list(range(g.n)), random.Random(g.n).sample(range(g.n), g.n)):
+        h = relabel(g, perm)
+        assert canonical_key_and_perms(h.adj) == brute.canonical_key_and_perms(h.adj)
+
+
+def test_twin_classes_of_a_graph_with_true_and_false_twins():
+    g = dict(_twin_rich())["true+false"]
+    key, orderings, classes = _search(g.adj)
+    assert classes == ((0, 1, 2), (4, 5, 6))
+    # 3! * 3! automorphisms, all of them twin permutations
+    assert len(orderings) == 1
+    assert len(canonical_key_and_perms(g.adj)[1]) == 36
+
+
+def test_complete_graph_at_the_cap_searches_one_ordering():
+    k9 = _complete(CANON_CAP)
+    start = time.monotonic()
+    key, orderings, classes = _search(k9.adj)
+    assert time.monotonic() - start < 0.1
+    assert orderings == (tuple(range(CANON_CAP)),)
+    assert classes == (tuple(range(CANON_CAP)),)

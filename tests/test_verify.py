@@ -442,23 +442,47 @@ def test_enumeration_canonises_each_class_once(monkeypatch):
     # before the pool forks its workers, so their canons are counted too
     fork = multiprocessing.get_context("fork")
     canons = fork.Value("i", 0)
-    original = verify.canonical_key_and_perms
+    original = verify._search
 
     def counted(rows):
         with canons.get_lock():
             canons.value += 1
         return original(rows)
 
-    monkeypatch.setattr(verify, "canonical_key_and_perms", counted)
+    monkeypatch.setattr(verify, "_search", counted)
     for chunksize in CHUNKSIZES:
         monkeypatch.setattr(verify, "_LEVELS", {})
         canons.value = 0
         with mapping(chunksize, fork) as mapper:
             for n in range(1, 9):
                 enumerate_graphs(EnumerationSpec(n=n), mapper)
-        # through order 8: one canon per parent for its automorphisms (996)
-        # and one per orbit-minimum child kept by the deletion rule (12,858)
+        # through order 8: one search per parent for its automorphism group's
+        # generators (996) and one per orbit-minimum child kept by the
+        # deletion rule (12,858)
         assert canons.value == 13854, chunksize
+
+
+def _full_group_minima(auts, lo, width):
+    """The masks lo..2^width - 1 that no automorphism maps below themselves."""
+    least = list(range(1 << width))
+    for seq in auts:
+        image = [0] * (1 << width)
+        for mask in range(1, 1 << width):
+            top = mask.bit_length() - 1
+            image[mask] = image[mask ^ 1 << top] | 1 << seq[top]
+        least = list(map(min, least, image))
+    return [mask for mask in range(lo, 1 << width) if least[mask] == mask]
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_generator_orbit_minima_match_the_full_groups(connected):
+    # the parents of the order-7 and order-8 levels: the orbits closed over
+    # a parent's generators are those of its whole automorphism group
+    lo = int(connected)
+    for n in (6, 7):
+        for g in enumerate_graphs(EnumerationSpec(n=n, require_connected=connected)):
+            full = _full_group_minima(canonical_key_and_perms(g.adj)[1], lo, n)
+            assert verify._orbit_minima(verify._generators(g.adj), lo, n) == full, g
 
 
 def _rows(n, edges):
@@ -616,7 +640,7 @@ def test_a_search_over_disconnected_graphs_is_refused_before_enumerating(
 ):
     from steinergut import canon
 
-    canons = count_calls(canon, "canonical_key_and_perms")
+    canons = count_calls(canon, "_search")
     with pytest.raises(Disconnected) as err:
         search(EnumerationSpec(n=4, require_connected=False))
     assert "\n" not in str(err.value)
@@ -634,7 +658,7 @@ def test_a_sweep_with_a_bad_k_is_refused_before_enumerating(
 ):
     from steinergut import canon
 
-    canons = count_calls(canon, "canonical_key_and_perms")
+    canons = count_calls(canon, "_search")
     with pytest.raises(error) as err:
         sweep(EnumerationSpec(n=n, k_range=(99,)))
     assert str(err.value) == text
