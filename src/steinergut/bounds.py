@@ -24,13 +24,14 @@ A ``GraphContext`` holds what one graph contributes: G, the complement, the
 connectivity of both, the signature, the all-k index sums of both, and the
 decision for the ids it was built with; it is the only per-graph memo.  The
 complement is built only when a paired group would run or a caller reads
-it, and each graph's sums (sgut and sw; no bound reads sdd) on first use,
-after the guards, or, for a sweep's batch (``GraphContext.batch``), all at
-once from one batched table pass.  Its ``checks(k)`` is the one evaluator;
-a check is ``actual * den <= num`` (or ``>=``, with actual squared for a
+it, and each graph's sums (sgut and sw; no bound reads sdd) come from the
+index layer's one entry, ``indices._sums``: on first use, after the guards,
+as a batch of one, or, for a sweep's batch (``GraphContext.batch``), from
+one call over the batch.  Its ``checks(k)`` is the one evaluator; a check
+is ``actual * den <= num`` (or ``>=``, with actual squared for a
 SquareRoot), so no Fraction is built per check.  It guards only G's
-connectivity, then k (Disconnected, then KOutOfRange), once per (graph,
-k), and then reads the cached sums, never a public index function;
+connectivity, then k, with the index layer's ``_guard`` (Disconnected,
+then KOutOfRange), once per (graph, k), and then reads the cached sums;
 ``evaluate_bounds`` and ``equality_witness`` then raise the first
 ruled-out group's error (``_requested``), while a sweep or a batch
 reports the ruled-out groups in ``skipped`` and goes on.
@@ -50,7 +51,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
 from .graph import Graph, complement, is_connected, is_k_connected, is_regular
-from .indices import _batch_sums, _guard, _Sums, _sums
+from .indices import _guard, _Sums, _sums
 
 BOUND_IDS = (
     "prop21.upper",
@@ -376,18 +377,18 @@ class GraphContext:
                 wants.append((ctx, "sums", ctx.g))
                 if ctx._paired:
                     wants.append((ctx, "co_sums", ctx.gbar))
-        for (ctx, name, _), sums in zip(wants, _batch_sums([h for _, _, h in wants])):
+        for (ctx, name, _), sums in zip(wants, _sums([h for _, _, h in wants], sdd=False)):
             # setting the instance attribute fills the cached_property
             setattr(ctx, name, sums)
         return ctxs
 
     @cached_property
     def sums(self) -> _Sums:
-        return _sums(self.g, sdd=False)
+        return _sums([self.g], sdd=False)[0]
 
     @cached_property
     def co_sums(self) -> _Sums:
-        return _sums(self.gbar, sdd=False)
+        return _sums([self.gbar], sdd=False)[0]
 
     def checks(self, k: int) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.

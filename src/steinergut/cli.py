@@ -287,7 +287,7 @@ def _cmd_compute(args, out, err) -> int:
             connected = is_connected(g)
             for k in ks:
                 _guard(connected, g, k, lo)
-            sums = None if asked == {"gut"} else _sums(g)
+            sums = None if asked == {"gut"} else _sums([g], sdd="sdd" in asked)[0]
             for k in ks:
                 rec = {"graph6": g6, "n": g.n, "m": g.m, "k": k}
                 for name in ("sgut", "sw", "sdd"):
@@ -369,10 +369,12 @@ def _cmd_bounds(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     import csv
+    from dataclasses import replace
 
     from .verify import (
         CSV_HEADER,
         EnumerationSpec,
+        _k_values,
         _require_order,
         enumerate_graphs,
         report_to_dict,
@@ -380,15 +382,13 @@ def _cmd_verify(args, out, err) -> int:
     )
 
     ids = _bound_ids(args.bound_set)
-    _require_order(EnumerationSpec(n=args.n_max, dedup_isomorphism=args.dedup))
+    k_range = "all" if args.k == "all" else tuple(_k_list(args.k, args.n_max))
+    top = EnumerationSpec(n=args.n_max, require_coconnected=args.coconnected,
+                          dedup_isomorphism=args.dedup, k_range=k_range)
+    _require_order(top)
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
-    if args.k == "all":
-        k_range = "all"
-    else:
-        k_range = tuple(_k_list(args.k, args.n_max))
-        if any(k < 2 or k > args.n_max for k in k_range):
-            raise _UsageError(f"--k must lie in 2..{args.n_max}")
+    _k_values(top)
     with ExitStack() as files:
         # - is stdout for either; files are opened before any order runs, so
         # an unwritable path fails at once
@@ -417,13 +417,8 @@ def _cmd_verify(args, out, err) -> int:
             # the library batches the graphs, so each batch is one pool task
             mapper = map if pool is None else pool.map
             for n in range(2, args.n_max + 1):
-                spec = EnumerationSpec(
-                    n=n,
-                    require_connected=True,
-                    require_coconnected=args.coconnected,
-                    dedup_isomorphism=args.dedup,
-                    k_range="all" if k_range == "all" else tuple(k for k in k_range if k <= n),
-                )
+                ks = "all" if k_range == "all" else tuple(k for k in k_range if k <= n)
+                spec = replace(top, n=n, k_range=ks)
                 start = time.perf_counter()
                 graphs = enumerate_graphs(spec, mapper)
                 enumerated = time.perf_counter()

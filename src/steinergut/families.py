@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional
 
-from .errors import InvalidFamilyOrder, KOutOfRange
+from .errors import InvalidFamilyOrder
 from .graph import Graph, from_edge_list
-from .indices import _sums
+from .indices import _require_k, _sums
 from .steiner import require_table_order
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_minus_perfect_matching")
@@ -36,29 +36,29 @@ def generate(spec: FamilySpec) -> Graph:
         raise InvalidFamilyOrder(f"unknown family {family!r}")
     if n < 1:
         raise InvalidFamilyOrder(f"order must be at least 1, got {n}")
+    # the edges are generators, so from_edge_list refuses a large order before reading one
     if family == "path":
-        return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
     if family == "cycle":
         if n < 3:
             raise InvalidFamilyOrder(f"cycles need order >= 3, got {n}")
-        return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+        return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
     if family == "star":
-        return from_edge_list(n, [(0, i) for i in range(1, n)])
+        return from_edge_list(n, ((0, i) for i in range(1, n)))
     if family == "complete":
-        return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    # complete graph minus a perfect matching
+        return from_edge_list(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    # complete graph minus the perfect matching {0,1}, {2,3}, ...
     if n < 4 or n % 2:
         raise InvalidFamilyOrder(f"matching removal needs even order >= 4, got {n}")
-    matching = {(2 * i, 2 * i + 1) for i in range(n // 2)}
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in matching]
-    return from_edge_list(n, edges)
+    return from_edge_list(
+        n, ((i, j) for i in range(n) for j in range(i + 1, n) if i % 2 or j != i + 1)
+    )
 
 
 def _check_nk(n: int, k: int) -> None:
     if n < 2:
         raise InvalidFamilyOrder(f"closed forms start at order 2, got {n}")
-    if not 2 <= k <= n:
-        raise KOutOfRange(f"k must satisfy 2 <= k <= {n}, got {k}")
+    _require_k(n, k)
 
 
 def closed_form_star(n: int, k: int) -> int:
@@ -105,9 +105,8 @@ _PRINTED_FORMS = (
 def audit_for_order(n: int) -> List[FormulaAudit]:
     """Audit every printed closed form at one order, all 2 <= k <= n."""
     out: List[FormulaAudit] = []
-    for family, form in _PRINTED_FORMS:
-        g = generate(FamilySpec(family, n))
-        sgut = _sums(g).sgut
+    graphs = [generate(FamilySpec(family, n)) for family, _ in _PRINTED_FORMS]
+    for (family, form), (sgut, _, _) in zip(_PRINTED_FORMS, _sums(graphs, sdd=False)):
         for k in range(2, n + 1):
             printed = form(n, k)
             out.append(FormulaAudit(family, n, k, printed, sgut[k], printed == sgut[k]))

@@ -71,14 +71,19 @@ class Graph:
         return tuple(out)
 
 
+def _require_order(n: int) -> None:
+    """Refuse an order outside 1..MAX_ORDER, before any row is built."""
+    if not 1 <= n <= MAX_ORDER:
+        raise OrderTooLarge(f"order must be between 1 and {MAX_ORDER}, got {n}")
+
+
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from an edge list.
 
     Duplicate edges collapse silently; a loop raises LoopEdge and an
     endpoint outside 0..n-1 raises IndexOutOfRange.
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    _require_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -94,8 +99,7 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
 def from_adjacency(rows: Sequence[int]) -> Graph:
     """Build a graph from bitmask adjacency rows (must be symmetric, loop-free)."""
     n = len(rows)
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    _require_order(n)
     full = (1 << n) - 1
     for i, row in enumerate(rows):
         if row & ~full:
@@ -199,8 +203,7 @@ def edge_mask(g: Graph) -> int:
 
 def from_edge_mask(n: int, em: int) -> Graph:
     """Inverse of edge_mask: unpack a column-major upper-triangle bitmask."""
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderTooLarge(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    _require_order(n)
     if em >> (n * (n - 1) // 2):
         raise IndexOutOfRange(f"edge bits beyond an order-{n} upper triangle")
     rows = [0] * n

@@ -14,14 +14,14 @@ indices for every k at once: the vertices split into a low and a high half,
 the degree product, degree sum and size of a subset factor into per-half
 values, and each high-half row of the table is weighted and summed as one
 big int with a 64-bit lane per low-half mask (a checked bound keeps every
-lane from wrapping).  ``_sums(g)`` builds G's table and returns that
-pass's result, and the table is dropped: the sums are the only per-graph
-value, and a caller that wants several k or indices of one graph keeps
-them (``bounds.GraphContext`` does).  The bound layer reads only sgut and
-sw, so its sums skip the sdd accumulator (``sdd=False``), and a sweep
-reads a batch's sums from ``_batch_sums``, which builds the tables of
-each order in one batched pass.  Every public index guards G's
-connectivity and k before any table is built.
+lane from wrapping).  ``_sums(graphs)`` builds the tables of a batch of
+graphs of one order in one pass (a single graph is a batch of one), keeps
+each graph's sums and drops the tables; a caller that wants several k or
+indices of one graph keeps the sums (``bounds.GraphContext`` does).  The
+bound layer and the formula audit read only sgut and sw, so they skip the
+sdd accumulator (``sdd=False``).  ``_require_k`` is the one check of k
+(2..n, 1..n for steiner_wiener); ``_guard`` runs it after G's
+connectivity, before any table is built.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange, OrderTooLarge
 from .graph import Graph, is_connected
-from .steiner import _tables, pairwise_distances, steiner_all_subsets
+from .steiner import _tables, pairwise_distances
 
 
 # Extremal objectives (verify.find_extremal): the max or min of SGut_k(G), or
@@ -44,12 +44,17 @@ from .steiner import _tables, pairwise_distances, steiner_all_subsets
 OBJECTIVES = ("max-sgut", "min-sgut", "max-sum", "min-sum", "max-product", "min-product")
 
 
+def _require_k(n: int, k: int, lo: int = 2) -> None:
+    """Refuse a k outside lo..n, the domain of every index at order n."""
+    if not lo <= k <= n:
+        raise KOutOfRange(f"k must satisfy {lo} <= k <= {n}, got {k}")
+
+
 def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
     """The guards of every index, in order: Disconnected, then KOutOfRange."""
     if not connected:
         raise Disconnected("invariant defined for connected graphs only")
-    if not lo <= k <= g.n:
-        raise KOutOfRange(f"k must satisfy {lo} <= k <= {g.n}, got {k}")
+    _require_k(g.n, k, lo)
 
 
 class _Sums(NamedTuple):
@@ -125,23 +130,17 @@ def _all_k_sums(dist: bytes, n: int, degs: Tuple[int, ...], sdd: bool = True) ->
     return _Sums(sgut, sw, tuple(sum(s[a:b]) + sum(map(mul, ws[a:b], w[a:b])) for a, b in ranges))
 
 
-def _sums(g: Graph, sdd: bool = True) -> _Sums:
-    """The all-k sums of a connected ``g``, from a table built for this call;
-    sdd is None unless asked for."""
-    return _all_k_sums(steiner_all_subsets(g).dist, g.n, g.degrees, sdd)
-
-
-def _batch_sums(graphs: Sequence[Graph]) -> List[_Sums]:
-    """sgut and sw (sdd None) of connected ``graphs`` of one order, their
-    tables built in one batched pass."""
-    return [_all_k_sums(t.dist, g.n, g.degrees, sdd=False) for g, t in zip(graphs, _tables(graphs))]
+def _sums(graphs: Sequence[Graph], sdd: bool = True) -> List[_Sums]:
+    """The all-k sums of connected ``graphs`` of one order, their tables
+    built in one batched pass; sdd is None unless asked for."""
+    return [_all_k_sums(t.dist, g.n, g.degrees, sdd) for g, t in zip(graphs, _tables(graphs))]
 
 
 def _index_sums(g: Graph, k: int, lo: int = 2) -> _Sums:
     """The all-k sums of ``g`` for an index request at ``k``, guarded (one
     flood of ``g``) before any table is built."""
     _guard(is_connected(g), g, k, lo)
-    return _sums(g)
+    return _sums([g])[0]
 
 
 def steiner_gutman(g: Graph, k: int) -> int:
@@ -161,10 +160,10 @@ def steiner_degree_distance(g: Graph, k: int) -> int:
 
 def gutman(g: Graph) -> int:
     """Classical Gutman index from the BFS distance matrix (no Steiner table)."""
-    if not is_connected(g):
-        raise Disconnected("invariant defined for connected graphs only")
+    # an order below 2 is connected, so this text comes before the guard's
     if g.n < 2:
         raise KOutOfRange("the Gutman index needs at least 2 vertices")
+    _guard(is_connected(g), g, 2)
     dm = pairwise_distances(g)
     degs = g.degrees
     total = 0

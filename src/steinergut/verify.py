@@ -39,6 +39,10 @@ process.
 
 Labeled enumeration builds one graph per edge bitmask, in ascending order,
 so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
+
+Requests are refused before any enumeration: the order by
+``_require_order``, each k by the index layer's one k rule,
+``indices._require_k`` (``_k_values`` runs it over a spec's k).
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
 from .canon import Key, _search, relabel_rows
-from .errors import Disconnected, KOutOfRange, NoCaseApplies, OrderTooLarge
+from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
-from .indices import OBJECTIVES
+from .indices import OBJECTIVES, _require_k
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -74,14 +78,12 @@ class EnumerationSpec:
 
 
 def _k_values(spec: EnumerationSpec) -> List[int]:
+    """The spec's k, sorted and deduplicated; each must lie in 2..n."""
     if spec.k_range == "all":
         return list(range(2, spec.n + 1))
-    ks = []
     for k in spec.k_range:
-        if not 2 <= k <= spec.n:
-            raise KOutOfRange(f"k={k} outside 2..{spec.n}")
-        ks.append(k)
-    return sorted(set(ks))
+        _require_k(spec.n, k)
+    return sorted(set(spec.k_range))
 
 
 Rows = Tuple[int, ...]
@@ -438,8 +440,7 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     _require_sweepable(spec)
-    if not 2 <= k <= spec.n:
-        raise KOutOfRange(f"k={k} outside 2..{spec.n}")
+    _require_k(spec.n, k)
     sense, quantity = objective.split("-", 1)
     best: Optional[int] = None
     hits: List[str] = []

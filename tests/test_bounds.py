@@ -461,7 +461,7 @@ def test_graphs_sharing_a_signature_share_rows_not_verdicts():
 def test_a_disconnected_graph_builds_no_table(count_calls):
     from steinergut import steiner
 
-    calls = count_calls(steiner, "steiner_all_subsets")
+    calls = count_calls(steiner, "_tables")
     g = from_edge_list(16, [(0, 1)])
     with pytest.raises(Disconnected):
         evaluate_bounds(g, 2)
@@ -472,4 +472,7 @@ def test_a_disconnected_graph_builds_no_table(count_calls):
     # a bad k on a connected graph is refused before its table too
     with pytest.raises(KOutOfRange):
         evaluate_bounds(path(16), 17)
+    with pytest.raises(KOutOfRange) as err:
+        evaluate_bounds(path(5), 9)
+    assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
     assert calls == []

@@ -93,7 +93,7 @@ def test_compute_guards_a_gut_only_query(tmp_path, g6, k, message):
 def test_compute_gut_only_builds_no_table(tmp_path, count_calls):
     from steinergut import steiner
 
-    tables = count_calls(steiner, "steiner_all_subsets")
+    tables = count_calls(steiner, "_tables")
     path = write(tmp_path, "g.g6", "Ch\n")
     code, out, _ = run(["compute", "--graph", path, "--indices", "gut"])
     assert code == 0
@@ -104,7 +104,7 @@ def test_compute_gut_only_builds_no_table(tmp_path, count_calls):
 def test_compute_all_k_builds_one_table_per_graph(tmp_path, count_calls):
     from steinergut import steiner
 
-    tables = count_calls(steiner, "steiner_all_subsets")
+    tables = count_calls(steiner, "_tables")
     path = write(tmp_path, "g.g6", "Bg\nCh\nDhc\n")
     code, out, _ = run(["compute", "--graph", path, "--k", "all"])
     assert code == 0
@@ -170,7 +170,7 @@ def test_batch_error_names_the_file_line_and_graph(tmp_path, command):
 def test_batch_above_the_table_cap_builds_no_table(tmp_path, count_calls, command):
     from steinergut import steiner
 
-    calls = count_calls(steiner, "steiner_all_subsets")
+    calls = count_calls(steiner, "_tables")
     p21 = graph6_encode(from_edge_list(21, [(i, i + 1) for i in range(20)]))
     # line 1 could be computed, but line 2 is refused before any table is built
     path = write(tmp_path, "g.g6", f"Dhc\n{p21}\n")
@@ -182,9 +182,10 @@ def test_batch_above_the_table_cap_builds_no_table(tmp_path, count_calls, comman
 
 
 def test_compute_rejects_bad_k(tmp_path):
-    path = write(tmp_path, "g.g6", "Bg\n")
-    code, _, err = run(["compute", "--graph", path, "--k", "7"])
-    assert code == 1
+    path = write(tmp_path, "g.g6", "Dhc\n")
+    code, out, err = run(["compute", "--graph", path, "--k", "9"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:1: Dhc: k must satisfy 2 <= k <= 5, got 9\n"
     code, _, err = run(["compute", "--graph", path, "--k", "two"])
     assert code == 1
 
@@ -228,10 +229,12 @@ def test_bounds_reports_skipped_groups(tmp_path):
 
 @pytest.mark.parametrize(
     "g6, k, error",
-    [("A?", "2", "invariant defined for connected graphs only"), ("A_", "5", "k must satisfy")],
+    [("A?", "2", "invariant defined for connected graphs only"), ("A_", "5", "k must satisfy"),
+     ("Dhc", "9", "k must satisfy 2 <= k <= 5, got 9")],
 )
 def test_bounds_guards_the_graph_and_k_even_when_every_group_is_skipped(tmp_path, g6, k, error):
-    # order 2 is below prop21's least order, so prop21 is skipped either way
+    # order 2 is below prop21's least order, so prop21 is skipped either way;
+    # C5 runs it, and its bad k reads the same text
     path = write(tmp_path, "g.g6", f"{g6}\n")
     code, out, err = run(["bounds", "--graph", path, "--k", k, "--set", "prop21"])
     assert code == 1
@@ -316,9 +319,9 @@ def test_verify_k_filter():
 
 
 def test_verify_rejects_out_of_range_k():
-    code, _, err = run(["verify", "--n-max", "5", "--k", "9"])
-    assert code == 1
-    assert "usage error" in err
+    code, out, err = run(["verify", "--n-max", "5", "--k", "9"])
+    assert (code, out) == (1, "")
+    assert err == "error: k must satisfy 2 <= k <= 5, got 9\n"
 
 
 def test_verify_rejects_dedup_labeled_conflict():
@@ -509,7 +512,7 @@ def test_bounds_builds_the_complement_table_only_for_a_paired_group(
     # runnable paired group reads the complement's
     from steinergut import steiner
 
-    calls = count_calls(steiner, "steiner_all_subsets")
+    calls = count_calls(steiner, "_tables")
     path = write(tmp_path, "c5.g6", "Dhc\n")
     code, _, _ = run(["bounds", "--graph", path, "--k", "all", "--set", bound_set])
     assert code == 0
@@ -566,7 +569,7 @@ def test_verify_csv_dash_and_stdout_report_is_one_file(tmp_path, monkeypatch, ou
     [
         ("0", "2", "error: enumeration handles orders 1..8, got 0"),
         ("9", "10", "error: enumeration handles orders 1..8, got 9"),
-        ("5", "6", "error: k=6 outside 2..5"),
+        pytest.param("5", "9", "error: k must satisfy 2 <= k <= 5, got 9", id="5-9-bad-k"),
     ],
 )
 def test_extremal_checks_the_order_before_k(n, k, line):
@@ -579,7 +582,7 @@ def test_extremal_checks_the_order_before_k(n, k, line):
 def test_audit_formulas_above_the_table_cap_builds_no_table(count_calls):
     from steinergut import steiner
 
-    calls = count_calls(steiner, "steiner_all_subsets")
+    calls = count_calls(steiner, "_tables")
     code, out, err = run(["audit-formulas", "--n-max", "21"])
     assert code == 1
     assert out == ""
@@ -602,11 +605,12 @@ def test_audit_formulas_below_order_two_builds_no_table(count_calls):
 def test_audit_formulas_builds_one_table_per_family_and_order(count_calls):
     from steinergut import steiner
 
-    calls = count_calls(steiner, "steiner_all_subsets")
+    calls = count_calls(steiner, "_tables")
     code, _, _ = run(["audit-formulas", "--n-max", "6"])
     assert code == 2
-    # star, complete and path at each order 2..6, whatever the number of k
-    assert sorted(args[0].n for args in calls) == [n for n in range(2, 7) for _ in range(3)]
+    # star, complete and path at each order 2..6, whatever the number of k,
+    # in one batched pass per order
+    assert [[g.n for g in batch] for batch, in calls] == [[n] * 3 for n in range(2, 7)]
 
 
 # argv fuzz: each subcommand's options, mostly with values it accepts, some

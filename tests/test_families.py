@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from steinergut import (
@@ -5,6 +7,7 @@ from steinergut import (
     FamilySpec,
     InvalidFamilyOrder,
     KOutOfRange,
+    OrderTooLarge,
     audit_for_order,
     audit_formulas,
     closed_form_complete_corrected,
@@ -47,11 +50,31 @@ def test_generate_rejects_bad_specs():
         generate(FamilySpec("complete_minus_perfect_matching", 2))
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [("path", 100_000), ("cycle", 100_000), ("star", 100_000), ("complete", 1_000),
+     ("complete", 2_000), ("complete_minus_perfect_matching", 1_000)],
+)
+def test_an_order_past_the_cap_is_refused_before_any_edge_is_built(name, n):
+    # a listed edge set would take 9 to 213 MiB here; the refusal must not build it
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge):
+            generate(FamilySpec(name, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (name, n, peak)
+
+
 def test_closed_form_guards():
     with pytest.raises(KOutOfRange):
         closed_form_star(5, 1)
     with pytest.raises(KOutOfRange):
         closed_form_star(5, 6)
+    with pytest.raises(KOutOfRange) as err:
+        closed_form_star(5, 9)
+    assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
     with pytest.raises(InvalidFamilyOrder):
         closed_form_star(1, 1)
 

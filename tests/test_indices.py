@@ -20,7 +20,7 @@ from steinergut import (
     steiner_gutman,
     steiner_wiener,
 )
-from steinergut.indices import _all_k_sums, _batch_sums, _sums
+from steinergut.indices import _all_k_sums, _sums
 from strategies import connected_graphs
 
 
@@ -57,7 +57,7 @@ def test_wiener_k1_is_zero():
 def test_k_guards(count_calls):
     from steinergut import steiner
 
-    tables = count_calls(steiner, "steiner_all_subsets")
+    tables = count_calls(steiner, "_tables")
     g = path(4)
     with pytest.raises(KOutOfRange):
         steiner_gutman(g, 1)
@@ -69,6 +69,9 @@ def test_k_guards(count_calls):
     with pytest.raises(KOutOfRange) as err:
         steiner_gutman(path(20), 99)
     assert str(err.value) == "k must satisfy 2 <= k <= 20, got 99"
+    with pytest.raises(KOutOfRange) as err:
+        steiner_gutman(path(5), 9)
+    assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
     assert len(tables) == 0
 
 
@@ -141,7 +144,7 @@ def test_all_k_sums_match_direct_subset_sums(n):
     for _ in range(4):
         g = _seeded_connected(rng, n)
         dist = steiner_all_subsets(g).dist
-        sums = _sums(g)
+        (sums,) = _sums([g])
         assert sums.sw[1] == steiner_wiener(g, 1) == 0
         for k in range(2, n + 1):
             got = (sums.sgut[k], sums.sw[k], sums.sdd[k])
@@ -157,7 +160,7 @@ def test_every_index_rejects_a_disconnected_graph(count_calls):
     from steinergut import steiner
 
     g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
-    tables = count_calls(steiner, "steiner_all_subsets")
+    tables = count_calls(steiner, "_tables")
     for index in (steiner_gutman, steiner_wiener, steiner_degree_distance):
         for k in range(2, 6):
             with pytest.raises(Disconnected):
@@ -186,7 +189,7 @@ def test_complete_graph_at_the_table_cap():
     # k-set has Steiner distance k - 1
     n = 20
     g = complete(n)
-    sums = _sums(g)
+    (sums,) = _sums([g])
     for k in range(2, n + 1):
         sets = (k - 1) * comb(n, k)
         assert sums.sgut[k] == sets * 19**k
@@ -198,7 +201,7 @@ def test_complete_graph_at_the_table_cap():
 def test_order_20_closed_values(name):
     n = 20
     g = path(n) if name == "P20" else _seeded_connected(random.Random(20), n)
-    sums = _sums(g)
+    (sums,) = _sums([g])
     # the whole vertex set spans a tree; k = 2 is the BFS Gutman index
     assert sums.sgut[n] == (n - 1) * prod(g.degrees)
     assert sums.sw[n] == n - 1
@@ -227,11 +230,12 @@ def test_the_sdd_free_pass_keeps_sgut_and_sw():
     from steinergut import EnumerationSpec, enumerate_graphs
 
     for n in range(1, 8):
-        for g in enumerate_graphs(EnumerationSpec(n=n)):
-            full, lean = _sums(g), _sums(g, sdd=False)
+        graphs = enumerate_graphs(EnumerationSpec(n=n))
+        for g, full, lean in zip(graphs, _sums(graphs), _sums(graphs, sdd=False)):
             assert (lean.sgut, lean.sw, lean.sdd) == (full.sgut, full.sw, None), g.adj
 
 
 def test_batched_sums_match_each_graphs_own():
     graphs = [path(6), cycle(6), from_edge_list(6, [(0, v) for v in range(1, 6)])]
-    assert _batch_sums(graphs) == [_sums(g, sdd=False) for g in graphs]
+    for sdd in (True, False):
+        assert _sums(graphs, sdd) == [_sums([g], sdd)[0] for g in graphs]

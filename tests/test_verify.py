@@ -364,6 +364,9 @@ def test_find_extremal_guards():
         find_extremal(EnumerationSpec(n=4), 2, "max-girth")
     with pytest.raises(KOutOfRange):
         find_extremal(EnumerationSpec(n=4), 5, "max-sgut")
+    with pytest.raises(KOutOfRange) as err:
+        find_extremal(EnumerationSpec(n=5), 9, "max-sgut")
+    assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
 
 
 def test_verify_report_bytes_match_golden_digests(tmp_path):
@@ -585,12 +588,13 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
         audits += len(families._PRINTED_FORMS)
     assert (scanned, checks) == (739, 69552)
     # G's and the complement's table block per graph, plus one per formula
-    # audit family member; each block's all-k sums are computed once, and a
-    # sweep builds all the blocks of a batch in one pass
+    # audit family member; each block's all-k sums are computed once, a
+    # sweep builds all the blocks of a batch in one pass, and an order's
+    # audit its three family members in one
     blocks = [g for batch, in tables for g in batch]
     assert len(blocks) == len(sums) == 2 * scanned + audits == 1496
     batches = sum(-(-len(pool) // verify.BATCH) for pool in pools)
-    assert len(tables) == audits + batches == 18 + 15
+    assert len(tables) == len(specs) + batches == 6 + 15
     assert len(complements) == scanned
     # one guard per (graph, k) and per tight (graph, k)'s witness; the checks
     # and the audit read their graph's sums, never a public index function
@@ -611,10 +615,10 @@ def test_a_sweep_without_the_coconnected_filter_tables_connected_graphs_only(cou
     blocks = [g for batch, in tables for g in batch]
     assert all(is_connected(g) for g in blocks)
     # 112 graphs, the 68 connected complements and 3 formula audit tables,
-    # in 2 sweep batches and 3 audit passes
+    # in 2 sweep batches and 1 audit pass
     coconnected = sum(is_connected(complement(g)) for g in pool)
     assert len(blocks) == len(pool) + coconnected + 3 == 183
-    assert len(tables) == 5
+    assert len(tables) == 3
 
 
 def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
@@ -648,19 +652,19 @@ def test_a_search_over_disconnected_graphs_is_refused_before_enumerating(
 
 
 @pytest.mark.parametrize(
-    "n, error, text",
-    [(7, KOutOfRange, "k=99 outside 2..7"),
-     (9, OrderTooLarge, "enumeration handles orders 1..8, got 9")],
+    "n, k, error, text",
+    [(5, 9, KOutOfRange, "k must satisfy 2 <= k <= 5, got 9"),
+     (9, 99, OrderTooLarge, "enumeration handles orders 1..8, got 9")],
     ids=["bad-k", "order-first"],
 )
 def test_a_sweep_with_a_bad_k_is_refused_before_enumerating(
-    fresh_levels, count_calls, n, error, text
+    fresh_levels, count_calls, n, k, error, text
 ):
     from steinergut import canon
 
     canons = count_calls(canon, "_search")
     with pytest.raises(error) as err:
-        sweep(EnumerationSpec(n=n, k_range=(99,)))
+        sweep(EnumerationSpec(n=n, k_range=(k,)))
     assert str(err.value) == text
     assert len(canons) == 0
 
