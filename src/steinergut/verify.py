@@ -9,19 +9,21 @@ groups run on a graph is decided once per graph, when its
 (too small an order, disconnected complement) are skipped quietly and never
 counted as run.
 
-Enumeration is capped at order 8.  Deduped enumeration builds each level by
-attaching one new vertex to every canonical graph of the previous level.  A
-parent's automorphisms map attachment masks to masks giving isomorphic
-children, so only the least mask of each orbit is tried; the orbits are
-closed over generators of the group (the optimal orderings of the parent's
-twin-pruned canonical search and a transposition per consecutive pair of
-each twin class), never over the whole group.  A child is kept only if no
-vertex that may be deleted (any vertex, or a non-cut one when only
-connected graphs are built) is smaller than the new vertex by (degree,
-sorted neighbour degrees), an isomorphism invariant: every class can be
-rebuilt from the deletion of a least such vertex, so none is lost, and most
-duplicate children are dropped before they cost a canon.  Each kept child
-gets one lex-min canon, and children are deduped by its key.
+Enumeration is capped at order 8.  Deduped enumeration grows connected
+classes only: it builds each level by attaching one new vertex to every
+canonical connected graph of the previous level.  A parent's automorphisms
+map attachment masks to masks giving isomorphic children, so only the
+least mask of each orbit is tried; the orbits are closed over generators
+of the group (the optimal orderings of the parent's twin-pruned canonical
+search and a transposition per consecutive pair of each twin class), never
+over the whole group.  A child is kept only if no non-cut vertex is
+smaller than the new vertex by (degree, sorted neighbour degrees), an
+isomorphism invariant: every class can be rebuilt from the deletion of a
+least such vertex, so none is lost, and most duplicate children are dropped
+before they cost a canon.  Each kept child gets one lex-min canon, and
+children are deduped by its key.  A disconnected graph has a connected
+complement, so the disconnected classes of an order are the canonical
+forms of the disconnected complements of its connected level.
 
 Levels and sweeps are mapped in batches of up to ``BATCH`` items with the
 caller's ``map`` (the builtin one in process, or a process pool's, which
@@ -54,7 +56,7 @@ from functools import partial
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
-from .canon import Key, _search, relabel_rows
+from .canon import Key, _search, canonical_graph, relabel_rows
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
@@ -108,14 +110,13 @@ def _generators(parent: Rows) -> List[Tuple[int, ...]]:
     return gens
 
 
-def _orbit_minima(gens: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[int]:
-    """The least mask of each orbit, on the masks lo..2^width - 1, of the
-    group ``gens`` generate.
+def _orbit_minima(gens: Sequence[Tuple[int, ...]], width: int) -> List[int]:
+    """The least mask of each orbit, on the non-empty masks below 2^width,
+    of the group ``gens`` generate.
 
     Each generator's images of all masks are tabled once.  Masks are
     visited in ascending order, so the first mask of an orbit met is its
-    least; its orbit is then closed over the tables.  ``lo`` is 0 or 1, and
-    the empty mask is a one-mask orbit, so the range is a union of orbits.
+    least; its orbit is then closed over the tables.
     """
     size = 1 << width
     tables = []
@@ -127,7 +128,7 @@ def _orbit_minima(gens: Sequence[Tuple[int, ...]], lo: int, width: int) -> List[
         tables.append(image)
     covered = bytearray(size)
     minima = []
-    for mask in range(lo, size):
+    for mask in range(1, size):
         if covered[mask]:
             continue
         minima.append(mask)
@@ -156,19 +157,18 @@ def _batches(items: Sequence) -> List[Sequence]:
     return [items[i : i + BATCH] for i in range(0, len(items), BATCH)]
 
 
-# Every level built so far, keyed by (order, connected only); shared by all
-# callers in the process whatever map built the level.
-_LEVELS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
+# Every connected level built so far, keyed by order; shared by all callers
+# in the process whatever map built the level.
+_LEVELS: Dict[int, Tuple[Graph, ...]] = {}
 
 
-def _keeps(rows: Rows, connected_only: bool) -> bool:
-    """The deletion rule: no deletable vertex is smaller than the new, last one
+def _keeps(rows: Rows) -> bool:
+    """The deletion rule: no non-cut vertex is smaller than the new, last one
     by (degree, sorted degrees of its neighbours).
 
-    In all-graphs mode every vertex is deletable; in connected mode only the
-    non-cut ones are, so a smaller vertex rejects the child only when the
-    rest stays connected without it.  The neighbour degrees are compared
-    only between vertices of one degree, where they have one length.
+    A smaller vertex rejects the child only when the rest stays connected
+    without it.  The neighbour degrees are compared only between vertices
+    of one degree, where they have one length.
     """
     n = len(rows)
     degs = [r.bit_count() for r in rows]
@@ -187,15 +187,13 @@ def _keeps(rows: Rows, connected_only: bool) -> bool:
         else:
             smaller = degs[u] < d
         if smaller:
-            if not connected_only:
-                return False
             rest = full ^ 1 << u
             if _flood(rows, rest & -rest, rest) == rest:
                 return False
     return True
 
 
-def _children(n: int, connected_only: bool, parents: Sequence[Rows]) -> Dict[Key, Rows]:
+def _children(n: int, parents: Sequence[Rows]) -> Dict[Key, Rows]:
     """A batch of parents' kept children: canonical key -> canonical rows.
 
     Only the least attachment mask of each orbit of a parent's automorphism
@@ -205,31 +203,28 @@ def _children(n: int, connected_only: bool, parents: Sequence[Rows]) -> Dict[Key
     found: Dict[Key, Rows] = {}
     for parent in parents:
         base = list(parent) + [0]
-        for mask in _orbit_minima(_generators(parent), int(connected_only), n - 1):
+        for mask in _orbit_minima(_generators(parent), n - 1):
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
-            if _keeps(rows, connected_only):
+            if _keeps(rows):
                 key, orderings, _ = _search(rows)
                 if key not in found:
                     found[key] = relabel_rows(rows, orderings[0])
     return found
 
 
-def _build_level(
-    parents: Sequence[Graph], n: int, connected_only: bool, mapper: Callable
-) -> Tuple[Graph, ...]:
-    """The order-n classes grown from the order-(n-1) classes ``parents``.
+def _build_level(parents: Sequence[Graph], n: int, mapper: Callable) -> Tuple[Graph, ...]:
+    """The order-n connected classes grown from the order-(n-1) ones ``parents``.
 
-    A class C is rebuilt from C - v, where v is a vertex least by (degree,
-    sorted neighbour degrees) among those whose deletion leaves a graph of
-    the previous level (the non-cut vertices in connected mode, any vertex
-    otherwise).  Some orbit-minimum attachment to C - v is the image of N(v)
-    under an automorphism of C - v, so it gives a child isomorphic to C by
-    a map taking the new vertex to v; the rule's key is an isomorphism
-    invariant, so that vertex passes ``_keeps``: no class is lost.
+    A class C is rebuilt from C - v, where v is a non-cut vertex least by
+    (degree, sorted neighbour degrees).  Some orbit-minimum attachment to
+    C - v is the image of N(v) under an automorphism of C - v, so it gives a
+    child isomorphic to C by a map taking the new vertex to v; the rule's
+    key is an isomorphism invariant, so that vertex passes ``_keeps``: no
+    class is lost.
 
     ``mapper`` maps ``_children`` over batches of up to ``BATCH`` parents,
     and the key -> rows maps are merged with ``setdefault``.  The canonical
@@ -239,23 +234,22 @@ def _build_level(
     """
     seen: Dict[Key, Rows] = {}
     batches = _batches([g.adj for g in parents])
-    for found in mapper(partial(_children, n, connected_only), batches):
+    for found in mapper(partial(_children, n), batches):
         for key, rows in found.items():
             seen.setdefault(key, rows)
     graphs = [Graph(n, rows, sum(r.bit_count() for r in rows) // 2) for rows in seen.values()]
     return tuple(sorted(graphs, key=lambda g: (g.m, edge_mask(g))))
 
 
-def _canonical_graphs(n: int, connected_only: bool, mapper: Callable = map) -> Tuple[Graph, ...]:
-    """All order-n graphs up to isomorphism, in canonical labeling, cached per level."""
-    key = (n, connected_only)
-    if key not in _LEVELS:
+def _canonical_graphs(n: int, mapper: Callable = map) -> Tuple[Graph, ...]:
+    """All connected order-n graphs up to isomorphism, in canonical labeling,
+    cached per level."""
+    if n not in _LEVELS:
         if n == 1:
-            _LEVELS[key] = (Graph(1, (0,), 0),)
+            _LEVELS[n] = (Graph(1, (0,), 0),)
         else:
-            parents = _canonical_graphs(n - 1, connected_only, mapper)
-            _LEVELS[key] = _build_level(parents, n, connected_only, mapper)
-    return _LEVELS[key]
+            _LEVELS[n] = _build_level(_canonical_graphs(n - 1, mapper), n, mapper)
+    return _LEVELS[n]
 
 
 def _require_order(spec: EnumerationSpec) -> None:
@@ -278,15 +272,19 @@ def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Grap
     """Materialize the graphs selected by ``spec``, in deterministic order.
 
     Deduped mode orders canonical representatives by (edge count, edge
-    bitmask); labeled mode orders by ascending edge bitmask.  Levels not yet
-    cached are built with ``mapper`` (the builtin ``map``, or a process
-    pool's ``map``), a batch of parents per item; the result does not
-    depend on it.
+    bitmask), and adds to the connected level the canonical forms of its
+    disconnected complements when disconnected graphs are admitted; labeled
+    mode orders by ascending edge bitmask.  Connected levels not yet cached
+    are built with ``mapper`` (the builtin ``map``, or a process pool's
+    ``map``), a batch of parents per item; the result does not depend on it.
     """
     n = spec.n
     _require_order(spec)
     if spec.dedup_isomorphism:
-        pool: Sequence[Graph] = _canonical_graphs(n, spec.require_connected, mapper)
+        pool: Sequence[Graph] = _canonical_graphs(n, mapper)
+        if not spec.require_connected:
+            apart = [canonical_graph(h) for h in map(complement, pool) if not is_connected(h)]
+            pool = sorted([*pool, *apart], key=lambda g: (g.m, edge_mask(g)))
     else:
         pool = [from_edge_mask(n, em) for em in range(1 << (n * (n - 1) // 2))]
         if spec.require_connected:

@@ -41,7 +41,7 @@ from steinergut import cli, verify
 from strategies import connected_graphs
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 # sha256 of the newline-joined graph6 names of each order's representatives,
 # in enumeration order, pinned from the per-child lex-min enumeration
@@ -63,6 +63,7 @@ ALL_SHA256 = {
     5: "f0873ff2845aaf3a2361070b33817be75aaf7ce26ab7d6ddbaa2ef10f74da8a7",
     6: "8c2ac94669060bf7f71857ea64a41bd9c3d6c84703ad060e1f15313499329546",
     7: "117dd47c6d5b4f85505258fc80bf8392edc69caa6a7d088d3ff05c8bdced692b",
+    8: "15df279625ac1942f35f624a788466d818c42b19f40a65d4534a59e77966fac4",
 }
 
 
@@ -429,15 +430,31 @@ def test_pool_enumeration_matches_golden_digests(fresh_levels):
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slicing_does_not_change_any_level(connected, monkeypatch):
-    levels = []
+    levels, outputs = [], []
     for chunksize in CHUNKSIZES:
         monkeypatch.setattr(verify, "_LEVELS", {})
         spec = EnumerationSpec(n=7, require_connected=connected)
         with mapping(chunksize) as mapper:
-            enumerate_graphs(spec, mapper)
+            outputs.append(enumerate_graphs(spec, mapper))
         levels.append(dict(verify._LEVELS))
+    assert outputs[0] == outputs[1] == outputs[2]
     assert levels[0] == levels[1] == levels[2]
-    assert sorted(levels[0]) == [(n, connected) for n in range(1, 8)]
+    assert sorted(levels[0]) == list(range(1, 8))
+
+
+def test_disconnected_classes_cost_one_search_each(count_calls):
+    # the disconnected classes of order 8 are the canonical forms of the
+    # disconnected complements of the connected level: one search for each
+    # of the A000088(8) - A001349(8) = 12,346 - 11,117 classes
+    from steinergut import canon
+
+    for n in range(1, 9):
+        enumerate_graphs(EnumerationSpec(n=n))
+    canons = count_calls(canon, "_search")
+    got = enumerate_graphs(EnumerationSpec(n=8, require_connected=False))
+    assert len(got) == 12346
+    assert len(canons) == 1229
+    assert sorted(verify._LEVELS) == list(range(1, 9))
 
 
 def test_enumeration_canonises_each_class_once(monkeypatch):
@@ -465,8 +482,8 @@ def test_enumeration_canonises_each_class_once(monkeypatch):
         assert canons.value == 13854, chunksize
 
 
-def _full_group_minima(auts, lo, width):
-    """The masks lo..2^width - 1 that no automorphism maps below themselves."""
+def _full_group_minima(auts, width):
+    """The non-empty masks below 2^width that no automorphism maps below themselves."""
     least = list(range(1 << width))
     for seq in auts:
         image = [0] * (1 << width)
@@ -474,18 +491,17 @@ def _full_group_minima(auts, lo, width):
             top = mask.bit_length() - 1
             image[mask] = image[mask ^ 1 << top] | 1 << seq[top]
         least = list(map(min, least, image))
-    return [mask for mask in range(lo, 1 << width) if least[mask] == mask]
+    return [mask for mask in range(1, 1 << width) if least[mask] == mask]
 
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_generator_orbit_minima_match_the_full_groups(connected):
     # the parents of the order-7 and order-8 levels: the orbits closed over
     # a parent's generators are those of its whole automorphism group
-    lo = int(connected)
     for n in (6, 7):
         for g in enumerate_graphs(EnumerationSpec(n=n, require_connected=connected)):
-            full = _full_group_minima(canonical_key_and_perms(g.adj)[1], lo, n)
-            assert verify._orbit_minima(verify._generators(g.adj), lo, n) == full, g
+            full = _full_group_minima(canonical_key_and_perms(g.adj)[1], n)
+            assert verify._orbit_minima(verify._generators(g.adj), n) == full, g
 
 
 def _rows(n, edges):
@@ -496,8 +512,7 @@ def test_deletion_rule_rejects_a_smaller_degree_non_cut_vertex():
     # the 3-path 0-1-2 with the new vertex 3 joined to all three: vertex 0
     # has degree 2 < 3 and the rest stays connected without it
     rows = _rows(4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2)])
-    assert not verify._keeps(rows, True)
-    assert not verify._keeps(rows, False)
+    assert not verify._keeps(rows)
 
 
 def test_deletion_rule_ignores_a_smaller_degree_cut_vertex():
@@ -505,9 +520,7 @@ def test_deletion_rule_ignores_a_smaller_degree_cut_vertex():
     # degree 3, and every non-cut vertex has degree at least 3
     k4s = [(u, v) for block in ((0, 1, 2, 3), (5, 6, 7, 8)) for u, v in combinations(block, 2)]
     rows = _rows(9, k4s + [(3, 4), (4, 5)])
-    assert verify._keeps(rows, True)
-    # with every vertex deletable, vertex 4 rejects the child
-    assert not verify._keeps(rows, False)
+    assert verify._keeps(rows)
 
 
 def test_deletion_rule_rejects_a_non_cut_vertex_with_smaller_neighbour_degrees():
@@ -515,8 +528,7 @@ def test_deletion_rule_rejects_a_non_cut_vertex_with_smaller_neighbour_degrees()
     # degree, but the leaf 0 has the new vertex's degree, and its neighbour's
     # degree 2 is below the new one's 3
     rows = _rows(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    assert not verify._keeps(rows, True)
-    assert not verify._keeps(rows, False)
+    assert not verify._keeps(rows)
 
 
 def test_deletion_rule_ignores_a_cut_vertex_with_smaller_neighbour_degrees():
@@ -527,9 +539,7 @@ def test_deletion_rule_ignores_a_cut_vertex_with_smaller_neighbour_degrees():
     blocks = ((0, 1, 2, 3, 4), (6, 7, 8, 9))
     edges = [(u, v) for block in blocks for u, v in combinations(block, 2)]
     rows = _rows(11, edges + [(3, 5), (5, 6), (0, 10), (1, 10)])
-    assert verify._keeps(rows, True)
-    # with every vertex deletable, vertex 5 rejects the child
-    assert not verify._keeps(rows, False)
+    assert verify._keeps(rows)
 
 
 def _rank(g, v):
@@ -541,7 +551,7 @@ def _rank(g, v):
 def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
     # the premise of the enumeration: every class has a child that is kept,
     # the one whose new vertex is least by the rule's order among the
-    # deletable vertices
+    # non-cut vertices
     def last(v):
         return relabel(g, [u - (u > v) if u != v else g.n - 1 for u in range(g.n)]).adj
 
@@ -549,8 +559,7 @@ def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
         return min(vertices, key=lambda v: _rank(g, v))
 
     non_cut = [u for u in range(g.n) if induced_connected(g, g.full_mask ^ 1 << u)]
-    assert verify._keeps(last(least(non_cut)), True)
-    assert verify._keeps(last(least(range(g.n))), False)
+    assert verify._keeps(last(least(non_cut)))
 
 
 @pytest.mark.slow
@@ -558,7 +567,7 @@ def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
 def test_order_nine_level_matches_its_golden_digest(chunksize, fresh_levels):
     # above ENUMERATION_CAP, so the level is built directly; 55-120 s on 2 cores
     with mapping(chunksize) as mapper:
-        level = verify._canonical_graphs(9, True, mapper)
+        level = verify._canonical_graphs(9, mapper)
     assert len(level) == 261080
     assert _names_digest(level) == (
         "ecaa74d8e3822ff8af5ef9bbc0f57044d74d41bc8c54d50531b30c6754dc643f"
