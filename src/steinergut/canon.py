@@ -25,12 +25,11 @@ cell of two or more leaves the chain's decisions unchanged, so the child's
 cell is the rest of the cell filtered by x alone, in O(1); only the child of
 a one-member cell walks its chain again.
 
-Enumeration dedups children by the canonical key itself: its deletion rule
-leaves so few children per class that a cheaper isomorphism test in front
-of the canon would cost more than it saves.  It reads only the pruned
-search: a child its key and first ordering, a parent generators of its
-automorphism group (its non-identity orderings and one transposition per
-consecutive pair of each twin class), never the whole group.
+Enumeration reads only the pruned search: a child its orderings and twin
+classes, for its canonical form and the canonical-deletion test that
+accepts it, a parent generators of its automorphism group (its
+non-identity orderings and one transposition per consecutive pair of each
+twin class), never the whole group.
 
 ``canonical_key_and_perms`` still returns every optimal ordering, each
 pruned one expanded by the permutations of every twin class, so factorial

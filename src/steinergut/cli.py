@@ -375,10 +375,10 @@ def _cmd_verify(args, out, err) -> int:
         CSV_HEADER,
         EnumerationSpec,
         _k_values,
+        _masks,
         _require_order,
-        enumerate_graphs,
+        _sweep,
         report_to_dict,
-        sweep,
     )
 
     ids = _bound_ids(args.bound_set)
@@ -420,9 +420,9 @@ def _cmd_verify(args, out, err) -> int:
                 ks = "all" if k_range == "all" else tuple(k for k in k_range if k <= n)
                 spec = replace(top, n=n, k_range=ks)
                 start = time.perf_counter()
-                graphs = enumerate_graphs(spec, mapper)
+                masks = _masks(spec, mapper)
                 enumerated = time.perf_counter()
-                report = sweep(spec, ids, graphs=graphs, csv_out=csv_fh, mapper=mapper)
+                report = _sweep(spec, tuple(ids), masks, csv_fh, mapper)
                 swept = time.perf_counter()
                 reports.append(report)
                 print(

@@ -210,6 +210,9 @@ def from_edge_mask(n: int, em: int) -> Graph:
     for j in range(1, n):
         col = em >> (j * (j - 1) // 2) & ((1 << j) - 1)
         rows[j] |= col
-        for i in iter_bits(col):
-            rows[i] |= 1 << j
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(rows), em.bit_count())

@@ -18,26 +18,29 @@ of the group (the optimal orderings of the parent's twin-pruned canonical
 search and a transposition per consecutive pair of each twin class), never
 over the whole group.  A child is kept only if no non-cut vertex is
 smaller than the new vertex by (degree, sorted neighbour degrees), an
-isomorphism invariant: every class can be rebuilt from the deletion of a
-least such vertex, so none is lost, and most duplicate children are dropped
-before they cost a canon.  Each kept child gets one lex-min canon, and
-children are deduped by its key.  A disconnected graph has a connected
-complement, so the disconnected classes of an order are the canonical
-forms of the disconnected complements of its connected level.
+isomorphism invariant, so most children that would repeat a class are
+dropped before they cost a canon.  Each kept child gets one lex-min canon,
+and McKay's canonical-deletion test (``_accepts``) reads that search to
+accept each class from exactly one child, with no map of the classes seen.
+A disconnected graph has a connected complement, so the disconnected
+classes of an order are the canonical forms of the disconnected
+complements of its connected level.
 
-Levels and sweeps are mapped in batches of up to ``BATCH`` items with the
-caller's ``map`` (the builtin one in process, or a process pool's, which
-sends each batch as one task): ``_children`` maps a batch of parents to
-canonical key -> canonical rows of their kept children, and
-``_sweep_batch`` maps a batch of graphs, whose Steiner tables it builds in
-one pass, to its checks run, violations, tight cases and CSV rows.  Results
-are merged in input order; a class's canonical rows do not depend on which
-child found it and a level is sorted by (edge count, edge mask), so neither
-the map nor the batches change a level or a report.  ``sweep`` writes a
-batch's CSV rows as the batch comes back, so no check outlives its batch's
-text.  Built levels are kept in one cache for the life of the process,
-whichever map built them; the formula audit runs once, in the caller's
-process.
+A level is held as an ``array('Q')`` of canonical edge masks sorted by
+(edge count, edge mask); ``Graph`` objects are built only inside a batch,
+or by ``enumerate_graphs`` for its caller.  Levels and sweeps are mapped in
+batches of up to ``BATCH`` masks with the caller's ``map`` (the builtin one
+in process, or a process pool's, which sends each batch as one task):
+``_children`` maps a batch of parents to the canonical masks of their
+accepted children, and ``_sweep_batch`` maps a batch of graph masks, whose
+Steiner tables it builds in one pass, to its checks run, violations, tight
+cases and CSV rows.  Results are joined in input order; a class's canonical
+form does not depend on which child found it and a level is sorted, so
+neither the map nor the batches change a level or a report.  ``sweep``
+writes a batch's CSV rows as the batch comes back, so no check outlives its
+batch's text.  Built levels are kept in one cache for the life of the
+process, whichever map built them; the formula audit runs once, in the
+caller's process.
 
 Labeled enumeration builds one graph per edge bitmask, in ascending order,
 so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
@@ -51,16 +54,17 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, expand_bound_ids
-from .canon import Key, _search, canonical_graph, relabel_rows
+from .canon import _search, canonical_graph, relabel_rows
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
-from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
+from .graph import Graph, _flood, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
 from .indices import OBJECTIVES, _require_k
 
@@ -157,18 +161,21 @@ def _batches(items: Sequence) -> List[Sequence]:
     return [items[i : i + BATCH] for i in range(0, len(items), BATCH)]
 
 
-# Every connected level built so far, keyed by order; shared by all callers
-# in the process whatever map built the level.
-_LEVELS: Dict[int, Tuple[Graph, ...]] = {}
+# Every connected level built so far, keyed by order: the canonical edge
+# masks of its classes sorted by (edge count, edge mask), shared by all
+# callers in the process whatever map built the level.
+_LEVELS: Dict[int, array] = {}
 
 
-def _keeps(rows: Rows) -> bool:
+def _keeps(rows: Rows) -> int:
     """The deletion rule: no non-cut vertex is smaller than the new, last one
     by (degree, sorted degrees of its neighbours).
 
     A smaller vertex rejects the child only when the rest stays connected
     without it.  The neighbour degrees are compared only between vertices
-    of one degree, where they have one length.
+    of one degree, where they have one length.  A rejected child gives 0, a
+    kept one the mask of the vertices that tie the new one (it included),
+    which ``_accepts`` reads.
     """
     n = len(rows)
     degs = [r.bit_count() for r in rows]
@@ -178,30 +185,82 @@ def _keeps(rows: Rows) -> bool:
         return sorted([degs[w] for w in iter_bits(rows[v])])
 
     full = (1 << n) - 1
+    ties = 1 << (n - 1)
     new: Optional[List[int]] = None  # the new vertex's, at its first degree tie
     for u in range(n - 1):
         if degs[u] == d:
             if new is None:
                 new = around(n - 1)
-            smaller = around(u) < new
+            mine = around(u)
+            if mine == new:
+                ties |= 1 << u
+            smaller = mine < new
         else:
             smaller = degs[u] < d
         if smaller:
             rest = full ^ 1 << u
             if _flood(rows, rest & -rest, rest) == rest:
-                return False
-    return True
+                return 0
+    return ties
 
 
-def _children(n: int, parents: Sequence[Rows]) -> Dict[Key, Rows]:
-    """A batch of parents' kept children: canonical key -> canonical rows.
+def _accepts(
+    rows: Rows,
+    ties: int,
+    orderings: Sequence[Tuple[int, ...]],
+    classes: Sequence[Tuple[int, ...]],
+) -> bool:
+    """McKay's canonical-deletion test for a child that ``_keeps``: the new,
+    last vertex lies in the orbit of c, the first vertex of the first optimal
+    ordering that is not a cut vertex and is in ``ties``, the vertices that
+    tie the new one by (degree, sorted degrees of its neighbours).
 
+    ``orderings`` and ``classes`` are the child's ``_search``: its optimal
+    orderings with each twin class in increasing order, and its twin
+    classes.  Every optimal ordering is an automorphism applied to any
+    other, so c's canonical position j is the same in all of them, and c's
+    orbit is their vertices at j; each optimal ordering the search pruned is
+    a returned one with twins permuted, so the orbit is the returned
+    orderings' vertices at j and their twins.
+
+    The child passed ``_keeps``, so its new vertex is a non-cut vertex least
+    by the rule's order, and c's orbit is an isomorphism invariant of the
+    child.  Uniqueness: if children P + v and P' + v' are accepted and
+    isomorphic, an isomorphism between them maps the orbit holding v onto
+    the one holding v', so after an automorphism of P' + v' it takes v to
+    v'.  It restricts to an isomorphism P -> P', and both are canonical, so
+    P = P'; it maps one attachment mask to the other by an automorphism of
+    P, and each orbit of masks is tried once only, so the two are one
+    child.  Completeness: for each class C, C - c is a connected class of
+    the order below, and some tried mask of it gives a child isomorphic to
+    C by a map taking the new vertex to c.  That vertex passes ``_keeps``,
+    and c's orbit in the child holds it, so the child is accepted.
+    """
+    new = len(rows) - 1
+    full = (1 << len(rows)) - 1
+    for j, v in enumerate(orderings[0]):
+        if v == new:
+            return True
+        if ties >> v & 1:
+            rest = full ^ 1 << v
+            if _flood(rows, rest & -rest, rest) == rest:
+                break
+    twins = next((cls for cls in classes if cls[-1] == new), (new,))
+    return any(seq[j] in twins for seq in orderings)
+
+
+def _children(n: int, parents: Sequence[int]) -> List[int]:
+    """A batch of parents' accepted children, as canonical edge masks.
+
+    Each parent comes as the edge mask of a canonical order-(n-1) graph.
     Only the least attachment mask of each orbit of a parent's automorphism
     group is tried, and only the children that ``_keeps`` are canonised.
     """
     top = 1 << (n - 1)
-    found: Dict[Key, Rows] = {}
-    for parent in parents:
+    found: List[int] = []
+    for em in parents:
+        graph = from_edge_mask(n - 1, em)
+        parent = graph.adj
         base = list(parent) + [0]
         for mask in _orbit_minima(_generators(parent), n - 1):
             adj = list(base)
@@ -209,46 +268,41 @@ def _children(n: int, parents: Sequence[Rows]) -> Dict[Key, Rows]:
             for v in iter_bits(mask):
                 adj[v] |= top
             rows = tuple(adj)
-            if _keeps(rows):
-                key, orderings, _ = _search(rows)
-                if key not in found:
-                    found[key] = relabel_rows(rows, orderings[0])
+            ties = _keeps(rows)
+            if ties:
+                _, orderings, classes = _search(rows)
+                if _accepts(rows, ties, orderings, classes):
+                    canon = relabel_rows(rows, orderings[0])
+                    found.append(edge_mask(Graph(n, canon, graph.m + mask.bit_count())))
     return found
 
 
-def _build_level(parents: Sequence[Graph], n: int, mapper: Callable) -> Tuple[Graph, ...]:
-    """The order-n connected classes grown from the order-(n-1) ones ``parents``.
+def _in_order(masks: List[int]) -> List[int]:
+    """``masks`` sorted in place by (edge count, edge mask), by two stable
+    sorts that build no key tuples."""
+    masks.sort()
+    masks.sort(key=int.bit_count)
+    return masks
 
-    A class C is rebuilt from C - v, where v is a non-cut vertex least by
-    (degree, sorted neighbour degrees).  Some orbit-minimum attachment to
-    C - v is the image of N(v) under an automorphism of C - v, so it gives a
-    child isomorphic to C by a map taking the new vertex to v; the rule's
-    key is an isomorphism invariant, so that vertex passes ``_keeps``: no
-    class is lost.
 
-    ``mapper`` maps ``_children`` over batches of up to ``BATCH`` parents,
-    and the key -> rows maps are merged with ``setdefault``.  The canonical
-    rows of a class do not depend on which child found it, and the result
-    is sorted by (m, edge mask), so neither the map, the batches nor the
-    merge order can change the output.
+def _build_level(parents: Sequence[int], n: int, mapper: Callable) -> array:
+    """The order-n connected level grown from the order-(n-1) one ``parents``.
+
+    ``mapper`` maps ``_children`` over batches of up to ``BATCH`` parents.
+    ``_accepts`` takes each class from exactly one child, so the level is
+    the concatenation of the batches' lists, held as an ``array('Q')``
+    sorted by (m, edge mask).  A class's canonical mask does not depend on
+    which child found it, so neither the map nor the batches can change the
+    level.
     """
-    seen: Dict[Key, Rows] = {}
-    batches = _batches([g.adj for g in parents])
-    for found in mapper(partial(_children, n), batches):
-        for key, rows in found.items():
-            seen.setdefault(key, rows)
-    graphs = [Graph(n, rows, sum(r.bit_count() for r in rows) // 2) for rows in seen.values()]
-    return tuple(sorted(graphs, key=lambda g: (g.m, edge_mask(g))))
+    masks = [em for found in mapper(partial(_children, n), _batches(parents)) for em in found]
+    return array("Q", _in_order(masks))
 
 
-def _canonical_graphs(n: int, mapper: Callable = map) -> Tuple[Graph, ...]:
-    """All connected order-n graphs up to isomorphism, in canonical labeling,
-    cached per level."""
+def _level(n: int, mapper: Callable = map) -> array:
+    """The canonical edge masks of the connected order-n classes, cached per level."""
     if n not in _LEVELS:
-        if n == 1:
-            _LEVELS[n] = (Graph(1, (0,), 0),)
-        else:
-            _LEVELS[n] = _build_level(_canonical_graphs(n - 1, mapper), n, mapper)
+        _LEVELS[n] = array("Q", [0]) if n == 1 else _build_level(_level(n - 1, mapper), n, mapper)
     return _LEVELS[n]
 
 
@@ -268,6 +322,28 @@ def _require_sweepable(spec: EnumerationSpec) -> None:
         raise Disconnected("sweeps and extremal searches need require_connected=True")
 
 
+def _masks(spec: EnumerationSpec, mapper: Callable = map) -> Sequence[int]:
+    """The edge masks of the graphs ``enumerate_graphs(spec, mapper)``
+    returns, in its order; the order is refused before any work."""
+    n = spec.n
+    _require_order(spec)
+    full = (1 << n * (n - 1) // 2) - 1
+    masks: Sequence[int]
+    if spec.dedup_isomorphism:
+        masks = _level(n, mapper)
+        if not spec.require_connected:
+            apart = (from_edge_mask(n, em ^ full) for em in masks)
+            masks = _in_order([*masks, *(edge_mask(canonical_graph(h)) for h in apart
+                                         if not is_connected(h))])
+    else:
+        masks = range(full + 1)
+        if spec.require_connected:
+            masks = [em for em in masks if is_connected(from_edge_mask(n, em))]
+    if spec.require_coconnected:
+        masks = [em for em in masks if is_connected(from_edge_mask(n, em ^ full))]
+    return masks
+
+
 def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Graph]:
     """Materialize the graphs selected by ``spec``, in deterministic order.
 
@@ -278,20 +354,7 @@ def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Grap
     are built with ``mapper`` (the builtin ``map``, or a process pool's
     ``map``), a batch of parents per item; the result does not depend on it.
     """
-    n = spec.n
-    _require_order(spec)
-    if spec.dedup_isomorphism:
-        pool: Sequence[Graph] = _canonical_graphs(n, mapper)
-        if not spec.require_connected:
-            apart = [canonical_graph(h) for h in map(complement, pool) if not is_connected(h)]
-            pool = sorted([*pool, *apart], key=lambda g: (g.m, edge_mask(g)))
-    else:
-        pool = [from_edge_mask(n, em) for em in range(1 << (n * (n - 1) // 2))]
-        if spec.require_connected:
-            pool = [g for g in pool if is_connected(g)]
-    if spec.require_coconnected:
-        pool = [g for g in pool if is_connected(complement(g))]
-    return list(pool)
+    return [from_edge_mask(spec.n, em) for em in _masks(spec, mapper)]
 
 
 @dataclass(frozen=True)
@@ -337,28 +400,32 @@ CSV_HEADER = (
 
 
 def _sweep_batch(
-    ids: Tuple[str, ...], ks: List[int], want_csv: bool, graphs: Sequence[Graph]
+    ids: Tuple[str, ...], ks: List[int], want_csv: bool, n: int, masks: Sequence[int]
 ) -> Tuple[int, List[Violation], List[TightCase], str]:
-    """A batch of graphs: checks run, violations, tight cases, CSV rows.
+    """A batch of order-n graphs, given by edge masks: checks run,
+    violations, tight cases, CSV rows.
 
     The batch's contexts read their sums from one batched table pass.  The
     rows (bound values in exact notation) are one text, empty unless
-    ``want_csv``.
+    ``want_csv``.  A graph's graph6 name is encoded only when a CSV row,
+    a violation or a tight case first needs it.
     """
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    for ctx in GraphContext.batch(graphs, ids):
+    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids):
         if not ctx.runs:
             continue
         g = ctx.g
-        g6 = graph6_encode(g)
+        g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
         for k in ks:
             for bound_id, case, value, actual, holds, tight in ctx.checks(k):
                 checks_run += 1
+                if g6 is None and (want_csv or not holds or tight):
+                    g6 = graph6_encode(g)
                 if want_csv:
                     writerow((g.n, g6, k, bound_id, case, value_str(value),
                               actual, int(holds), int(tight)))
@@ -382,9 +449,10 @@ def sweep(
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs``, of order ``spec.n``, overrides enumeration; without it,
-    the order, then a spec that admits disconnected graphs, then the
-    spec's k are refused before any enumeration.  ``mapper`` (the builtin
+    ``graphs``, of order ``spec.n``, overrides enumeration (they reach the
+    batches as edge masks); without it, the order, then a spec that admits
+    disconnected graphs, then the spec's k are refused before any
+    enumeration.  ``mapper`` (the builtin
     ``map``, or a process pool's ``map``) sweeps the graphs in batches of
     up to ``BATCH``, and their results are joined in graph order, so the
     report does not depend on it; enumeration, when needed, uses the same
@@ -394,15 +462,26 @@ def sweep(
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
         _require_sweepable(spec)
-    ks = _k_values(spec)
-    if graphs is None:
-        graphs = enumerate_graphs(spec, mapper)
+    _k_values(spec)
+    masks = _masks(spec, mapper) if graphs is None else [edge_mask(g) for g in graphs]
+    return _sweep(spec, ids, masks, csv_out, mapper)
 
+
+def _sweep(
+    spec: EnumerationSpec,
+    ids: Tuple[str, ...],
+    masks: Sequence[int],
+    csv_out: Optional[IO[str]],
+    mapper: Callable,
+) -> VerificationReport:
+    """``sweep`` over the order-``spec.n`` graphs with edge masks ``masks``,
+    checked bound ids ``ids``; each batch builds its own graphs."""
     checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     for runs, found, tight, rows in mapper(
-        partial(_sweep_batch, ids, ks, csv_out is not None), _batches(graphs)
+        partial(_sweep_batch, ids, _k_values(spec), csv_out is not None, spec.n),
+        _batches(masks),
     ):
         checks_run += runs
         violations += found
@@ -412,7 +491,7 @@ def sweep(
     return VerificationReport(
         spec=spec,
         bound_set=ids,
-        graphs_scanned=len(graphs),
+        graphs_scanned=len(masks),
         checks_run=checks_run,
         violations=tuple(violations),
         tight_cases=tuple(tights),

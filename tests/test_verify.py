@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import re
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -27,6 +28,7 @@ from steinergut import (
     enumerate_graphs,
     find_extremal,
     from_edge_list,
+    from_edge_mask,
     graph6_decode,
     graph6_encode,
     induced_connected,
@@ -40,7 +42,8 @@ from steinergut import (
 from steinergut import cli, verify
 from strategies import connected_graphs
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+# OEIS A001349
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 # sha256 of the newline-joined graph6 names of each order's representatives,
@@ -113,9 +116,20 @@ def _names_digest(graphs):
     return hashlib.sha256("\n".join(graph6_encode(g) for g in graphs).encode()).hexdigest()
 
 
-def test_connected_class_counts(connected_by_order):
+def test_connected_class_counts(universe):
     for n, expected in CONNECTED_COUNTS.items():
-        assert len(connected_by_order[n]) == expected
+        assert len(universe[n]) == expected
+
+
+def test_levels_hold_each_class_once_as_sorted_masks():
+    # the cache holds each connected level as an array of canonical edge
+    # masks sorted by (m, edge mask), in which no class repeats
+    verify._level(8)
+    for n, expected in CONNECTED_COUNTS.items():
+        level = verify._LEVELS[n]
+        assert isinstance(level, array) and level.typecode == "Q", n
+        assert len(set(level)) == len(level) == expected, n
+        assert list(level) == sorted(level, key=lambda em: (em.bit_count(), em)), n
 
 
 def test_all_class_counts():
@@ -473,13 +487,23 @@ def test_enumeration_canonises_each_class_once(monkeypatch):
     for chunksize in CHUNKSIZES:
         monkeypatch.setattr(verify, "_LEVELS", {})
         canons.value = 0
+        found = {}
         with mapping(chunksize, fork) as mapper:
+
+            def counting(children, batches):
+                for batch in mapper(children, batches):
+                    found[children.args[0]] = found.get(children.args[0], 0) + len(batch)
+                    yield batch
+
             for n in range(1, 9):
-                enumerate_graphs(EnumerationSpec(n=n), mapper)
+                enumerate_graphs(EnumerationSpec(n=n), counting)
         # through order 8: one search per parent for its automorphism group's
         # generators (996) and one per orbit-minimum child kept by the
         # deletion rule (12,858)
         assert canons.value == 13854, chunksize
+        # the acceptance test takes each class from one child alone, so the
+        # batches' lists hold no class twice
+        assert found == {n: CONNECTED_COUNTS[n] for n in range(2, 9)}, chunksize
 
 
 def _full_group_minima(auts, width):
@@ -565,11 +589,12 @@ def test_a_least_degree_non_cut_vertex_placed_last_passes_the_rule(g):
 @pytest.mark.slow
 @pytest.mark.parametrize("chunksize", CHUNKSIZES, ids=["map", "chunk1", "chunk3"])
 def test_order_nine_level_matches_its_golden_digest(chunksize, fresh_levels):
-    # above ENUMERATION_CAP, so the level is built directly; 55-120 s on 2 cores
+    # above ENUMERATION_CAP, so the level is built directly; 30-60 s on 2 cores
     with mapping(chunksize) as mapper:
-        level = verify._canonical_graphs(9, mapper)
+        level = verify._level(9, mapper)
+    assert level.typecode == "Q"
     assert len(level) == 261080
-    assert _names_digest(level) == (
+    assert _names_digest(from_edge_mask(9, em) for em in level) == (
         "ecaa74d8e3822ff8af5ef9bbc0f57044d74d41bc8c54d50531b30c6754dc643f"
     )
 
@@ -609,6 +634,23 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
     # and the audit read their graph's sums, never a public index function
     assert (len(sgut), len(sw), len(sdd)) == (0, 0, 0)
     assert len(guards) == graph_ks + witnesses
+
+
+def test_a_sweep_encodes_graph6_only_for_what_it_writes(count_calls):
+    # without a CSV only the graphs with a violation or a tight case are
+    # named; with one, every swept graph is named once
+    from steinergut import graph6
+
+    spec = EnumerationSpec(n=7, require_coconnected=True)
+    enumerate_graphs(spec)
+    names = count_calls(graph6, "graph6_encode")
+    report = sweep(spec, ["all"])
+    findings = {v.graph6 for v in report.violations} | {t.graph6 for t in report.tight_cases}
+    assert len(names) == len(findings) == 146
+    names.clear()
+    rows = io.StringIO()
+    sweep(spec, ["all"], csv_out=rows)
+    assert len(names) == report.graphs_scanned == 662
 
 
 def test_a_sweep_without_the_coconnected_filter_tables_connected_graphs_only(count_calls):
