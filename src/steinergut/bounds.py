@@ -3,41 +3,44 @@
 Every bound value depends only on k and the degree signature (n, m, d, D, p):
 order, size, minimum and maximum degree, number of pendant vertices.  Each
 group is one formula function of the signature (``_prop21`` ... ``_amgm``,
-the formulas in their docstrings and in the README table) returning its
-(case label, exact value) rows in BOUND_IDS order.  Corollary 4.1 is Theorem
-3.2 with the size eliminated through 2m >= nd, n(n-1)-2m >= n(n-1-D) and
-2m(n(n-1)-2m) <= n^2(n-1)^2/4, so ``_thm32`` and ``_cor41`` feed one
-``_paired``; cor41 keeps the printed s1 = min(D, n-d-1) where thm32 has the
-max, and sweeps report how the min variant behaves rather than repair it.
+the printed formulas in their docstrings and in the README table) returning
+its rows in BOUND_IDS order, each a case label and the value as integers
+num/den, with den > 0 and not reduced; the one half-integer exponent gives
+the root row, flagged, whose value is the square root of num/den.
+Corollary 4.1 is Theorem 3.2 with the size eliminated through 2m >= nd,
+n(n-1)-2m >= n(n-1-D) and 2m(n(n-1)-2m) <= n^2(n-1)^2/4, so ``_thm32`` and
+``_cor41`` feed one ``_paired``; cor41 keeps the printed s1 = min(D, n-d-1)
+where thm32 has the max, and sweeps report how the min variant behaves
+rather than repair it.
 
-Two cached layers sit on the formulas.  ``_bound_rows`` memoizes one group's
-rows per (signature, k), each with the integers its check compares: the
-value's numerator and denominator (of the square, for a SquareRoot).
-``_decide`` is the one applicability rule, memoized per (wanted ids, order,
-complement connected): the groups that run, each with the row, bound id,
-operand and side of its wanted bounds, and the requested groups it rules
-out, each with the error a request for it raises.  The group's least order
-is checked first, then the complement's connectivity, which only the paired
-groups need.
+One cache sits on the formulas beside the applicability rule.  ``_decide``
+is that rule, memoized per (wanted ids, order, complement connected): the
+groups that run, each with the row, bound id, operand and side of its
+wanted bounds, and the requested groups it rules out, each with the error a
+request for it raises.  The group's least order is checked first, then the
+complement's connectivity, which only the paired groups need.  ``_plan``
+memoizes, per (running groups, signature), every k's checks: each wanted
+bound's id, case, num, den, root flag, operand and side.
 
 A ``GraphContext`` holds what one graph contributes: G, the complement, the
-connectivity of both, the signature, the all-k index sums of both, and the
-decision for the ids it was built with; it is the only per-graph memo.  The
-complement is built only when a paired group would run or a caller reads
-it, and each graph's sums (sgut and sw; no bound reads sdd) come from the
-index layer's one entry, ``indices._sums``: on first use, after the guards,
-as a batch of one, or, for a sweep's batch (``GraphContext.batch``), from
-one call over the batch.  Its ``checks(k)`` is the one evaluator; a check
-is ``actual * den <= num`` (or ``>=``, with actual squared for a
-SquareRoot), so no Fraction is built per check.  It guards only G's
-connectivity, then k, with the index layer's ``_guard`` (Disconnected,
-then KOutOfRange), once per (graph, k), and then reads the cached sums;
-``evaluate_bounds`` and ``equality_witness`` then raise the first
-ruled-out group's error (``_requested``), while a sweep or a batch
-reports the ruled-out groups in ``skipped`` and goes on.
+connectivity of both, the signature, the all-k index sums of both, the
+decision for the ids it was built with and its plan; it is the only
+per-graph memo.  The complement is built only when a paired group would run
+or a caller reads it, and each graph's sums (sgut and sw; no bound reads
+sdd) come from the index layer's one entry, ``indices._sums``: on first
+use, after the guards, as a batch of one, or, for a sweep's batch
+(``GraphContext.batch``), from one call over the batch.  Its ``checks(k)``
+is the one evaluator; a check is ``actual * den <= num`` (or ``>=``, with
+actual squared for the root row), so a verdict is decided by integer
+products alone.  It guards only G's connectivity, then k, with the index
+layer's ``_guard`` (Disconnected, then KOutOfRange), once per (graph, k),
+and then reads the cached sums; ``evaluate_bounds`` and ``equality_witness``
+then raise the first ruled-out group's error (``_requested``), while a
+sweep or a batch reports the ruled-out groups in ``skipped`` and goes on.
 
-Values stay exact: Fractions, and for the one half-integer exponent an exact
-SquareRoot compared by squaring, never through floats.
+Values stay exact and are built only where one is reported: ``_value``
+turns a check's integers into the reduced Fraction, or for the root row an
+exact SquareRoot, never a float.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ class BoundCheck:
     tight: bool
 
 
-_Row = Tuple[str, Scalar]
+# a bound of a group at one signature and k: (case label, num, den, root),
+# its value num/den with den > 0, not reduced, or, for the root row, the
+# square root of num/den
+_Row = Tuple[str, int, int, bool]
 
 
 def _prop21(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
@@ -102,11 +108,12 @@ def _prop21(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]
     q = max(k-p, 1): kC(p,k) + 2^q (k-1)(C(n,k)-C(p,k)).
     """
     c = comb(n - 1, k - 1)
-    upper = ("", Fraction(2 * m * (n - 1) * c * D ** (k - 1), k))
+    upper = ("", 2 * m * (n - 1) * c * D ** (k - 1), k, False)
     if d >= 2:
-        return upper, ("min_deg>=2", Fraction(2 * m * (k - 1) * c * d ** (k - 1), k))
+        return upper, ("min_deg>=2", 2 * m * (k - 1) * c * d ** (k - 1), k, False)
     q = max(k - p, 1)
-    return upper, ("min_deg=1", k * comb(p, k) + 2**q * (k - 1) * (comb(n, k) - comb(p, k)))
+    lower = k * comb(p, k) + 2**q * (k - 1) * (comb(n, k) - comb(p, k))
+    return upper, ("min_deg=1", lower, 1, False)
 
 
 def _lem22(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
@@ -116,10 +123,10 @@ def _lem22(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     else (k-1)C(n,k).
     """
     c = comb(n - 1, k - 1)
-    upper = ("", (n - 1) * Fraction(2 * m, k) ** k * c**k)
+    upper = ("", (n - 1) * (2 * m * c) ** k, k**k, False)
     if d >= 2:
-        return upper, ("min_deg>=2", 2 * m * (k - 1) * c)
-    return upper, ("min_deg=1", (k - 1) * comb(n, k))
+        return upper, ("min_deg>=2", 2 * m * (k - 1) * c, 1, False)
+    return upper, ("min_deg=1", (k - 1) * comb(n, k), 1, False)
 
 
 def _paired(
@@ -134,22 +141,22 @@ def _paired(
     cnk, c = comb(n, k), comb(n - 1, k - 1)
     dk, rk = d ** (k - 1), (n - D - 1) ** (k - 1)
     sum_up = (n - 1) ** 2 * cnk * s1 ** (k - 1)
-    prod_up = Fraction(cap * (n - 1) ** 2 * c**2 * D ** (k - 1) * (n - d - 1) ** (k - 1), k * k)
-    if d >= 2 and D <= n - 3:
-        sum_lo = (n - 1) * (k - 1) * cnk * min(d, n - D - 1) ** (k - 1)
-        prod_lo = Fraction(a * abar * (k - 1) ** 2 * c**2 * dk * rk, k * k)
-    elif d >= 2:
-        sum_lo = Fraction(a * (k - 1) * c * dk, k) + k * cnk
-        prod_lo = a * (k - 1) * cnk * c * dk
-    elif D <= n - 3:
-        sum_lo = k * cnk + Fraction(abar * (k - 1) * c * rk, k)
-        prod_lo = abar * (k - 1) * cnk * c * rk
-    else:
-        sum_lo = 2 * k * cnk
-        prod_lo = (k * cnk) ** 2
+    prod_up = cap * (n - 1) ** 2 * c**2 * D ** (k - 1) * (n - d - 1) ** (k - 1)
     case = "min_deg>=2" if d >= 2 else "min_deg=1"
     case += ",max_deg<=n-3" if D <= n - 3 else ",max_deg=n-2"
-    return ("", sum_up), ("", prod_up), (case, sum_lo), (case, prod_lo)
+    if d >= 2 and D <= n - 3:
+        sum_lo = (case, (n - 1) * (k - 1) * cnk * min(d, n - D - 1) ** (k - 1), 1, False)
+        prod_lo = (case, a * abar * (k - 1) ** 2 * c**2 * dk * rk, k * k, False)
+    elif d >= 2:
+        sum_lo = (case, a * (k - 1) * c * dk + k * k * cnk, k, False)
+        prod_lo = (case, a * (k - 1) * cnk * c * dk, 1, False)
+    elif D <= n - 3:
+        sum_lo = (case, k * k * cnk + abar * (k - 1) * c * rk, k, False)
+        prod_lo = (case, abar * (k - 1) * cnk * c * rk, 1, False)
+    else:
+        sum_lo = (case, 2 * k * cnk, 1, False)
+        prod_lo = (case, (k * cnk) ** 2, 1, False)
+    return ("", sum_up, 1, False), ("", prod_up, k * k, False), sum_lo, prod_lo
 
 
 def _thm32(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row, _Row, _Row]:
@@ -225,30 +232,30 @@ def _ps(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """
     cnk = comb(n, k)
     base, label = _branch(n, d, D)
-    r = Fraction(D * (n - d - 1), d * (n - D - 1))
-    upper = Fraction((n - 1) ** (2 * k + 2), 2 ** (2 * k + 2)) * cnk**2 * (r**k + 1 / r**k + 2)
-    return ("", upper), (label, (k - 1) ** 2 * base**k * cnk**2)
+    # with r = A/B, r^k + r^(-k) + 2 = (A^k + B^k)^2 / (A^k B^k)
+    ak, bk = (D * (n - d - 1)) ** k, (d * (n - D - 1)) ** k
+    num, den = (n - 1) ** (2 * k + 2) * cnk**2 * (ak + bk) ** 2, 2 ** (2 * k + 2) * ak * bk
+    return ("", num, den, False), (label, (k - 1) ** 2 * base**k * cnk**2, 1, False)
 
 
 def _amgm(n: int, m: int, d: int, D: int, p: int, k: int) -> Tuple[_Row, _Row]:
     """Mean-inequality bounds on index(G) + index(co-G).
 
     Upper: (n-1)(D^k + (n-d-1)^k) C(n,k).  Lower: 2(k-1) base^(k/2) C(n,k);
-    for odd k with base not a perfect square this is an exact SquareRoot
-    compared by squaring.
+    for odd k with base not a perfect square this is the root row, the
+    square root of 4(k-1)^2 base^k C(n,k)^2, compared by squaring.
     """
     cnk = comb(n, k)
     base, label = _branch(n, d, D)
     factor = 2 * (k - 1) * cnk
     root = isqrt(base)
-    lower: Scalar
     if k % 2 == 0:
-        lower = factor * base ** (k // 2)
+        lower = (label, factor * base ** (k // 2), 1, False)
     elif root * root == base:
-        lower = factor * root**k
+        lower = (label, factor * root**k, 1, False)
     else:
-        lower = SquareRoot(Fraction(factor**2 * base**k))
-    return ("", (n - 1) * (D**k + (n - d - 1) ** k) * cnk), (label, lower)
+        lower = (label, factor**2 * base**k, 1, True)
+    return ("", (n - 1) * (D**k + (n - d - 1) ** k) * cnk, 1, False), lower
 
 
 _FORMULAS = {
@@ -259,16 +266,6 @@ _FORMULAS = {
     "ps": _ps,
     "amgm": _amgm,
 }
-
-
-class _Prepared(NamedTuple):
-    """One bound at one signature and k, with the integers its check compares."""
-
-    case: str
-    value: Scalar  # a Fraction or a SquareRoot, as BoundCheck reports it
-    num: int
-    den: int
-    squared: bool  # a SquareRoot: compare actual^2 * den with num
 
 
 # a wanted bound of a running group: its row in the group, its id, its
@@ -308,23 +305,46 @@ def _decide(wanted: Tuple[str, ...], n: int, co_connected: bool) -> _Decision:
     return _Decision(tuple(runs), tuple(skipped), paired)
 
 
+class _Bound(NamedTuple):
+    """One wanted bound at one signature and k, as its check reads it."""
+
+    bound_id: str
+    case: str
+    num: int  # the value is num/den, or its square root where root is set
+    den: int
+    root: bool
+    operand: int  # 0 SGut_k(G), 1 the sum, 2 the product with SGut_k(co-G)
+    upper: bool
+
+
 @lru_cache(maxsize=None)
-def _bound_rows(
-    group: str, n: int, m: int, d: int, D: int, p: int, k: int
-) -> Tuple[_Prepared, ...]:
-    """The rows of ``group`` at signature (n, m, d, D, p) and k, computed once;
-    row i belongs to the bound ``_GROUP_IDS[group][i]``."""
-    rows = []
-    for case, value in _FORMULAS[group](n, m, d, D, p, k):
-        squared = isinstance(value, SquareRoot)
-        exact = value.square if squared else Fraction(value)
-        num, den = exact.as_integer_ratio()
-        rows.append(_Prepared(case, value if squared else exact, num, den, squared))
-    return tuple(rows)
+def _plan(
+    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], signature: Tuple[int, int, int, int, int]
+) -> Tuple[Tuple[_Bound, ...], ...]:
+    """The checks of the running groups ``runs`` at ``signature`` for every k,
+    computed once: entry k holds each wanted bound at k, in BOUND_IDS order
+    (entries 0 and 1 are empty)."""
+    plan: List[Tuple[_Bound, ...]] = [(), ()]
+    for k in range(2, signature[0] + 1):
+        bounds = []
+        for group, kinds in runs:
+            rows = _FORMULAS[group](*signature, k)
+            for row, bound_id, operand, upper in kinds:
+                case, num, den, root = rows[row]
+                bounds.append(_Bound(bound_id, case, num, den, root, operand, upper))
+        plan.append(tuple(bounds))
+    return tuple(plan)
 
 
-# a check as a tuple in BoundCheck's field order
-_Verdict = Tuple[str, str, Scalar, int, bool, bool]
+def _value(bound: _Bound) -> Scalar:
+    """The reduced exact value of ``bound``, as it is reported: a Fraction, or
+    a SquareRoot for the root row."""
+    value = Fraction(bound.num, bound.den)
+    return SquareRoot(value) if bound.root else value
+
+
+# a check: the bound, the actual value it is compared with, holds, tight
+_Verdict = Tuple[_Bound, int, bool, bool]
 
 
 class GraphContext:
@@ -366,11 +386,17 @@ class GraphContext:
         return is_connected(self.gbar)
 
     @classmethod
-    def batch(cls, graphs: Sequence[Graph], wanted: Sequence[str] = ()) -> List["GraphContext"]:
+    def batch(
+        cls, graphs: Sequence[Graph], wanted: Sequence[str] = (), coconnected: bool = False
+    ) -> List["GraphContext"]:
         """The contexts of ``graphs``, all of one order, their sums read at
         once: G's where a group runs on a connected G, and the complement's
-        where a paired group runs, all from one batched table pass."""
+        where a paired group runs, all from one batched table pass.  With
+        ``coconnected``, only the contexts of the graphs whose complement is
+        connected, so each complement is built and flooded once."""
         ctxs = [cls(g, wanted) for g in graphs]
+        if coconnected:
+            ctxs = [ctx for ctx in ctxs if ctx.co_connected]
         wants = []
         for ctx in ctxs:
             if ctx.connected and ctx.runs:
@@ -390,12 +416,18 @@ class GraphContext:
     def co_sums(self) -> _Sums:
         return _sums([self.gbar], sdd=False)[0]
 
+    @cached_property
+    def plan(self) -> Tuple[Tuple[_Bound, ...], ...]:
+        """The running groups' checks at every k, shared by every graph of
+        this signature that runs the same groups."""
+        return _plan(self.runs, self.signature)
+
     def checks(self, k: int) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.
 
-        Each is a tuple in BoundCheck's field order.  Only G's connectivity
-        and k are guarded here; the skipped groups are the caller's to report
-        or raise.
+        Each is (bound, actual, holds, tight), decided by integer products.
+        Only G's connectivity and k are guarded here; the skipped groups are
+        the caller's to report or raise.
         """
         _guard(self.connected, self.g, k)
         if not self.runs:
@@ -407,14 +439,11 @@ class GraphContext:
             sgbar = self.co_sums.sgut[k]
             operands = (sg, sg + sgbar, sg * sgbar)
         out = []
-        for group, kinds in self.runs:
-            rows = _bound_rows(group, *self.signature, k)
-            for row, bound_id, operand, upper in kinds:
-                case, value, num, den, squared = rows[row]
-                actual = operands[operand]
-                scaled = (actual * actual if squared else actual) * den
-                holds = scaled <= num if upper else scaled >= num
-                out.append((bound_id, case, value, actual, holds, scaled == num))
+        for bound in self.plan[k]:
+            _, _, num, den, root, operand, upper = bound
+            actual = operands[operand]
+            scaled = (actual * actual if root else actual) * den
+            out.append((bound, actual, scaled <= num if upper else scaled >= num, scaled == num))
         return out
 
     def witness(self, k: int) -> EqualityWitness:
@@ -448,7 +477,10 @@ def evaluate_bounds(
     guards, the first requested group that cannot run raises its error.
     """
     wanted = expand_bound_ids(bound_ids)
-    return [BoundCheck(*check) for check in _requested(GraphContext(g, wanted), k)]
+    return [
+        BoundCheck(bound.bound_id, bound.case, _value(bound), actual, holds, tight)
+        for bound, actual, holds, tight in _requested(GraphContext(g, wanted), k)
+    ]
 
 
 def _requested(ctx: GraphContext, k: int) -> List[_Verdict]:
@@ -506,7 +538,7 @@ def equality_witness(g: Graph, k: int, bound_id: str) -> EqualityWitness:
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}")
     ctx = GraphContext(g, [bound_id])
-    _, _, value, actual, _, tight = _requested(ctx, k)[0]
+    bound, actual, _, tight = _requested(ctx, k)[0]
     if not tight:
-        raise NotTight(f"{bound_id} is strict here: {actual} vs {value}")
+        raise NotTight(f"{bound_id} is strict here: {actual} vs {_value(bound)}")
     return ctx.witness(k)

@@ -315,7 +315,7 @@ def _cmd_family(args, out, err) -> int:
 
 
 def _cmd_bounds(args, out, err) -> int:
-    from .bounds import GraphContext
+    from .bounds import GraphContext, _value
     from .exact import decimal_str, value_str
 
     ids = _bound_ids(args.bound_set)
@@ -332,18 +332,19 @@ def _cmd_bounds(args, out, err) -> int:
             for k in _k_list(args.k, g.n):
                 checks = []
                 # with nothing runnable this still raises Disconnected, then KOutOfRange
-                for bound_id, case, value, actual, holds, tight in ctx.checks(k):
+                for bound, actual, holds, tight in ctx.checks(k):
                     if not holds:
                         found_violation = True
+                    value = _value(bound)
                     item = {
-                        "bound_id": bound_id,
-                        "case_label": case,
+                        "bound_id": bound.bound_id,
+                        "case_label": bound.case,
                         "bound_value": value_str(value),
                         "actual": actual,
                         "holds": holds,
                         "tight": tight,
                     }
-                    row = [g6, g.n, k, bound_id, case, value_str(value)]
+                    row = [g6, g.n, k, bound.bound_id, bound.case, value_str(value)]
                     if decimal is not None:
                         item["decimal"] = decimal_str(value, decimal)
                         row.append(item["decimal"])

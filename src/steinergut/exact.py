@@ -10,10 +10,10 @@ from typing import Union
 
 def frac_str(x: Union[int, Fraction]) -> str:
     """Render as ``num/den``, omitting the denominator when it is 1."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    num, den = x.as_integer_ratio()
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ search and a transposition per consecutive pair of each twin class), never
 over the whole group.  A child is kept only if no non-cut vertex is
 smaller than the new vertex by (degree, sorted neighbour degrees), an
 isomorphism invariant, so most children that would repeat a class are
-dropped before they cost a canon.  Each kept child gets one lex-min canon,
-and McKay's canonical-deletion test (``_accepts``) reads that search to
-accept each class from exactly one child, with no map of the classes seen.
+dropped before they cost a canon; the masks whose child a parent's least
+non-cut degree already rules out are never built (``_children``).  Each
+kept child gets one lex-min canon, and McKay's canonical-deletion test
+(``_accepts``) reads that search to accept each class from exactly one
+child, with no map of the classes seen.
 A disconnected graph has a connected complement, so the disconnected
 classes of an order are the canonical forms of the disconnected
 complements of its connected level.
@@ -33,8 +35,11 @@ batches of up to ``BATCH`` masks with the caller's ``map`` (the builtin one
 in process, or a process pool's, which sends each batch as one task):
 ``_children`` maps a batch of parents to the canonical masks of their
 accepted children, and ``_sweep_batch`` maps a batch of graph masks, whose
-Steiner tables it builds in one pass, to its checks run, violations, tight
-cases and CSV rows.  Results are joined in input order; a class's canonical
+Steiner tables it builds in one pass, to its graphs scanned, checks run,
+violations, tight cases and CSV rows.  A co-connected sweep is handed the
+connected graphs and keeps, in each batch, the ones whose complement is
+connected, so each complement is built and flooded once, where its sums
+are read.  Results are joined in input order; a class's canonical
 form does not depend on which child found it and a level is sorted, so
 neither the map nor the batches change a level or a report.  ``sweep``
 writes a batch's CSV rows as the batch comes back, so no check outlives its
@@ -59,12 +64,12 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
-from .bounds import EqualityWitness, GraphContext, expand_bound_ids
+from .bounds import EqualityWitness, GraphContext, _value, expand_bound_ids
 from .canon import _search, canonical_graph, relabel_rows
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
-from .graph import Graph, _flood, edge_mask, from_edge_mask, is_connected, iter_bits
+from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
 from .indices import OBJECTIVES, _require_k
 
@@ -114,13 +119,15 @@ def _generators(parent: Rows) -> List[Tuple[int, ...]]:
     return gens
 
 
-def _orbit_minima(gens: Sequence[Tuple[int, ...]], width: int) -> List[int]:
-    """The least mask of each orbit, on the non-empty masks below 2^width,
-    of the group ``gens`` generate.
+def _orbit_minima(gens: Sequence[Tuple[int, ...]], width: int, most: int) -> List[int]:
+    """The least mask of each orbit, on the non-empty masks below 2^width
+    with at most ``most`` bits, of the group ``gens`` generate.
 
     Each generator's images of all masks are tabled once.  Masks are
     visited in ascending order, so the first mask of an orbit met is its
-    least; its orbit is then closed over the tables.
+    least; its orbit is then closed over the tables.  An orbit keeps its
+    masks' bit count, so only orbits of masks with at most ``most`` bits
+    are closed.
     """
     size = 1 << width
     tables = []
@@ -133,7 +140,7 @@ def _orbit_minima(gens: Sequence[Tuple[int, ...]], width: int) -> List[int]:
     covered = bytearray(size)
     minima = []
     for mask in range(1, size):
-        if covered[mask]:
+        if covered[mask] or mask.bit_count() > most:
             continue
         minima.append(mask)
         covered[mask] = 1
@@ -254,15 +261,41 @@ def _children(n: int, parents: Sequence[int]) -> List[int]:
 
     Each parent comes as the edge mask of a canonical order-(n-1) graph.
     Only the least attachment mask of each orbit of a parent's automorphism
-    group is tried, and only the children that ``_keeps`` are canonised.
+    group is tried, the masks whose child ``_keeps`` must reject are never
+    built, and only the children that ``_keeps`` are canonised.
+
+    The masks skipped: let m0 be the least degree of a non-cut vertex of
+    the parent P and u such a vertex.  The new vertex v, joined to a mask M
+    of d bits, has degree d, and u has degree m0 + 1 if u is in M, else m0.
+    P - u is connected, and v has a neighbour in it unless M = {u}, so u is
+    a non-cut vertex of the child whenever d >= 2 or u is not in M.  The
+    rule rejects a child with a non-cut vertex of smaller degree than v's,
+    so it rejects every child with d >= m0 + 2, and every child with
+    d = m0 + 1 >= 2 whose M misses a non-cut vertex of degree m0.  Only
+    orbits of masks with at most m0 + 1 bits are closed, and of those with
+    m0 + 1 bits only the masks holding every non-cut vertex of degree m0
+    are tried; both tests hold on whole orbits, since an automorphism of P
+    keeps a mask's bit count and maps P's non-cut vertices of degree m0 onto
+    themselves.
     """
     top = 1 << (n - 1)
+    full = top - 1
     found: List[int] = []
     for em in parents:
         graph = from_edge_mask(n - 1, em)
-        parent = graph.adj
+        parent, degs = graph.adj, graph.degrees
+        # m0 and the mask of the non-cut vertices of degree m0
+        least, need = n, 0
+        for u in range(n - 1):
+            rest = full ^ 1 << u
+            if degs[u] <= least and _flood(parent, rest & -rest, rest) == rest:
+                if degs[u] < least:
+                    least, need = degs[u], 0
+                need |= 1 << u
         base = list(parent) + [0]
-        for mask in _orbit_minima(_generators(parent), n - 1):
+        for mask in _orbit_minima(_generators(parent), n - 1, least + 1):
+            if mask.bit_count() > least and mask & need != need:
+                continue
             adj = list(base)
             adj[n - 1] = mask
             for v in iter_bits(mask):
@@ -323,8 +356,10 @@ def _require_sweepable(spec: EnumerationSpec) -> None:
 
 
 def _masks(spec: EnumerationSpec, mapper: Callable = map) -> Sequence[int]:
-    """The edge masks of the graphs ``enumerate_graphs(spec, mapper)``
-    returns, in its order; the order is refused before any work."""
+    """The edge masks of the graphs ``enumerate_graphs(spec, mapper)`` picks
+    from, in its order, before the co-connected filter: a sweep applies that
+    filter where it builds each complement.  The order is refused before
+    any work."""
     n = spec.n
     _require_order(spec)
     full = (1 << n * (n - 1) // 2) - 1
@@ -339,8 +374,6 @@ def _masks(spec: EnumerationSpec, mapper: Callable = map) -> Sequence[int]:
         masks = range(full + 1)
         if spec.require_connected:
             masks = [em for em in masks if is_connected(from_edge_mask(n, em))]
-    if spec.require_coconnected:
-        masks = [em for em in masks if is_connected(from_edge_mask(n, em ^ full))]
     return masks
 
 
@@ -354,7 +387,10 @@ def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Grap
     are built with ``mapper`` (the builtin ``map``, or a process pool's
     ``map``), a batch of parents per item; the result does not depend on it.
     """
-    return [from_edge_mask(spec.n, em) for em in _masks(spec, mapper)]
+    graphs = [from_edge_mask(spec.n, em) for em in _masks(spec, mapper)]
+    if spec.require_coconnected:
+        graphs = [g for g in graphs if is_connected(complement(g))]
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -400,43 +436,50 @@ CSV_HEADER = (
 
 
 def _sweep_batch(
-    ids: Tuple[str, ...], ks: List[int], want_csv: bool, n: int, masks: Sequence[int]
-) -> Tuple[int, List[Violation], List[TightCase], str]:
-    """A batch of order-n graphs, given by edge masks: checks run,
-    violations, tight cases, CSV rows.
+    ids: Tuple[str, ...], ks: List[int], want_csv: bool, coconnected: bool, n: int,
+    masks: Sequence[int],
+) -> Tuple[int, int, List[Violation], List[TightCase], str]:
+    """A batch of order-n graphs, given by edge masks: graphs scanned, checks
+    run, violations, tight cases, CSV rows.
 
+    With ``coconnected`` only the graphs whose complement is connected are
+    scanned; each complement is built and flooded once, by its context.
     The batch's contexts read their sums from one batched table pass.  The
     rows (bound values in exact notation) are one text, empty unless
     ``want_csv``.  A graph's graph6 name is encoded only when a CSV row,
-    a violation or a tight case first needs it.
+    a violation or a tight case first needs it, and a bound's value is
+    built only for a CSV row or a violation.
     """
-    checks_run = 0
+    scanned = checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids):
+    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids, coconnected):
+        scanned += 1
         if not ctx.runs:
             continue
         g = ctx.g
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
         for k in ks:
-            for bound_id, case, value, actual, holds, tight in ctx.checks(k):
+            for bound, actual, holds, tight in ctx.checks(k):
                 checks_run += 1
                 if g6 is None and (want_csv or not holds or tight):
                     g6 = graph6_encode(g)
                 if want_csv:
-                    writerow((g.n, g6, k, bound_id, case, value_str(value),
+                    writerow((g.n, g6, k, bound.bound_id, bound.case, value_str(_value(bound)),
                               actual, int(holds), int(tight)))
                 if not holds:
-                    violations.append(Violation(g6, k, bound_id, case, value, actual))
+                    violations.append(
+                        Violation(g6, k, bound.bound_id, bound.case, _value(bound), actual)
+                    )
                 elif tight:
                     if k not in witness_cache:
                         witness_cache[k] = ctx.witness(k)
-                    tights.append(TightCase(g6, k, bound_id, case, witness_cache[k]))
+                    tights.append(TightCase(g6, k, bound.bound_id, bound.case, witness_cache[k]))
 
-    return checks_run, violations, tights, text.getvalue()
+    return scanned, checks_run, violations, tights, text.getvalue()
 
 
 def sweep(
@@ -449,8 +492,10 @@ def sweep(
 ) -> VerificationReport:
     """Run every requested bound check over every enumerated graph.
 
-    ``graphs``, of order ``spec.n``, overrides enumeration (they reach the
-    batches as edge masks); without it, the order, then a spec that admits
+    ``graphs``, of order ``spec.n``, overrides enumeration but not the
+    spec's co-connected filter (they reach the batches as edge masks, and a
+    batch keeps the graphs whose complement is connected when the spec asks
+    for them); without it, the order, then a spec that admits
     disconnected graphs, then the spec's k are refused before any
     enumeration.  ``mapper`` (the builtin
     ``map``, or a process pool's ``map``) sweeps the graphs in batches of
@@ -476,13 +521,14 @@ def _sweep(
 ) -> VerificationReport:
     """``sweep`` over the order-``spec.n`` graphs with edge masks ``masks``,
     checked bound ids ``ids``; each batch builds its own graphs."""
-    checks_run = 0
+    scanned = checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
-    for runs, found, tight, rows in mapper(
-        partial(_sweep_batch, ids, _k_values(spec), csv_out is not None, spec.n),
-        _batches(masks),
-    ):
+    batch = partial(
+        _sweep_batch, ids, _k_values(spec), csv_out is not None, spec.require_coconnected, spec.n
+    )
+    for graphs, runs, found, tight, rows in mapper(batch, _batches(masks)):
+        scanned += graphs
         checks_run += runs
         violations += found
         tights += tight
@@ -491,7 +537,7 @@ def _sweep(
     return VerificationReport(
         spec=spec,
         bound_set=ids,
-        graphs_scanned=len(masks),
+        graphs_scanned=scanned,
         checks_run=checks_run,
         violations=tuple(violations),
         tight_cases=tuple(tights),

@@ -124,11 +124,11 @@ def test_context_runs_what_checks_accepts_and_skips_what_it_raises():
     assert str(skipped["cor41"]) == "needs order at least 4"
     assert str(skipped["thm32"]) == "complement is disconnected"
     # checks raises nothing and runs exactly the ids no skipped group holds
-    assert [c[0] for c in ctx.checks(2)] == ["lem22.upper", "lem22.lower"]
+    assert [c[0].bound_id for c in ctx.checks(2)] == ["lem22.upper", "lem22.lower"]
     with pytest.raises(KOutOfRange, match="^needs order at least 3$"):
         evaluate_bounds(path(2), 2, list(BOUND_IDS))
     only = GraphContext(path(2), ["lem22.upper"])
-    assert [c[0] for c in only.checks(2)] == ["lem22.upper"]
+    assert [c[0].bound_id for c in only.checks(2)] == ["lem22.upper"]
     assert only.skipped == {}
 
 
@@ -391,11 +391,12 @@ def test_guard_order(edges, n, k, expected):
 
 
 def _literal_checks(g, k):
-    """Every applicable bound of ``g`` at ``k``, compared as Fractions or SquareRoots."""
-    from steinergut.bounds import _FORMULAS, _GROUP_IDS, PAIRED_GROUPS, BoundCheck
+    """Every applicable bound of ``g`` at ``k``, from the printed formulas in
+    ``brute``, compared as Fractions or SquareRoots."""
+    from steinergut.bounds import _GROUP_IDS, PAIRED_GROUPS, BoundCheck
 
     degs = g.degrees
-    signature = (g.n, g.m, min(degs), max(degs), degs.count(1), k)
+    signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
     gbar = complement(g)
     co_connected = is_connected(gbar)
     sg = steiner_gutman(g, k)
@@ -408,7 +409,8 @@ def _literal_checks(g, k):
             continue
         if group in PAIRED_GROUPS and not co_connected:
             continue
-        for bound_id, (case, value) in zip(_GROUP_IDS[group], _FORMULAS[group](*signature)):
+        rows = brute.bound_rows(group, signature, k)
+        for bound_id, (case, value) in zip(_GROUP_IDS[group], rows):
             kind = bound_id.rsplit(".", 1)[1]
             if kind.startswith("sum"):
                 actual = sg + sgbar
@@ -422,7 +424,6 @@ def _literal_checks(g, k):
                 holds = sign >= 0 if upper else sign <= 0
                 tight = sign == 0
             else:
-                value = Fraction(value)
                 holds = actual <= value if upper else actual >= value
                 tight = actual == value
             out.append(BoundCheck(bound_id, case, value, actual, holds, tight))
@@ -441,21 +442,59 @@ def test_memoized_rows_match_a_literal_recomputation(g):
 
 
 def test_graphs_sharing_a_signature_share_rows_not_verdicts():
-    from steinergut.bounds import _bound_rows
+    from steinergut.bounds import _plan
 
     first, second = graph6_decode("E?NO"), graph6_decode("E@QW")
     for g in (first, second):
         degs = g.degrees
         assert (g.n, g.m, min(degs), max(degs), degs.count(1)) == (6, 5, 1, 3, 3)
-    _bound_rows.cache_clear()
+    _plan.cache_clear()
     a = evaluate_bounds(first, 3)
-    hits = _bound_rows.cache_info().hits
+    # one plan holds every group's rows at every k of the signature
+    assert _plan.cache_info()[:2] == (0, 1)
     b = evaluate_bounds(second, 3)
-    assert _bound_rows.cache_info().hits == hits + len(BOUND_GROUPS)
+    evaluate_bounds(second, 6)
+    assert _plan.cache_info()[:2] == (2, 1)
     assert [c.bound_value for c in a] == [c.bound_value for c in b]
     assert (a[0].actual, b[0].actual) == (233, 223)
     assert a == _literal_checks(first, 3)
     assert b == _literal_checks(second, 3)
+
+
+def test_plan_values_match_the_printed_formulas(universe):
+    # every signature of a co-connected graph through order 8, at every k:
+    # the plan's integers, once reduced, are the printed formulas' Fractions
+    # and SquareRoots, each check's denominator is positive, and the plan is
+    # built once per signature
+    from steinergut.bounds import _GROUP_IDS, _decide, _plan, _value
+
+    signatures = set()
+    for graphs in universe.values():
+        for g in graphs:
+            if g.n >= 4 and is_connected(complement(g)):
+                degs = g.degrees
+                signatures.add((g.n, g.m, min(degs), max(degs), degs.count(1)))
+    assert len(signatures) == 264
+    rows = 0
+    for signature in sorted(signatures):
+        n = signature[0]
+        runs = _decide(BOUND_IDS, n, True).runs
+        plan = _plan(runs, signature)
+        assert plan[:2] == ((), ()) and len(plan) == n + 1
+        for k in range(2, n + 1):
+            expected = [
+                (bound_id, case, value)
+                for group, _ in runs
+                for bound_id, (case, value) in zip(
+                    _GROUP_IDS[group], brute.bound_rows(group, signature, k)
+                )
+            ]
+            got = [(b.bound_id, b.case, _value(b)) for b in plan[k]]
+            assert got == expected, (signature, k)
+            assert [type(v) for *_, v in got] == [type(v) for *_, v in expected]
+            assert all(b.den > 0 for b in plan[k])
+            rows += len(got)
+    assert rows == 16 * sum(n - 1 for n, *_ in signatures)
 
 
 def test_a_disconnected_graph_builds_no_table(count_calls):

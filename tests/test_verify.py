@@ -20,11 +20,13 @@ from steinergut import (
     BOUND_IDS,
     Disconnected,
     EnumerationSpec,
+    Graph,
     KOutOfRange,
     NoCaseApplies,
     OrderTooLarge,
     canonical_key_and_perms,
     complement,
+    edge_mask,
     enumerate_graphs,
     find_extremal,
     from_edge_list,
@@ -325,15 +327,17 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
 
     class Recorded(GraphContext):
         @classmethod
-        def batch(cls, graphs, wanted=()):
-            events.append(("batch", {graph6_encode(g) for g in graphs}))
-            return super().batch(graphs, wanted)
+        def batch(cls, graphs, wanted=(), coconnected=False):
+            ctxs = super().batch(graphs, wanted, coconnected)
+            events.append(("batch", {graph6_encode(ctx.g) for ctx in ctxs}))
+            return ctxs
 
     monkeypatch.setattr(verify, "GraphContext", Recorded)
     monkeypatch.setattr(verify, "BATCH", 3)
     report = sweep(EnumerationSpec(n=5, require_coconnected=True), csv_out=Recorder())
+    # the 21 connected graphs in batches of 3, each keeping its co-connected ones
     batches = [names for kind, names in events if kind == "batch"]
-    assert [len(names) for names in batches] == [3, 3, 2]
+    assert [len(names) for names in batches] == [2, 3, 1, 2, 0, 0, 0]
     assert sum(map(len, batches)) == report.graphs_scanned == 8
     # each batch's contexts are built only once the previous batch's rows are out
     assert events == [event for names in batches for event in (("batch", names), ("rows", names))]
@@ -525,7 +529,42 @@ def test_generator_orbit_minima_match_the_full_groups(connected):
     for n in (6, 7):
         for g in enumerate_graphs(EnumerationSpec(n=n, require_connected=connected)):
             full = _full_group_minima(canonical_key_and_perms(g.adj)[1], n)
-            assert verify._orbit_minima(verify._generators(g.adj), n) == full, g
+            assert verify._orbit_minima(verify._generators(g.adj), n, n) == full, g
+
+
+def _every_orbit_child(n, em):
+    """The accepted children of one parent without the prefilter: a child is
+    built for the least mask of every orbit, and ``_keeps`` alone drops one."""
+    from steinergut.canon import relabel_rows
+
+    parent = from_edge_mask(n - 1, em)
+    top = 1 << (n - 1)
+    found = []
+    for mask in verify._orbit_minima(verify._generators(parent.adj), n - 1, n - 1):
+        rows = (*(row | top if mask >> v & 1 else row for v, row in enumerate(parent.adj)), mask)
+        ties = verify._keeps(rows)
+        if ties:
+            _, orderings, classes = verify._search(rows)
+            if verify._accepts(rows, ties, orderings, classes):
+                canon = relabel_rows(rows, orderings[0])
+                found.append(edge_mask(Graph(n, canon, parent.m + mask.bit_count())))
+    return found
+
+
+def test_children_skip_only_children_the_deletion_rule_rejects(fresh_levels, count_calls):
+    # every level afresh through order 8: the prefilter builds 18,311
+    # children, against 71,300 for every orbit minimum, and the searches stay
+    # one per parent and one per child that the rule keeps
+    built = count_calls(verify, "_keeps")
+    searches = count_calls(verify, "_search")
+    for n in range(1, 9):
+        verify._level(n)
+    assert (len(built), len(searches)) == (18311, 13854)
+    # through order 7, each parent accepts the children it accepts when every
+    # orbit minimum is built and tested by the deletion rule
+    for n in range(2, 8):
+        for em in verify._level(n - 1):
+            assert verify._children(n, [em]) == _every_orbit_child(n, em), (n, em)
 
 
 def _rows(n, edges):
@@ -634,6 +673,36 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
     # and the audit read their graph's sums, never a public index function
     assert (len(sgut), len(sw), len(sdd)) == (0, 0, 0)
     assert len(guards) == graph_ks + witnesses
+
+
+def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls, monkeypatch):
+    # through order 7 the batches get the 995 connected classes and keep the
+    # 739 co-connected ones: each graph is built once from its mask, and each
+    # complement once, by its context, which floods it once
+    from steinergut import bounds, graph
+
+    for n in range(1, 8):
+        verify._level(n)
+    made = []
+    original = graph.complement
+
+    def recorded(g):
+        made.append(original(g))
+        return made[-1]
+
+    for module in (graph, bounds):
+        monkeypatch.setattr(module, "complement", recorded)
+    masks = count_calls(graph, "from_edge_mask")
+    floods = count_calls(graph, "is_connected")
+    scanned = sum(
+        sweep(EnumerationSpec(n=n, require_coconnected=True), ["all"]).graphs_scanned
+        for n in range(2, 8)
+    )
+    candidates = sum(CONNECTED_COUNTS[n] for n in range(2, 8))
+    assert (scanned, candidates) == (739, 995)
+    assert len(masks) == len(made) == candidates
+    flooded = [id(h) for (h,) in floods]
+    assert all(flooded.count(id(h)) == 1 for h in made)
 
 
 def test_a_sweep_encodes_graph6_only_for_what_it_writes(count_calls):
