@@ -20,7 +20,9 @@ wanted bounds, and the requested groups it rules out, each with the error a
 request for it raises.  The group's least order is checked first, then the
 complement's connectivity, which only the paired groups need.  ``_plan``
 memoizes, per (running groups, signature), every k's checks: each wanted
-bound's id, case, num, den, root flag, operand and side.
+bound's id, case, num, den, root flag, operand and side, and beside them
+the open integer band of each operand they read (SGut_k(G), the sum or the
+product), whose inside holds every one of its checks strictly.
 
 A ``GraphContext`` holds what one graph contributes: G, the complement, the
 connectivity of both, the signature, the all-k index sums of both, the
@@ -37,6 +39,9 @@ layer's ``_guard`` (Disconnected, then KOutOfRange), once per (graph, k),
 and then reads the cached sums; ``evaluate_bounds`` and ``equality_witness``
 then raise the first ruled-out group's error (``_requested``), while a
 sweep or a batch reports the ruled-out groups in ``skipped`` and goes on.
+A sweep that writes no CSV asks for ``checks(k, banded=True)``, which
+builds no check at a k where every operand lies inside its band: each
+check there holds and none is tight, so the sweep only counts them.
 
 Values stay exact and are built only where one is reported: ``_value``
 turns a check's integers into the reduced Fraction, or for the root row an
@@ -317,22 +322,58 @@ class _Bound(NamedTuple):
     upper: bool
 
 
+# an operand's open band at one k: (operand, lo, hi), hi None for no upper bound
+_Band = Tuple[int, int, Optional[int]]
+
+
+class _Step(NamedTuple):
+    """The checks of the running groups at one k, and the band of each
+    operand they read."""
+
+    bounds: Tuple[_Bound, ...]
+    bands: Tuple[_Band, ...]  # in operand order
+
+
 @lru_cache(maxsize=None)
 def _plan(
     runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], signature: Tuple[int, int, int, int, int]
-) -> Tuple[Tuple[_Bound, ...], ...]:
+) -> Tuple[_Step, ...]:
     """The checks of the running groups ``runs`` at ``signature`` for every k,
-    computed once: entry k holds each wanted bound at k, in BOUND_IDS order
-    (entries 0 and 1 are empty)."""
-    plan: List[Tuple[_Bound, ...]] = [(), ()]
+    computed once: entry k holds each wanted bound at k, in BOUND_IDS order,
+    and the open integer band of each operand they read (entries 0 and 1
+    are empty).
+
+    An operand's band (lo, hi) has lo the largest floor(num/den) over its
+    lower bounds, isqrt(floor(num/den)) for the root row, or -1 with none,
+    and hi the least ceil(num/den) over its upper bounds, or None.  For
+    integers a >= 0 and den > 0:
+
+        a * den > num      iff  a > floor(num/den)
+        a * den < num      iff  a < ceil(num/den)
+        a^2 * den > num    iff  a > isqrt(floor(num/den))
+
+    (the last since a^2 > F iff a > isqrt(F) for an integer F >= 0).  So an
+    operand with lo < a < hi holds each of its checks strictly: none fails
+    and none is tight.  The root row is a lower bound (amgm's).
+    """
+    used = sorted({operand for _, kinds in runs for _, _, operand, _ in kinds})
+    plan: List[_Step] = [_Step((), ())] * 2
     for k in range(2, signature[0] + 1):
         bounds = []
+        lows: List[int] = [-1] * 3  # per operand
+        highs: List[Optional[int]] = [None] * 3
         for group, kinds in runs:
             rows = _FORMULAS[group](*signature, k)
             for row, bound_id, operand, upper in kinds:
                 case, num, den, root = rows[row]
                 bounds.append(_Bound(bound_id, case, num, den, root, operand, upper))
-        plan.append(tuple(bounds))
+                if upper:
+                    cap = -(-num // den)
+                    if highs[operand] is None or cap < highs[operand]:
+                        highs[operand] = cap
+                else:
+                    lows[operand] = max(lows[operand], isqrt(num // den) if root else num // den)
+        plan.append(_Step(tuple(bounds), tuple((op, lows[op], highs[op]) for op in used)))
     return tuple(plan)
 
 
@@ -417,15 +458,17 @@ class GraphContext:
         return _sums([self.gbar], sdd=False)[0]
 
     @cached_property
-    def plan(self) -> Tuple[Tuple[_Bound, ...], ...]:
+    def plan(self) -> Tuple[_Step, ...]:
         """The running groups' checks at every k, shared by every graph of
         this signature that runs the same groups."""
         return _plan(self.runs, self.signature)
 
-    def checks(self, k: int) -> List[_Verdict]:
+    def checks(self, k: int, banded: bool = False) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.
 
         Each is (bound, actual, holds, tight), decided by integer products.
+        With ``banded``, a k where every operand lies strictly inside its
+        band (``_plan``) gives no checks: each holds there and none is tight.
         Only G's connectivity and k are guarded here; the skipped groups are
         the caller's to report or raise.
         """
@@ -438,8 +481,15 @@ class GraphContext:
             # a paired group runs only on a connected complement
             sgbar = self.co_sums.sgut[k]
             operands = (sg, sg + sgbar, sg * sgbar)
+        bounds, bands = self.plan[k]
+        if banded:
+            for op, lo, hi in bands:
+                if not (lo < operands[op] and (hi is None or operands[op] < hi)):
+                    break
+            else:
+                return []
         out = []
-        for bound in self.plan[k]:
+        for bound in bounds:
             _, _, num, den, root, operand, upper = bound
             actual = operands[operand]
             scaled = (actual * actual if root else actual) * den

@@ -14,10 +14,16 @@ indices for every k at once: the vertices split into a low and a high half,
 the degree product, degree sum and size of a subset factor into per-half
 values, and each high-half row of the table is weighted and summed as one
 big int with a 64-bit lane per low-half mask (a checked bound keeps every
-lane from wrapping).  ``_sums(graphs)`` builds the tables of a batch of
-graphs of one order in one pass (a single graph is a batch of one), keeps
-each graph's sums and drops the tables; a caller that wants several k or
-indices of one graph keeps the sums (``bounds.GraphContext`` does).  The
+lane from wrapping).  Graphs share degree halves, so through order 9 each
+half's weights, and for the high half whether that bound holds, are kept
+per degree tuple in a bounded cache; every call past the bound is still
+refused.  The
+lanes are read back sorted by k, and one running sum, read at the cuts
+between the k buckets, gives every k.  ``_sums(graphs)`` builds the tables
+of a batch of graphs of one order in one pass (a single graph is a batch of
+one), keeps each graph's sums and drops the tables; a caller that wants
+several k or indices of one graph keeps the sums (``bounds.GraphContext``
+does).  The
 bound layer and the formula audit read only sgut and sw, so they skip the
 sdd accumulator (``sdd=False``).  ``_require_k`` is the one check of k
 (2..n, 1..n for steiner_wiener); ``_guard`` runs it after G's
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from struct import Struct
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import Disconnected, KOutOfRange, OrderTooLarge
 from .graph import Graph, is_connected
@@ -74,16 +80,48 @@ def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int]]:
     return prod, total
 
 
+# Graphs share their degree halves often (the 1,478 sums of the co-connected
+# sweep through order 7 meet 210 low halves), so through order _KEPT_ORDER each
+# half's weights are kept, up to _HALVES halves per cache: at most about
+# 3 MiB in all.  Past it a table costs far more than its weights, and 1,024
+# kept halves would take 125 MiB at order 18, so they are made per call.
+_KEPT_ORDER = 9
+_HALVES = 1024
+
+
 @lru_cache(maxsize=None)
-def _lane_layout(n: int) -> Tuple[Callable, List[int], Callable]:
+def _lane_layout(n: int) -> Tuple[Callable, Callable, Callable]:
     """The read-back of ``_all_k_sums`` at order ``n``: the order sorting the
     lanes (a lane per low mask in one accumulator per high popcount c) by
-    k = c + low popcount, the cuts between the k buckets, the lane unpacker."""
+    k = c + low popcount, the getter of the cuts between the k buckets of
+    the sorted lanes, the lane unpacker."""
     h = n // 2 + 1
     keys = [c + lo.bit_count() for c in range(n - h + 1) for lo in range(1 << h)]
     by_k = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
     sizes = (sum(comb(h, k - c) for c in range(min(k, n - h) + 1)) for k in range(n + 1))
-    return by_k, list(accumulate(sizes, initial=0)), Struct(f"<{len(keys)}Q").unpack
+    return by_k, itemgetter(*accumulate(sizes, initial=0)), Struct(f"<{len(keys)}Q").unpack
+
+
+def _low_weights(n: int, degs: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The low half's degree product of every lane of ``_all_k_sums`` at
+    order ``n``, in the lanes' order by k."""
+    return _lane_layout(n)[0](_half_weights(degs)[0] * (n - len(degs) + 1))
+
+
+def _high_weights(n: int, degs: Tuple[int, ...]) -> Tuple[bool, Tuple[Tuple[int, int, int], ...]]:
+    """Whether the lanes of ``_all_k_sums`` at order ``n`` stay below 2^64 with
+    this high half, and each high mask's popcount, degree product and degree sum.
+
+    A lane adds at most n - 1 per high mask, times its degree product, its
+    degree sum or 1, so it stays below (n - 1) times the largest of their sums.
+    """
+    prod, total = _half_weights(degs)
+    fits = not (n - 1) * max(sum(prod), sum(total), len(prod)) >> 64
+    return fits, tuple(zip([hi.bit_count() for hi in range(len(prod))], prod, total))
+
+
+# the two weight functions, each with its kept halves, for orders through _KEPT_ORDER
+_KEPT = tuple(lru_cache(maxsize=_HALVES)(f) for f in (_low_weights, _high_weights))
 
 
 def _all_k_sums(dist: bytes, n: int, degs: Tuple[int, ...], sdd: bool = True) -> _Sums:
@@ -91,25 +129,26 @@ def _all_k_sums(dist: bytes, n: int, degs: Tuple[int, ...], sdd: bool = True) ->
 
     A mask splits into a low part over vertices 0..h-1 and a high part over
     the rest, so its degree product, degree sum and size factor into
-    per-half values.  Each high part's 2^h row of ``dist`` is read as one
+    per-half values, kept per degree tuple at orders through
+    ``_KEPT_ORDER``.  Each high part's 2^h row of ``dist`` is read as one
     int with a 64-bit lane per low mask and added, times hp, 1 and (for
-    sdd) hs, into the accumulators of its popcount c.  The lanes are read
-    back once, sorted by k = c + low popcount and dotted with the low-part
-    weights.  A distance is at most n - 1, so a checked bound keeps every
-    lane below 2^64.
+    sdd) hs, into the accumulators of its popcount c.  The lanes are read back once, sorted by k = c + low
+    popcount and weighted by the low parts; one running sum over them,
+    read at the cuts between the k buckets, gives each k's sum as a
+    difference.  A distance is at most n - 1, so a bound checked on every
+    call keeps every lane below 2^64.
     """
     h = n // 2 + 1
-    lo_prod, lo_sum = _half_weights(degs[:h])
-    hi_prod, hi_sum = _half_weights(degs[h:])
-    if (n - 1) * max(sum(hi_prod), sum(hi_sum), len(hi_prod)) >> 64:
+    low_weights, high_weights = _KEPT if n <= _KEPT_ORDER else (_low_weights, _high_weights)
+    fits, highs = high_weights(n, degs[h:])
+    if not fits:
         raise OrderTooLarge(f"index sums at order {n}, degree {max(degs)} overflow 64-bit lanes")
     row_bytes = 8 << h
     buf = bytearray(row_bytes)
     acc_p, acc_s, acc_w = ([0] * (n - h + 1) for _ in range(3))
-    for hi, (hp, hs) in enumerate(zip(hi_prod, hi_sum)):
+    for hi, (c, hp, hs) in enumerate(highs):
         buf[::8] = dist[hi << h : (hi + 1) << h]
         row = int.from_bytes(buf, "little")
-        c = hi.bit_count()
         acc_p[c] += hp * row
         acc_w[c] += row
         if sdd:
@@ -119,15 +158,17 @@ def _all_k_sums(dist: bytes, n: int, degs: Tuple[int, ...], sdd: bool = True) ->
     def lanes(acc: List[int]) -> Tuple[int, ...]:
         return by_k(unpack(b"".join([x.to_bytes(row_bytes, "little") for x in acc])))
 
-    p, w = lanes(acc_p), lanes(acc_w)
-    wp = by_k(lo_prod * (n - h + 1))
-    ranges = list(zip(cuts, cuts[1:]))
-    sgut = tuple(sum(map(mul, wp[a:b], p[a:b])) for a, b in ranges)
-    sw = tuple(sum(w[a:b]) for a, b in ranges)
+    def per_k(values: Iterable[int]) -> Tuple[int, ...]:
+        # each k's sum is the difference of the running sums at its two cuts
+        at = cuts(list(accumulate(values, initial=0)))
+        return tuple(map(sub, at[1:], at))
+
+    w = lanes(acc_w)
+    sgut, sw = per_k(map(mul, low_weights(n, degs[:h]), lanes(acc_p))), per_k(w)
     if not sdd:
         return _Sums(sgut, sw, None)
-    s, ws = lanes(acc_s), by_k(lo_sum * (n - h + 1))
-    return _Sums(sgut, sw, tuple(sum(s[a:b]) + sum(map(mul, ws[a:b], w[a:b])) for a, b in ranges))
+    ws = by_k(_half_weights(degs[:h])[1] * (n - h + 1))
+    return _Sums(sgut, sw, per_k(map(add, lanes(acc_s), map(mul, ws, w))))
 
 
 def _sums(graphs: Sequence[Graph], sdd: bool = True) -> List[_Sums]:

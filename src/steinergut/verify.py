@@ -23,7 +23,8 @@ dropped before they cost a canon; the masks whose child a parent's least
 non-cut degree already rules out are never built (``_children``).  Each
 kept child gets one lex-min canon, and McKay's canonical-deletion test
 (``_accepts``) reads that search to accept each class from exactly one
-child, with no map of the classes seen.
+child, with no map of the classes seen; the accepted child's canonical
+edge mask is read off the same search's key (``_key_mask``).
 A disconnected graph has a connected complement, so the disconnected
 classes of an order are the canonical forms of the disconnected
 complements of its connected level.
@@ -60,18 +61,19 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
+from operator import add, mul
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, _value, expand_bound_ids
-from .canon import _search, canonical_graph, relabel_rows
+from .canon import CANON_CAP, _search, canonical_graph
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
-from .indices import OBJECTIVES, _require_k
+from .indices import OBJECTIVES, _require_k, _sums
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -303,11 +305,28 @@ def _children(n: int, parents: Sequence[int]) -> List[int]:
             rows = tuple(adj)
             ties = _keeps(rows)
             if ties:
-                _, orderings, classes = _search(rows)
+                key, orderings, classes = _search(rows)
                 if _accepts(rows, ties, orderings, classes):
-                    canon = relabel_rows(rows, orderings[0])
-                    found.append(edge_mask(Graph(n, canon, graph.m + mask.bit_count())))
+                    found.append(_key_mask(key))
     return found
+
+
+# _MIRROR[j][code]: the j bits of ``code`` in reverse order
+_MIRROR = [[0]] + [[int(f"{c:0{j}b}"[::-1], 2) for c in range(1 << j)] for j in range(1, CANON_CAP)]
+
+
+def _key_mask(key: Sequence[int]) -> int:
+    """The edge mask of the canonical form whose column key is ``key``.
+
+    Column j of the key holds the adjacency of canonical position j to
+    positions 0..j-1, position 0 the most significant of its j bits; the
+    edge mask holds that column at bit j(j-1)/2 with position 0 the least
+    significant (``edge_mask``), so each column is reversed.
+    """
+    em = 0
+    for j, code in enumerate(key, 1):
+        em |= _MIRROR[j][code] << (j * (j - 1) // 2)
+    return em
 
 
 def _in_order(masks: List[int]) -> List[int]:
@@ -462,9 +481,11 @@ def _sweep_batch(
         g = ctx.g
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
+        plan = ctx.plan
         for k in ks:
-            for bound, actual, holds, tight in ctx.checks(k):
-                checks_run += 1
+            checks_run += len(plan[k].bounds)
+            # without a CSV, a k whose checks all hold strictly builds none
+            for bound, actual, holds, tight in ctx.checks(k, banded=not want_csv):
                 if g6 is None and (want_csv or not holds or tight):
                     g6 = graph6_encode(g)
                 if want_csv:
@@ -559,42 +580,56 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     The sum and product objectives compare a graph with its complement and
     silently restrict to graphs whose complement is connected.  The order is
     checked first, then connectivity, then k, all before any enumeration.
+    The graphs are read in batches of up to ``BATCH``: where the spec or the
+    objective needs it each complement is built and flooded once, and a
+    batch's sums, the complements' included, come from one table pass.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     _require_sweepable(spec)
     _require_k(spec.n, k)
     sense, quantity = objective.split("-", 1)
+    paired = quantity != "sgut"
     best: Optional[int] = None
     hits: List[str] = []
-    for g in enumerate_graphs(spec):
-        ctx = GraphContext(g)
-        val = ctx.sums.sgut[k]
-        if quantity != "sgut":
-            if not ctx.co_connected:
-                continue
-            co_val = ctx.co_sums.sgut[k]
-            val = val + co_val if quantity == "sum" else val * co_val
-        if best is None or (val > best if sense == "max" else val < best):
-            best = val
-            hits = [graph6_encode(g)]
-        elif val == best:
-            hits.append(graph6_encode(g))
+    for batch in _batches(_masks(spec)):
+        graphs = [from_edge_mask(spec.n, em) for em in batch]
+        cos: List[Graph] = []
+        if paired or spec.require_coconnected:
+            kept = [(g, h) for g in graphs for h in (complement(g),) if is_connected(h)]
+            graphs = [g for g, _ in kept]
+            if paired:
+                cos = [h for _, h in kept]
+        sgut = [sums.sgut[k] for sums in _sums(graphs + cos, sdd=False)]
+        values = sgut[: len(graphs)]
+        if paired:
+            values = list(map(add if quantity == "sum" else mul, values, sgut[len(graphs) :]))
+        for g, val in zip(graphs, values):
+            if best is None or (val > best if sense == "max" else val < best):
+                best = val
+                hits = [graph6_encode(g)]
+            elif val == best:
+                hits.append(graph6_encode(g))
     if best is None:
         raise NoCaseApplies(f"no enumerated graph admits the {objective} objective")
     return ExtremalResult(objective, k, best, tuple(hits))
 
 
 def report_to_dict(report: VerificationReport) -> Dict[str, object]:
-    """JSON-ready dict; exact values serialized as "num/den" strings."""
+    """JSON-ready dict; exact values serialized as "num/den" strings.
+
+    Every record is a flat dataclass of ints, strings, bools and (the
+    spec's k range) a tuple of ints, so each is copied field by field, in
+    field order, with no deep copy, and a tight case's witness likewise.
+    """
     return {
-        "spec": asdict(report.spec),
+        "spec": dict(vars(report.spec)),
         "bound_set": list(report.bound_set),
         "graphs_scanned": report.graphs_scanned,
         "checks_run": report.checks_run,
         "violations": [
-            {**asdict(v), "bound_value": value_str(v.bound_value)} for v in report.violations
+            {**vars(v), "bound_value": value_str(v.bound_value)} for v in report.violations
         ],
-        "tight_cases": [asdict(t) for t in report.tight_cases],
-        "formula_audit_findings": [asdict(a) for a in report.formula_audit_findings],
+        "tight_cases": [{**vars(t), "witness": dict(vars(t.witness))} for t in report.tight_cases],
+        "formula_audit_findings": [dict(vars(a)) for a in report.formula_audit_findings],
     }

@@ -1,6 +1,8 @@
+import io
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, isqrt
 
 import networkx as nx
 import pytest
@@ -480,7 +482,7 @@ def test_plan_values_match_the_printed_formulas(universe):
         n = signature[0]
         runs = _decide(BOUND_IDS, n, True).runs
         plan = _plan(runs, signature)
-        assert plan[:2] == ((), ()) and len(plan) == n + 1
+        assert plan[:2] == (((), ()),) * 2 and len(plan) == n + 1
         for k in range(2, n + 1):
             expected = [
                 (bound_id, case, value)
@@ -489,10 +491,22 @@ def test_plan_values_match_the_printed_formulas(universe):
                     _GROUP_IDS[group], brute.bound_rows(group, signature, k)
                 )
             ]
-            got = [(b.bound_id, b.case, _value(b)) for b in plan[k]]
+            got = [(b.bound_id, b.case, _value(b)) for b in plan[k].bounds]
             assert got == expected, (signature, k)
             assert [type(v) for *_, v in got] == [type(v) for *_, v in expected]
-            assert all(b.den > 0 for b in plan[k])
+            assert all(b.den > 0 for b in plan[k].bounds)
+            # each operand's band: the largest floor of its lower bounds (that
+            # of the square root for the root row), the least ceiling of its
+            # upper bounds
+            lows, highs = {}, {}
+            for b, (*_, value) in zip(plan[k].bounds, expected):
+                if b.upper:
+                    highs[b.operand] = min(highs.get(b.operand, ceil(value)), ceil(value))
+                else:
+                    edge = isqrt(floor(value.square)) if b.root else floor(value)
+                    lows[b.operand] = max(lows.get(b.operand, edge), edge)
+            bands = [(op, lows.get(op, -1), highs.get(op)) for op in sorted({*lows, *highs})]
+            assert plan[k].bands == tuple(bands), (signature, k)
             rows += len(got)
     assert rows == 16 * sum(n - 1 for n, *_ in signatures)
 
@@ -515,3 +529,87 @@ def test_a_disconnected_graph_builds_no_table(count_calls):
         evaluate_bounds(path(5), 9)
     assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
     assert calls == []
+
+
+def _band_findings_agree(graphs, coconnected):
+    """Over every context of ``graphs`` and every k: the banded checks are
+    empty only where every check holds strictly, and otherwise are the full
+    checks; returns the checks run and the findings, in order."""
+    from steinergut.bounds import GraphContext
+
+    runs, findings = 0, []
+    for ctx in GraphContext.batch(graphs, BOUND_IDS, coconnected):
+        if not ctx.runs:
+            continue
+        for k in range(2, ctx.g.n + 1):
+            full = ctx.checks(k)
+            banded = ctx.checks(k, banded=True)
+            assert len(full) == len(ctx.plan[k].bounds)
+            strict = all(holds and not tight for _, _, holds, tight in full)
+            assert banded == ([] if strict else full), (ctx.g, k)
+            runs += len(full)
+            findings += [(ctx.g, k, c[0].bound_id) for c in banded if not c[2] or c[3]]
+    return runs, findings
+
+
+@pytest.mark.parametrize("coconnected", [False, True], ids=["connected", "coconnected"])
+def test_bands_pass_exactly_the_strict_checks_through_order_seven(coconnected):
+    from steinergut import EnumerationSpec, enumerate_graphs, sweep
+
+    runs = found = 0
+    for n in range(2, 8):
+        graphs = enumerate_graphs(EnumerationSpec(n=n))
+        checks_run, findings = _band_findings_agree(graphs, coconnected)
+        runs += checks_run
+        found += len(findings)
+        # the sweep's band path and its per-check CSV path report alike
+        spec = EnumerationSpec(n=n, require_coconnected=coconnected)
+        rows = io.StringIO()
+        assert sweep(spec, ["all"]) == sweep(spec, ["all"], csv_out=rows)
+    if coconnected:
+        assert (runs, found) == (69552, 435)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("coconnected", [False, True], ids=["connected", "coconnected"])
+def test_bands_pass_exactly_the_strict_checks_at_order_eight(universe, coconnected):
+    from steinergut import EnumerationSpec, sweep
+
+    _band_findings_agree(universe[8], coconnected)
+    spec = EnumerationSpec(n=8, require_coconnected=coconnected)
+    assert sweep(spec, ["all"]) == sweep(spec, ["all"], csv_out=io.StringIO())
+
+
+def test_a_band_edge_is_decided_as_its_check_decides_it():
+    # each bound alone, with its operand set at its band's edge and one to
+    # either side: the banded checks are empty exactly where the check holds
+    # strictly, for upper and lower rows, ones whose den divides num and ones
+    # whose den does not, and the root row
+    from steinergut.bounds import GraphContext
+    from steinergut.indices import _Sums
+
+    seen = set()
+    for g in (graph6_decode("Ch"), house(), cycle(5), graph6_decode("E?NO")):
+        assert is_connected(complement(g))
+        for bound_id in BOUND_IDS:
+            ctx = GraphContext(g, [bound_id])
+            if not ctx.runs:
+                continue
+            for k in range(2, g.n + 1):
+                (bound,), ((operand, lo, hi),) = ctx.plan[k]
+                edge = lo if hi is None else hi
+                assert (lo == -1) == bound.upper and (hi is None) != bound.upper
+                for a in (edge - 1, edge, edge + 1):
+                    zeros = [0] * (g.n + 1)
+                    sg = zeros[:k] + [a] + zeros[k + 1 :]
+                    sgbar = zeros[:k] + [int(operand == 2)] + zeros[k + 1 :]
+                    ctx.sums, ctx.co_sums = _Sums(tuple(sg), (), None), _Sums(tuple(sgbar), (), None)
+                    ((_, actual, holds, tight),) = ctx.checks(k)
+                    assert actual == a
+                    strict = holds and not tight
+                    assert ctx.checks(k, banded=True) == ([] if strict else ctx.checks(k))
+                    # just inside the band the check is strict, at its edge not
+                    assert strict == (a != edge and (a < edge) == bound.upper)
+                seen.add((bound.upper, bound.root, bound.num % bound.den == 0))
+    assert seen >= {(True, False, True), (True, False, False), (False, False, True),
+                    (False, False, False), (False, True, True)}

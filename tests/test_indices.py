@@ -219,10 +219,13 @@ def test_lane_bound_is_exact_at_its_edge_and_refused_past_it():
     sums = _all_k_sums(dist, n, degs)
     for k in range(n + 1):
         assert (sums.sgut[k], sums.sw[k], sums.sdd[k]) == _subset_sums(dist, degs, k)
-    with pytest.raises(OrderTooLarge, match="64-bit lanes"):
-        _all_k_sums(dist, n, (1, 1, 1, edge + 1))
+    # the high half's check is kept with its weights, and refuses every call
+    for _ in range(2):
+        with pytest.raises(OrderTooLarge, match="64-bit lanes"):
+            _all_k_sums(dist, n, (1, 1, 1, edge + 1))
     with pytest.raises(OrderTooLarge):
         _all_k_sums(bytes(1 << 20), 20, (10**6,) * 20)
+    assert _all_k_sums(dist, n, degs) == sums
 
 
 def test_the_sdd_free_pass_keeps_sgut_and_sw():
@@ -233,6 +236,27 @@ def test_the_sdd_free_pass_keeps_sgut_and_sw():
         graphs = enumerate_graphs(EnumerationSpec(n=n))
         for g, full, lean in zip(graphs, _sums(graphs), _sums(graphs, sdd=False)):
             assert (lean.sgut, lean.sw, lean.sdd) == (full.sgut, full.sw, None), g.adj
+
+
+def test_kept_half_weights_are_bounded_and_shared():
+    # every connected order-6 graph from cold caches, most reusing a degree
+    # half an earlier graph left, against the direct subset sums; past the
+    # kept orders nothing is kept
+    from steinergut import EnumerationSpec, enumerate_graphs
+    from steinergut.indices import _HALVES, _KEPT, _KEPT_ORDER
+
+    assert [f.cache_info().maxsize for f in _KEPT] == [_HALVES] * 2
+    for f in _KEPT:
+        f.cache_clear()
+    graphs = enumerate_graphs(EnumerationSpec(n=6))
+    for g, sums in zip(graphs, _sums(graphs)):
+        dist = steiner_all_subsets(g).dist
+        for k in range(2, 7):
+            assert (sums.sgut[k], sums.sw[k], sums.sdd[k]) == _subset_sums(dist, g.degrees, k)
+    assert all(f.cache_info().hits > 0 for f in _KEPT)
+    kept = [f.cache_info().currsize for f in _KEPT]
+    _sums([path(_KEPT_ORDER + 1), cycle(_KEPT_ORDER + 1)])
+    assert [f.cache_info().currsize for f in _KEPT] == kept
 
 
 def test_batched_sums_match_each_graphs_own():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import random
 import re
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -386,6 +387,64 @@ def test_find_extremal_guards():
     with pytest.raises(KOutOfRange) as err:
         find_extremal(EnumerationSpec(n=5), 9, "max-sgut")
     assert str(err.value) == "k must satisfy 2 <= k <= 5, got 9"
+
+
+def test_a_coconnected_extremal_search_builds_each_complement_once(count_calls):
+    # the 853 connected order-7 classes: one complement each, and the sums
+    # of each batch of graphs and complements from one table pass
+    from steinergut import graph, steiner
+
+    spec = EnumerationSpec(n=7, require_coconnected=True)
+    verify._level(7)
+    complements = count_calls(graph, "complement")
+    tables = count_calls(steiner, "_tables")
+    res = find_extremal(spec, 3, "max-sum")
+    assert len(complements) == CONNECTED_COUNTS[7] == 853
+    assert len(tables) == -(-853 // verify.BATCH)
+    g = graph6_decode(res.graph6s[0])
+    assert res.value == steiner_gutman(g, 3) + steiner_gutman(complement(g), 3)
+
+
+def test_the_canonical_mask_is_read_off_the_search_key():
+    # every connected order-7 class under a seeded relabeling: the mask
+    # built from its key is the edge mask of its canonical form
+    from steinergut.canon import _search, canonical_graph
+
+    rng = random.Random(7)
+    for em in verify._level(7):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        g = relabel(from_edge_mask(7, em), perm)
+        assert verify._key_mask(_search(g.adj)[0]) == edge_mask(canonical_graph(g)) == em
+
+
+def test_report_to_dict_copies_what_asdict_copies():
+    # an order-6 co-connected report has violations, tight cases and its
+    # k range as a tuple
+    from dataclasses import asdict
+
+    spec = EnumerationSpec(n=6, require_coconnected=True, k_range=(2, 4))
+    report = sweep(spec, ["all"])
+    assert report.violations and report.tight_cases
+    doc = report_to_dict(report)
+    expected = {
+        "spec": asdict(report.spec),
+        "bound_set": list(report.bound_set),
+        "graphs_scanned": report.graphs_scanned,
+        "checks_run": report.checks_run,
+        "violations": [
+            {**asdict(v), "bound_value": verify.value_str(v.bound_value)}
+            for v in report.violations
+        ],
+        "tight_cases": [asdict(t) for t in report.tight_cases],
+        "formula_audit_findings": [asdict(a) for a in report.formula_audit_findings],
+    }
+    # equal, and in the same key order, so the JSON text is the same
+    assert doc == expected
+    assert json.dumps(doc, indent=2) == json.dumps(expected, indent=2)
+    # the records' own fields are copies, never the frozen records' dicts
+    doc["tight_cases"][0]["witness"]["regular"] = None
+    assert report.tight_cases[0].witness.regular is not None
 
 
 def test_verify_report_bytes_match_golden_digests(tmp_path):
