@@ -19,7 +19,7 @@ _EXPORTS = {
         "BOUND_GROUPS BOUND_IDS BoundCheck EqualityWitness diagnose_equality equality_witness "
         "evaluate_bounds expand_bound_ids"
     ),
-    "canon": "canonical_graph canonical_key_and_perms",
+    "canon": "canonical_graph",
     "cli": "run_cli",
     "errors": (
         "ComplementDisconnected Disconnected EmptySet IndexOutOfRange InvalidFamilyOrder "

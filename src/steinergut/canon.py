@@ -29,24 +29,26 @@ Enumeration reads only the pruned search: a child its orderings and twin
 classes, for its canonical form and the canonical-deletion test that
 accepts it, a parent generators of its automorphism group (its
 non-identity orderings and one transposition per consecutive pair of each
-twin class), never the whole group.
+twin class), never the whole group.  No entry point expands the twin
+classes.  The canonical form is read off the key alone (``_key_mask``),
+for ``canonical_graph`` and enumeration alike.
 
-``canonical_key_and_perms`` still returns every optimal ordering, each
-pruned one expanded by the permutations of every twin class, so factorial
-time and memory remain there (K_10 has 3.6 million optimal orderings).
-Every entry point therefore refuses orders above ``CANON_CAP`` before any
-search starts.
+The search has no refinement, so on a graph without twins it keeps every
+tied prefix, and its frontier can grow exponentially with the order (up to
+384 entries among sampled order-9 graphs).  Every entry point therefore
+refuses orders above ``CANON_CAP`` before any search starts.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import OrderTooLarge
-from .graph import Graph
+from .graph import Graph, from_edge_mask
 
-# Largest order the lex-min search accepts: the order-9 enumeration target.
+# Largest order the lex-min search accepts, the order-9 enumeration target:
+# without refinement the tied prefixes of a twin-free graph can multiply
+# with each order, so the cap bounds the frontier a public caller can ask for.
 CANON_CAP = 9
 
 Key = Tuple[int, ...]
@@ -139,37 +141,24 @@ def _search(adj: Tuple[int, ...]) -> Tuple[Key, Tuple[Ordering, ...], Tuple[Tupl
     return tuple(key), orderings, classes
 
 
-def canonical_key_and_perms(adj: Tuple[int, ...]) -> Tuple[Key, Tuple[Ordering, ...]]:
-    """Return the canonical column key and all orderings that achieve it.
+# _MIRROR[j][code]: the j bits of ``code`` in reverse order
+_MIRROR = [[0]] + [[int(f"{c:0{j}b}"[::-1], 2) for c in range(1 << j)] for j in range(1, CANON_CAP)]
 
-    Each ordering is a tuple seq with seq[i] = the original vertex placed at
-    canonical position i, in lexicographic order.  The key has one integer
-    per column 1..n-1.  Orders above CANON_CAP raise OrderTooLarge.
+
+def _key_mask(key: Sequence[int]) -> int:
+    """The edge mask of the canonical form whose column key is ``key``.
+
+    Column j of the key holds the adjacency of canonical position j to
+    positions 0..j-1, position 0 the most significant of its j bits; the
+    edge mask holds that column at bit j(j-1)/2 with position 0 the least
+    significant (``edge_mask``), so each column is reversed.
     """
-    key, orderings, classes = _search(adj)
-    images = []
-    for moves in product(*(permutations(cls) for cls in classes)):
-        to = list(range(len(adj)))
-        for cls, move in zip(classes, moves):
-            for a, b in zip(cls, move):
-                to[a] = b
-        images += [tuple([to[v] for v in seq]) for seq in orderings]
-    return key, tuple(sorted(images))
-
-
-def relabel_rows(adj: Tuple[int, ...], seq: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Adjacency rows after placing original vertex seq[i] at position i."""
-    n = len(adj)
-    out = [0] * n
-    for i, u in enumerate(seq):
-        row = adj[u]
-        for j, v in enumerate(seq):
-            if row >> v & 1:
-                out[i] |= 1 << j
-    return tuple(out)
+    em = 0
+    for j, code in enumerate(key, 1):
+        em |= _MIRROR[j][code] << (j * (j - 1) // 2)
+    return em
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabel g into its canonical form; orders above CANON_CAP raise OrderTooLarge."""
-    _, orderings, _ = _search(g.adj)
-    return Graph(g.n, relabel_rows(g.adj, orderings[0]), g.m)
+    return from_edge_mask(g.n, _key_mask(_search(g.adj)[0]))

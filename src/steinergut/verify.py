@@ -24,10 +24,10 @@ non-cut degree already rules out are never built (``_children``).  Each
 kept child gets one lex-min canon, and McKay's canonical-deletion test
 (``_accepts``) reads that search to accept each class from exactly one
 child, with no map of the classes seen; the accepted child's canonical
-edge mask is read off the same search's key (``_key_mask``).
+edge mask is read off the same search's key (``canon._key_mask``).
 A disconnected graph has a connected complement, so the disconnected
 classes of an order are the canonical forms of the disconnected
-complements of its connected level.
+complements of its connected level, each read off its key the same way.
 
 A level is held as an ``array('Q')`` of canonical edge masks sorted by
 (edge count, edge mask); ``Graph`` objects are built only inside a batch,
@@ -67,7 +67,7 @@ from operator import add, mul
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from .bounds import EqualityWitness, GraphContext, _value, expand_bound_ids
-from .canon import CANON_CAP, _search, canonical_graph
+from .canon import _key_mask, _search
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
@@ -311,24 +311,6 @@ def _children(n: int, parents: Sequence[int]) -> List[int]:
     return found
 
 
-# _MIRROR[j][code]: the j bits of ``code`` in reverse order
-_MIRROR = [[0]] + [[int(f"{c:0{j}b}"[::-1], 2) for c in range(1 << j)] for j in range(1, CANON_CAP)]
-
-
-def _key_mask(key: Sequence[int]) -> int:
-    """The edge mask of the canonical form whose column key is ``key``.
-
-    Column j of the key holds the adjacency of canonical position j to
-    positions 0..j-1, position 0 the most significant of its j bits; the
-    edge mask holds that column at bit j(j-1)/2 with position 0 the least
-    significant (``edge_mask``), so each column is reversed.
-    """
-    em = 0
-    for j, code in enumerate(key, 1):
-        em |= _MIRROR[j][code] << (j * (j - 1) // 2)
-    return em
-
-
 def _in_order(masks: List[int]) -> List[int]:
     """``masks`` sorted in place by (edge count, edge mask), by two stable
     sorts that build no key tuples."""
@@ -387,7 +369,7 @@ def _masks(spec: EnumerationSpec, mapper: Callable = map) -> Sequence[int]:
         masks = _level(n, mapper)
         if not spec.require_connected:
             apart = (from_edge_mask(n, em ^ full) for em in masks)
-            masks = _in_order([*masks, *(edge_mask(canonical_graph(h)) for h in apart
+            masks = _in_order([*masks, *(_key_mask(_search(h.adj)[0]) for h in apart
                                          if not is_connected(h))])
     else:
         masks = range(full + 1)
@@ -516,18 +498,23 @@ def sweep(
     ``graphs``, of order ``spec.n``, overrides enumeration but not the
     spec's co-connected filter (they reach the batches as edge masks, and a
     batch keeps the graphs whose complement is connected when the spec asks
-    for them); without it, the order, then a spec that admits
+    for them); a graph of another order raises ValueError before any batch
+    is built.  Without ``graphs``, the order, then a spec that admits
     disconnected graphs, then the spec's k are refused before any
-    enumeration.  ``mapper`` (the builtin
-    ``map``, or a process pool's ``map``) sweeps the graphs in batches of
-    up to ``BATCH``, and their results are joined in graph order, so the
-    report does not depend on it; enumeration, when needed, uses the same
-    map.  With ``csv_out``, each check's row in the ``CSV_HEADER`` layout
-    is written there, a batch's rows as that batch comes back.
+    enumeration.  ``mapper`` (the builtin ``map``, or a process pool's
+    ``map``) sweeps the graphs in batches of up to ``BATCH``, and their
+    results are joined in graph order, so the report does not depend on
+    it; enumeration, when needed, uses the same map.  With ``csv_out``,
+    each check's row in the ``CSV_HEADER`` layout is written there, a
+    batch's rows as that batch comes back.
     """
     ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
     if graphs is None:
         _require_sweepable(spec)
+    else:
+        for g in graphs:
+            if g.n != spec.n:
+                raise ValueError(f"a sweep of order {spec.n} got a graph of order {g.n}")
     _k_values(spec)
     masks = _masks(spec, mapper) if graphs is None else [edge_mask(g) for g in graphs]
     return _sweep(spec, ids, masks, csv_out, mapper)

@@ -3,14 +3,15 @@
 Nothing here shares an algorithm with the package under test: Steiner
 distances come from literal superset search over networkx subgraphs, the
 index oracles re-sum everything from scratch, the canonical key is the
-least over every vertex ordering, a square-root bound is compared as a
-Fraction squared, not through the package's scaled integers, and the bound
-formulas are the printed ones transcribed in Fractions, where the package
-computes integer numerators and denominators.  Test-suite use only.
+least over every vertex ordering, twins are found by comparing every pair,
+a square-root bound is compared as a Fraction squared, not through the
+package's scaled integers, and the bound formulas are the printed ones
+transcribed in Fractions, where the package computes integer numerators
+and denominators.  Test-suite use only.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, isqrt
 
 import networkx as nx
@@ -40,6 +41,39 @@ def canonical_key_and_perms(adj):
         elif key == best:
             hits.append(seq)
     return best, tuple(sorted(hits))
+
+
+def placing(seq):
+    """The permutation for ``relabel`` that puts original vertex seq[i] at i."""
+    perm = [0] * len(seq)
+    for i, u in enumerate(seq):
+        perm[u] = i
+    return perm
+
+
+def twin_classes(adj):
+    """The classes of two or more twins, u and v with N(u) - {v} = N(v) - {u},
+    each in increasing order, found by comparing every pair."""
+    n = len(adj)
+    classes = {
+        tuple(v for v in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)) for u in range(n)
+    }
+    return tuple(sorted(cls for cls in classes if len(cls) > 1))
+
+
+def expand_twins(adj, orderings):
+    """Every image of ``orderings`` under the permutations of each twin class,
+    sorted: the orderings a search that places twins in increasing order
+    prunes, restored."""
+    classes = twin_classes(adj)
+    images = []
+    for moves in product(*(permutations(cls) for cls in classes)):
+        to = list(range(len(adj)))
+        for cls, move in zip(classes, moves):
+            for a, b in zip(cls, move):
+                to[a] = b
+        images += [tuple(to[v] for v in seq) for seq in orderings]
+    return tuple(sorted(images))
 
 
 def to_networkx(g: Graph) -> nx.Graph:

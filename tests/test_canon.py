@@ -6,34 +6,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from steinergut import (
-    OrderTooLarge,
-    canonical_graph,
-    canonical_key_and_perms,
-    from_edge_list,
-    relabel,
-)
-from steinergut.canon import CANON_CAP, _search, relabel_rows
+from steinergut import OrderTooLarge, canonical_graph, from_edge_list, relabel
+from steinergut.canon import CANON_CAP, _search
 from strategies import graphs
 
 
 def _key(adj):
-    return canonical_key_and_perms(adj)[0]
+    return _search(adj)[0]
+
+
+def _optimal(adj):
+    """Every ordering that reaches the key: the search's, twins expanded."""
+    return brute.expand_twins(adj, _search(adj)[1])
+
+
+def _matches_brute(adj):
+    """The search's key is the least over all orderings, its orderings are
+    exactly the optimal ones with each twin class in increasing order, and
+    those expand to every optimal ordering."""
+    key, orderings, classes = _search(adj)
+    least, every = brute.canonical_key_and_perms(adj)
+    assert key == least
+    assert classes == brute.twin_classes(adj)
+
+    def increasing(seq):
+        return all([v for v in seq if v in cls] == list(cls) for cls in classes)
+
+    assert orderings == tuple(seq for seq in every if increasing(seq))
+    assert brute.expand_twins(adj, orderings) == every
 
 
 def test_single_vertex():
-    key, perms = canonical_key_and_perms((0,))
-    assert key == ()
-    assert perms == ((0,),)
+    assert _search((0,)) == ((), ((0,),), ())
 
 
 def test_automorphism_counts_on_canonical_graphs():
     k4 = canonical_graph(from_edge_list(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]))
-    assert len(canonical_key_and_perms(k4.adj)[1]) == 24
+    assert len(_optimal(k4.adj)) == 24
     c5 = canonical_graph(from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)]))
-    assert len(canonical_key_and_perms(c5.adj)[1]) == 10
+    assert len(_optimal(c5.adj)) == 10
     p3 = canonical_graph(from_edge_list(3, [(0, 1), (1, 2)]))
-    assert len(canonical_key_and_perms(p3.adj)[1]) == 2
+    assert len(_optimal(p3.adj)) == 2
 
 
 @given(graphs(max_n=6), st.data())
@@ -46,17 +59,12 @@ def test_canonical_key_is_isomorphism_invariant(g, data):
 @given(graphs(max_n=6))
 def test_canonical_graph_is_idempotent_and_isomorphic(g):
     cg = canonical_graph(g)
+    # the form read off the key is g relabeled by an optimal ordering
+    assert cg == relabel(g, brute.placing(_search(g.adj)[1][0]))
     assert cg.m == g.m
     assert sorted(cg.degrees) == sorted(g.degrees)
     assert canonical_graph(cg) == cg
     assert _key(cg.adj) == _key(g.adj)
-
-
-def test_relabel_rows_places_seq_positions():
-    g = from_edge_list(3, [(0, 1)])
-    # put original vertex 2 first: edge moves to positions (1, 2)
-    rows = relabel_rows(g.adj, (2, 0, 1))
-    assert rows == (0, 0b100, 0b010)
 
 
 def test_distinguishes_cospectral_degree_twins():
@@ -85,12 +93,14 @@ def test_certificate_separates_graphs_refinement_cannot_split():
 
 def test_perms_all_achieve_the_key():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    key, perms = canonical_key_and_perms(g.adj)
+    key = _key(g.adj)
+    perms = _optimal(g.adj)
+    assert len(perms) == 8
     for seq in perms:
-        assert _key(relabel_rows(g.adj, seq)) == key
-        rows = relabel_rows(g.adj, seq)
-        # every optimal ordering lands on the same canonical adjacency
-        assert rows == relabel_rows(g.adj, perms[0])
+        h = relabel(g, brute.placing(seq))
+        assert _key(h.adj) == key
+        # every optimal ordering lands on the canonical form read off the key
+        assert h == canonical_graph(g)
 
 
 def _complete(n):
@@ -101,7 +111,7 @@ def test_complete_graph_above_the_cap_is_rejected_at_once():
     k10 = _complete(CANON_CAP + 1)
     start = time.monotonic()
     with pytest.raises(OrderTooLarge):
-        canonical_key_and_perms(k10.adj)
+        _search(k10.adj)
     with pytest.raises(OrderTooLarge):
         canonical_graph(k10)
     assert time.monotonic() - start < 1.0
@@ -111,14 +121,14 @@ def test_path_at_the_cap_still_canonicalizes():
     p9 = from_edge_list(CANON_CAP, [(i, i + 1) for i in range(CANON_CAP - 1)])
     cg = canonical_graph(p9)
     assert cg.m == CANON_CAP - 1
-    assert len(canonical_key_and_perms(cg.adj)[1]) == 2
+    assert len(_optimal(cg.adj)) == 2
     assert canonical_graph(relabel(p9, [(2 * i + 1) % CANON_CAP for i in range(CANON_CAP)])) == cg
 
 
 @given(graphs(max_n=6))
 @settings(max_examples=60)
 def test_key_and_orderings_match_the_least_over_all_orderings(g):
-    assert canonical_key_and_perms(g.adj) == brute.canonical_key_and_perms(g.adj)
+    _matches_brute(g.adj)
 
 
 def _twin_rich():
@@ -143,11 +153,10 @@ def _twin_rich():
 
 @pytest.mark.parametrize("name,g", list(_twin_rich()), ids=[name for name, _ in _twin_rich()])
 def test_twin_rich_graphs_match_the_least_over_all_orderings(name, g):
-    # the pruned search places twins in increasing order only, so every
-    # labeling of the classes must still expand to all optimal orderings
+    # the pruned search places twins in increasing order only, so under every
+    # labeling of the classes its orderings must still expand to all optimal ones
     for perm in (list(range(g.n)), random.Random(g.n).sample(range(g.n), g.n)):
-        h = relabel(g, perm)
-        assert canonical_key_and_perms(h.adj) == brute.canonical_key_and_perms(h.adj)
+        _matches_brute(relabel(g, perm).adj)
 
 
 def test_twin_classes_of_a_graph_with_true_and_false_twins():
@@ -156,7 +165,7 @@ def test_twin_classes_of_a_graph_with_true_and_false_twins():
     assert classes == ((0, 1, 2), (4, 5, 6))
     # 3! * 3! automorphisms, all of them twin permutations
     assert len(orderings) == 1
-    assert len(canonical_key_and_perms(g.adj)[1]) == 36
+    assert len(brute.expand_twins(g.adj, orderings)) == 36
 
 
 def test_complete_graph_at_the_cap_searches_one_ordering():

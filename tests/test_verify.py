@@ -25,7 +25,6 @@ from steinergut import (
     KOutOfRange,
     NoCaseApplies,
     OrderTooLarge,
-    canonical_key_and_perms,
     complement,
     edge_mask,
     enumerate_graphs,
@@ -163,7 +162,7 @@ def test_classes_cover_every_labeled_graph(connected, labeled_total):
     # orbit counting: each class contributes n!/|Aut| labeled copies
     total = 0
     for g in enumerate_graphs(EnumerationSpec(n=5, require_connected=connected)):
-        aut = len(canonical_key_and_perms(g.adj)[1])
+        aut = len(brute.expand_twins(g.adj, verify._search(g.adj)[1]))
         assert factorial(5) % aut == 0
         total += factorial(5) // aut
     assert total == labeled_total
@@ -407,15 +406,17 @@ def test_a_coconnected_extremal_search_builds_each_complement_once(count_calls):
 
 def test_the_canonical_mask_is_read_off_the_search_key():
     # every connected order-7 class under a seeded relabeling: the mask
-    # built from its key is the edge mask of its canonical form
-    from steinergut.canon import _search, canonical_graph
+    # built from its key is the edge mask of the graph relabeled by its
+    # search's first optimal ordering
+    from steinergut.canon import _key_mask, _search
 
     rng = random.Random(7)
     for em in verify._level(7):
         perm = list(range(7))
         rng.shuffle(perm)
         g = relabel(from_edge_mask(7, em), perm)
-        assert verify._key_mask(_search(g.adj)[0]) == edge_mask(canonical_graph(g)) == em
+        key, orderings, _ = _search(g.adj)
+        assert _key_mask(key) == edge_mask(relabel(g, brute.placing(orderings[0]))) == em
 
 
 def test_report_to_dict_copies_what_asdict_copies():
@@ -587,15 +588,13 @@ def test_generator_orbit_minima_match_the_full_groups(connected):
     # a parent's generators are those of its whole automorphism group
     for n in (6, 7):
         for g in enumerate_graphs(EnumerationSpec(n=n, require_connected=connected)):
-            full = _full_group_minima(canonical_key_and_perms(g.adj)[1], n)
+            full = _full_group_minima(brute.expand_twins(g.adj, verify._search(g.adj)[1]), n)
             assert verify._orbit_minima(verify._generators(g.adj), n, n) == full, g
 
 
 def _every_orbit_child(n, em):
     """The accepted children of one parent without the prefilter: a child is
     built for the least mask of every orbit, and ``_keeps`` alone drops one."""
-    from steinergut.canon import relabel_rows
-
     parent = from_edge_mask(n - 1, em)
     top = 1 << (n - 1)
     found = []
@@ -605,8 +604,8 @@ def _every_orbit_child(n, em):
         if ties:
             _, orderings, classes = verify._search(rows)
             if verify._accepts(rows, ties, orderings, classes):
-                canon = relabel_rows(rows, orderings[0])
-                found.append(edge_mask(Graph(n, canon, parent.m + mask.bit_count())))
+                child = Graph(n, rows, parent.m + mask.bit_count())
+                found.append(edge_mask(relabel(child, brute.placing(orderings[0]))))
     return found
 
 
@@ -846,6 +845,19 @@ def test_a_sweep_with_a_bad_k_is_refused_before_enumerating(
         sweep(EnumerationSpec(n=n, k_range=(k,)))
     assert str(err.value) == text
     assert len(canons) == 0
+
+
+@pytest.mark.parametrize("order", [5, 7], ids=["smaller", "larger"])
+def test_a_sweep_refuses_given_graphs_of_another_order(count_calls, order):
+    # read back at order 6 from its edge mask, K5 would gain an isolated
+    # vertex and K7 would overflow the order-6 triangle
+    batches = count_calls(verify, "_sweep_batch")
+    path = from_edge_list(6, [(v, v + 1) for v in range(5)])
+    complete = from_edge_list(order, list(combinations(range(order), 2)))
+    with pytest.raises(ValueError) as err:
+        sweep(EnumerationSpec(n=6), graphs=[path, complete])
+    assert str(err.value) == f"a sweep of order 6 got a graph of order {order}"
+    assert len(batches) == 0
 
 
 def test_order_eight_coconnected_sweep_matches_golden_totals(universe):
