@@ -43,6 +43,19 @@ A sweep that writes no CSV asks for ``checks(k, banded=True)``, which
 builds no check at a k where every operand lies inside its band: each
 check there holds and none is tight, so the sweep only counts them.
 
+Most such k are decided before any sum is read.  A Steiner tree of a
+k-set S of a connected order-n graph spans at least k and at most n
+vertices, so k - 1 <= d(S) <= n - 1 and (k-1) e_k <= SGut_k(G) <=
+(n-1) e_k, e_k the k-th elementary symmetric polynomial of the degrees;
+the complement's bracket comes the same way from the degrees n-1-d.
+``_certified`` memoizes, per (running groups, sorted degrees), the k at
+which each operand's bracket lies inside its band, and a context's
+``certified`` reads it.  A banded sweep only guards and counts a
+certified k, and ``GraphContext.batch`` leaves a context whose swept k
+are all certified out of its table pass.  ``checks`` never consults the
+brackets, and a sweep with a CSV, ``evaluate_bounds``, the ``bounds``
+command, ``compute`` and ``extremal`` read every graph's exact sums.
+
 Values stay exact and are built only where one is reported: ``_value``
 turns a check's integers into the reduced Fraction, or for the root row an
 exact SquareRoot, never a float.
@@ -54,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isqrt
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
@@ -377,6 +390,61 @@ def _plan(
     return tuple(plan)
 
 
+def _signature(degrees: Sequence[int]) -> Tuple[int, int, int, int, int]:
+    """(n, m, d, D, p) of a graph with the degrees ``degrees``."""
+    return (len(degrees), sum(degrees) // 2, min(degrees), max(degrees), degrees.count(1))
+
+
+def _elementary(values: Sequence[int]) -> List[int]:
+    """e_0 .. e_n of ``values``: the coefficients of prod (1 + v x)."""
+    e = [1]
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+@lru_cache(maxsize=None)
+def _certified(
+    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], degrees: Tuple[int, ...]
+) -> FrozenSet[int]:
+    """The k at which every operand of the running groups ``runs`` lies
+    strictly inside its band (``_plan``) on every connected graph with the
+    sorted degrees ``degrees`` and, where a paired group runs, a connected
+    complement.
+
+    For a connected order-n graph and a k-set S, k - 1 <= d(S) <= n - 1: a
+    Steiner tree of S spans at least its k vertices and at most all n.
+    SGut_k sums d(S) times the degree product of S over the k-sets, so
+
+        (k-1) e_k(deg)  <=  SGut_k(G)  <=  (n-1) e_k(deg)
+
+    with e_k the k-th elementary symmetric polynomial.  The complement's
+    degrees are n-1-d, so its bracket needs no complement built; the sum's
+    and the product's brackets are the sum and the product of the two,
+    every end being non-negative.  A k is certified when each operand's
+    closed bracket lies inside its open band, so by integers alone every
+    check there holds strictly, whatever the graph's sums.
+    """
+    n = len(degrees)
+    plan = _plan(runs, _signature(degrees))
+    e = _elementary(degrees)
+    paired = any(group in PAIRED_GROUPS for group, _ in runs)
+    co = _elementary([n - 1 - d for d in degrees]) if paired else []
+    certified = []
+    for k in range(2, n + 1):
+        lo, hi = (k - 1) * e[k], (n - 1) * e[k]
+        brackets = [(lo, hi)]
+        if paired:
+            co_lo, co_hi = (k - 1) * co[k], (n - 1) * co[k]
+            brackets += [(lo + co_lo, hi + co_hi), (lo * co_lo, hi * co_hi)]
+        if all(
+            band_lo < brackets[op][0] and (band_hi is None or brackets[op][1] < band_hi)
+            for op, band_lo, band_hi in plan[k].bands
+        ):
+            certified.append(k)
+    return frozenset(certified)
+
+
 def _value(bound: _Bound) -> Scalar:
     """The reduced exact value of ``bound``, as it is reported: a Fraction, or
     a SquareRoot for the root row."""
@@ -407,8 +475,7 @@ class GraphContext:
     def __init__(self, g: Graph, wanted: Sequence[str] = ()) -> None:
         self.g = g
         self.connected = is_connected(g)
-        degs = g.degrees
-        self.signature = (g.n, g.m, min(degs), max(degs), degs.count(1))
+        self.signature = _signature(g.degrees)
         # the complement matters only to a paired group that would run
         wanted = tuple(wanted)
         decision = _decide(wanted, g.n, True)
@@ -428,19 +495,26 @@ class GraphContext:
 
     @classmethod
     def batch(
-        cls, graphs: Sequence[Graph], wanted: Sequence[str] = (), coconnected: bool = False
+        cls,
+        graphs: Sequence[Graph],
+        wanted: Sequence[str] = (),
+        coconnected: bool = False,
+        ks: Optional[Sequence[int]] = None,
     ) -> List["GraphContext"]:
         """The contexts of ``graphs``, all of one order, their sums read at
         once: G's where a group runs on a connected G, and the complement's
         where a paired group runs, all from one batched table pass.  With
         ``coconnected``, only the contexts of the graphs whose complement is
-        connected, so each complement is built and flooded once."""
+        connected, so each complement is built and flooded once.  With
+        ``ks``, the k a banded sweep decides, a context whose every k in
+        ``ks`` is ``certified`` is left out of the pass: its sums are read
+        only if a caller asks for them."""
         ctxs = [cls(g, wanted) for g in graphs]
         if coconnected:
             ctxs = [ctx for ctx in ctxs if ctx.co_connected]
         wants = []
         for ctx in ctxs:
-            if ctx.connected and ctx.runs:
+            if ctx.connected and ctx.runs and (ks is None or not ctx.certified.issuperset(ks)):
                 wants.append((ctx, "sums", ctx.g))
                 if ctx._paired:
                     wants.append((ctx, "co_sums", ctx.gbar))
@@ -462,6 +536,16 @@ class GraphContext:
         """The running groups' checks at every k, shared by every graph of
         this signature that runs the same groups."""
         return _plan(self.runs, self.signature)
+
+    @cached_property
+    def certified(self) -> FrozenSet[int]:
+        """The k at which the degree brackets (``_certified``) put every
+        operand strictly inside its band, so every check holds strictly
+        whatever the sums; empty on a disconnected G or where nothing runs.
+        Shared by every graph of these degrees that runs the same groups."""
+        if not (self.connected and self.runs):
+            return frozenset()
+        return _certified(self.runs, tuple(sorted(self.g.degrees)))
 
     def checks(self, k: int, banded: bool = False) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.

@@ -3,7 +3,8 @@
 The three closed forms for the Steiner Gutman index below circulate in
 print.  The star formula is right.  The complete-graph formula carries the
 exponent n where the correct count needs k, and the path formula disagrees
-with direct computation as soon as 2 < k < n.  audit_formulas recomputes
+with direct computation at every 2 <= k <= n (for P3 at k = 2 it gives 4,
+and the index is 6).  audit_formulas recomputes
 everything exactly and reports agreement per (family, n, k); the printed
 forms are kept verbatim and never silently repaired, with the repaired
 complete-graph form exposed separately.
@@ -80,7 +81,7 @@ def closed_form_complete_corrected(n: int, k: int) -> int:
 
 
 def closed_form_path_printed(n: int, k: int) -> int:
-    """Path form as printed; disagrees with direct computation for 2 < k < n."""
+    """Path form as printed; disagrees with direct computation at every 2 <= k <= n."""
     _check_nk(n, k)
     return 2**k * (k - 1) * comb(n, k + 1)
 

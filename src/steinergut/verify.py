@@ -36,10 +36,11 @@ batches of up to ``BATCH`` masks with the caller's ``map`` (the builtin one
 in process, or a process pool's, which sends each batch as one task):
 ``_children`` maps a batch of parents to the canonical masks of their
 accepted children, and ``_sweep_batch`` maps a batch of graph masks, whose
-Steiner tables it builds in one pass, to its graphs scanned, checks run,
-violations, tight cases and CSV rows.  A co-connected sweep is handed the
-connected graphs and keeps, in each batch, the ones whose complement is
-connected, so each complement is built and flooded once, where its sums
+Steiner tables it builds in one pass (without a CSV, only for the graphs
+whose degree brackets leave some k open), to its graphs scanned, checks
+run, violations, tight cases and CSV rows.  A co-connected sweep is handed
+the connected graphs and keeps, in each batch, the ones whose complement
+is connected, so each complement is built and flooded once, where its sums
 are read.  Results are joined in input order; a class's canonical
 form does not depend on which child found it and a level is sorted, so
 neither the map nor the batches change a level or a report.  ``sweep``
@@ -73,7 +74,7 @@ from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
 from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
 from .graph6 import graph6_encode
-from .indices import OBJECTIVES, _require_k, _sums
+from .indices import OBJECTIVES, _guard, _require_k, _sums
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -450,13 +451,21 @@ def _sweep_batch(
     ``want_csv``.  A graph's graph6 name is encoded only when a CSV row,
     a violation or a tight case first needs it, and a bound's value is
     built only for a CSV row or a violation.
+
+    Without ``want_csv``, a k in the context's ``certified`` (its degree
+    brackets put every operand strictly inside its band, so every check
+    holds strictly) is guarded and counted and builds nothing, and a graph
+    whose every k in ``ks`` is certified is left out of the table pass.
+    With ``want_csv`` every check is evaluated and written, so every
+    swept graph's sums are read.
     """
     scanned = checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids, coconnected):
+    graphs = [from_edge_mask(n, em) for em in masks]
+    for ctx in GraphContext.batch(graphs, ids, coconnected, None if want_csv else ks):
         scanned += 1
         if not ctx.runs:
             continue
@@ -464,8 +473,13 @@ def _sweep_batch(
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
         plan = ctx.plan
+        certified = frozenset() if want_csv else ctx.certified
         for k in ks:
             checks_run += len(plan[k].bounds)
+            if k in certified:
+                # the degree brackets decide every check there, with no sums
+                _guard(ctx.connected, g, k)
+                continue
             # without a CSV, a k whose checks all hold strictly builds none
             for bound, actual, holds, tight in ctx.checks(k, banded=not want_csv):
                 if g6 is None and (want_csv or not holds or tight):

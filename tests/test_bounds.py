@@ -2,7 +2,7 @@ import io
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, isqrt
+from math import ceil, comb, floor, isqrt, prod
 
 import networkx as nx
 import pytest
@@ -534,7 +534,8 @@ def test_a_disconnected_graph_builds_no_table(count_calls):
 def _band_findings_agree(graphs, coconnected):
     """Over every context of ``graphs`` and every k: the banded checks are
     empty only where every check holds strictly, and otherwise are the full
-    checks; returns the checks run and the findings, in order."""
+    checks, and every k the degree brackets certify holds strictly; returns
+    the checks run and the findings, in order."""
     from steinergut.bounds import GraphContext
 
     runs, findings = 0, []
@@ -547,9 +548,43 @@ def _band_findings_agree(graphs, coconnected):
             assert len(full) == len(ctx.plan[k].bounds)
             strict = all(holds and not tight for _, _, holds, tight in full)
             assert banded == ([] if strict else full), (ctx.g, k)
+            # a k the degree brackets certify holds each of its checks strictly
+            assert strict or k not in ctx.certified, (ctx.g, k)
             runs += len(full)
             findings += [(ctx.g, k, c[0].bound_id) for c in banded if not c[2] or c[3]]
     return runs, findings
+
+
+def _assert_degree_brackets(graphs):
+    """(k-1) e_k <= SGut_k <= (n-1) e_k for each connected graph of
+    ``graphs`` (all of one order) at every k, e_k the k-th elementary
+    symmetric polynomial of its degrees, with the low end reached exactly
+    where every k-set induces a connected subgraph: SW_k = (k-1) C(n, k)."""
+    from steinergut.bounds import _elementary
+    from steinergut.indices import _sums
+
+    for g, sums in zip(graphs, _sums(graphs, sdd=False)):
+        n, e = g.n, _elementary(g.degrees)
+        for k in range(2, n + 1):
+            assert e[k] == sum(map(prod, combinations(g.degrees, k)))
+            assert (k - 1) * e[k] <= sums.sgut[k] <= (n - 1) * e[k], (g, k)
+            assert (sums.sgut[k] == (k - 1) * e[k]) == (sums.sw[k] == (k - 1) * comb(n, k))
+
+
+def test_degree_brackets_hold_on_every_class_and_its_complement_through_order_seven():
+    from steinergut import EnumerationSpec, enumerate_graphs
+
+    for n in range(2, 8):
+        graphs = enumerate_graphs(EnumerationSpec(n=n))
+        _assert_degree_brackets(graphs)
+        _assert_degree_brackets([h for h in map(complement, graphs) if is_connected(h)])
+
+
+@given(connected_graphs(min_n=8, max_n=12))
+@settings(max_examples=40)
+def test_degree_brackets_hold_on_labeled_graphs_of_orders_eight_to_twelve(g):
+    h = complement(g)
+    _assert_degree_brackets([g] + ([h] if is_connected(h) else []))
 
 
 @pytest.mark.parametrize("coconnected", [False, True], ids=["connected", "coconnected"])

@@ -110,6 +110,16 @@ def test_printed_path_form_disagrees():
     assert steiner_gutman(g, 3) == 28
 
 
+def test_printed_path_form_disagrees_at_every_k_from_two_to_n():
+    # P3 at k = 2: the printed form gives 4, and the index is 6
+    assert closed_form_path_printed(3, 2) == 4
+    assert steiner_gutman(generate(FamilySpec("path", 3)), 2) == 6
+    paths = [a for a in audit_formulas(12) if a.family == "path"]
+    # every (n, k) with 2 <= k <= n through order 12, both ends of k included
+    assert len(paths) == len({(a.n, a.k) for a in paths}) == 66
+    assert not any(a.agrees for a in paths)
+
+
 def test_audit_for_order_covers_three_families():
     audits = audit_for_order(4)
     assert len(audits) == 9  # three families, k in 2..4

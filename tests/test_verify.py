@@ -327,8 +327,8 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
 
     class Recorded(GraphContext):
         @classmethod
-        def batch(cls, graphs, wanted=(), coconnected=False):
-            ctxs = super().batch(graphs, wanted, coconnected)
+        def batch(cls, graphs, wanted=(), coconnected=False, ks=None):
+            ctxs = super().batch(graphs, wanted, coconnected, ks)
             events.append(("batch", {graph6_encode(ctx.g) for ctx in ctxs}))
             return ctxs
 
@@ -705,32 +705,39 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
     sums = count_calls(indices, "_all_k_sums")
     complements = count_calls(graph, "complement")
     guards = count_calls(indices, "_guard")
-    sgut, sw, sdd = (
+    counted = (tables, sums, complements, guards) + tuple(
         count_calls(indices, name)
         for name in ("steiner_gutman", "steiner_wiener", "steiner_degree_distance")
     )
-    scanned = checks = graph_ks = witnesses = audits = 0
-    for spec, pool in zip(specs, pools):
-        report = sweep(spec, ["all"], graphs=pool)
-        scanned += report.graphs_scanned
-        checks += report.checks_run
-        graph_ks += report.graphs_scanned * (spec.n - 1)
-        witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
-        audits += len(families._PRINTED_FORMS)
-    assert (scanned, checks) == (739, 69552)
-    # G's and the complement's table block per graph, plus one per formula
-    # audit family member; each block's all-k sums are computed once, a
-    # sweep builds all the blocks of a batch in one pass, and an order's
-    # audit its three family members in one
-    blocks = [g for batch, in tables for g in batch]
-    assert len(blocks) == len(sums) == 2 * scanned + audits == 1496
     batches = sum(-(-len(pool) // verify.BATCH) for pool in pools)
-    assert len(tables) == len(specs) + batches == 6 + 15
-    assert len(complements) == scanned
-    # one guard per (graph, k) and per tight (graph, k)'s witness; the checks
-    # and the audit read their graph's sums, never a public index function
-    assert (len(sgut), len(sw), len(sdd)) == (0, 0, 0)
-    assert len(guards) == graph_ks + witnesses
+    for with_csv in (True, False):
+        for calls in counted:
+            calls.clear()
+        scanned = checks = graph_ks = witnesses = audits = 0
+        for spec, pool in zip(specs, pools):
+            report = sweep(spec, ["all"], graphs=pool, csv_out=io.StringIO() if with_csv else None)
+            scanned += report.graphs_scanned
+            checks += report.checks_run
+            graph_ks += report.graphs_scanned * (spec.n - 1)
+            witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
+            audits += len(families._PRINTED_FORMS)
+        assert (scanned, checks) == (739, 69552)
+        # with a CSV, G's and the complement's table block per graph, plus one
+        # per formula audit family member; each block's all-k sums are
+        # computed once, a sweep builds all the blocks of a batch in one pass,
+        # and an order's audit its three family members in one.  Without a
+        # CSV, a graph whose every k the degree brackets decide (577 of the
+        # 739) builds no block: 162 graphs and their complements remain
+        blocks = [g for batch, in tables for g in batch]
+        opened = scanned if with_csv else 162
+        assert len(blocks) == len(sums) == 2 * opened + audits == (1496 if with_csv else 342)
+        assert len(tables) == len(specs) + batches == 6 + 15
+        assert len(complements) == scanned
+        # one guard per (graph, k), certified or not, and per tight (graph,
+        # k)'s witness; the checks and the audit read their graph's sums,
+        # never a public index function
+        assert [len(calls) for calls in counted[4:]] == [0, 0, 0]
+        assert len(guards) == graph_ks + witnesses
 
 
 def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls, monkeypatch):
@@ -788,15 +795,45 @@ def test_a_sweep_without_the_coconnected_filter_tables_connected_graphs_only(cou
     spec = EnumerationSpec(n=6)
     pool = enumerate_graphs(spec)
     tables = count_calls(steiner, "_tables")
-    report = sweep(spec, ["all"], graphs=pool)
-    assert report.graphs_scanned == len(pool) == 112
-    blocks = [g for batch, in tables for g in batch]
-    assert all(is_connected(g) for g in blocks)
-    # 112 graphs, the 68 connected complements and 3 formula audit tables,
-    # in 2 sweep batches and 1 audit pass
     coconnected = sum(is_connected(complement(g)) for g in pool)
-    assert len(blocks) == len(pool) + coconnected + 3 == 183
-    assert len(tables) == 3
+    for with_csv, expected in ((True, 183), (False, 30)):
+        tables.clear()
+        report = sweep(spec, ["all"], graphs=pool, csv_out=io.StringIO() if with_csv else None)
+        assert report.graphs_scanned == len(pool) == 112
+        blocks = [g for batch, in tables for g in batch]
+        assert all(is_connected(g) for g in blocks)
+        # with a CSV, 112 graphs, the 68 connected complements and 3 formula
+        # audit tables; without one, only the 15 graphs and 12 complements
+        # whose checks the degree brackets leave open, and the audit; in 2
+        # sweep batches and 1 audit pass
+        opened = len(pool) + coconnected if with_csv else 15 + 12
+        assert len(blocks) == opened + 3 == expected
+        assert len(tables) == 3
+
+
+def test_an_order_eight_lem22_sweep_tables_only_what_its_degree_brackets_leave_open(count_calls):
+    # the degree brackets decide every k of 11,100 of the 11,117 graphs; the
+    # other 17 are the graphs with a tight case (lem22.upper at k = 8)
+    from steinergut import steiner
+
+    verify._level(8)
+    tables = count_calls(steiner, "_tables")
+    report = sweep(EnumerationSpec(n=8), ["lem22"])
+    assert (report.graphs_scanned, report.checks_run) == (11117, 155638)
+    assert not report.violations
+    tight = {t.graph6 for t in report.tight_cases}
+    assert len(tight) == len(report.tight_cases) == 17
+    assert {(t.k, t.bound_id) for t in report.tight_cases} == {(8, "lem22.upper")}
+    # the 17 open graphs in their batches, the 12 connected complements of
+    # those read one at a time by their witnesses, and 3 formula audit tables
+    *swept, (audit,) = tables
+    names = [graph6_encode(g) for batch, in swept for g in batch]
+    opened = [name for name in names if name in tight]
+    complements = {graph6_encode(complement(graph6_decode(name))) for name in tight}
+    assert sorted(opened) == sorted(tight)
+    assert len(set(names) - tight) == len(names) - 17 == 12
+    assert set(names) - tight <= complements
+    assert len(names) + len(audit) == 17 + 12 + 3 == 32
 
 
 def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count_calls):
