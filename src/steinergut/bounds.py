@@ -18,11 +18,13 @@ is that rule, memoized per (wanted ids, order, complement connected): the
 groups that run, each with the row, bound id, operand and side of its
 wanted bounds, and the requested groups it rules out, each with the error a
 request for it raises.  The group's least order is checked first, then the
-complement's connectivity, which only the paired groups need.  ``_plan``
-memoizes, per (running groups, signature), every k's checks: each wanted
-bound's id, case, num, den, root flag, operand and side, and beside them
-the open integer band of each operand they read (SGut_k(G), the sum or the
-product), whose inside holds every one of its checks strictly.
+complement's connectivity, which only the paired groups need.  ``_bands``
+memoizes, per (running groups, signature), the open integer band at every
+k of each operand the groups read (SGut_k(G), the sum or the product),
+whose inside holds every one of its checks strictly; it is the one home of
+that rule and keeps integers only.  ``_plan`` memoizes, per the same key,
+every k's checks: each wanted bound's id, case, num, den, root flag,
+operand and side, and beside them that k's bands.
 
 A ``GraphContext`` holds what one graph contributes: G, the complement, the
 connectivity of both, the signature, the all-k index sums of both, the
@@ -43,18 +45,20 @@ A sweep that writes no CSV asks for ``checks(k, banded=True)``, which
 builds no check at a k where every operand lies inside its band: each
 check there holds and none is tight, so the sweep only counts them.
 
-Most such k are decided before any sum is read.  A Steiner tree of a
+Most graphs are decided before they are even built.  A Steiner tree of a
 k-set S of a connected order-n graph spans at least k and at most n
 vertices, so k - 1 <= d(S) <= n - 1 and (k-1) e_k <= SGut_k(G) <=
 (n-1) e_k, e_k the k-th elementary symmetric polynomial of the degrees;
 the complement's bracket comes the same way from the degrees n-1-d.
 ``_certified`` memoizes, per (running groups, sorted degrees), the k at
-which each operand's bracket lies inside its band, and a context's
-``certified`` reads it.  A banded sweep only guards and counts a
-certified k, and ``GraphContext.batch`` leaves a context whose swept k
-are all certified out of its table pass.  ``checks`` never consults the
-brackets, and a sweep with a CSV, ``evaluate_bounds``, the ``bounds``
-command, ``compute`` and ``extremal`` read every graph's exact sums.
+which each operand's bracket lies inside its band, as a bitmask.  A sweep
+without a CSV reads it in the process that holds the level
+(``verify._settle``), with each graph's degrees read off its edge mask: a
+graph whose every swept k is certified is only counted there, so it gets
+no ``Graph``, context, guard or table, and only the others reach a batch.
+``checks`` never consults the brackets, and a sweep with a CSV,
+``evaluate_bounds``, the ``bounds`` command, ``compute`` and ``extremal``
+read every graph's exact sums.
 
 Values stay exact and are built only where one is reported: ``_value``
 turns a check's integers into the reduced Fraction, or for the root row an
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isqrt
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
@@ -347,14 +351,27 @@ class _Step(NamedTuple):
     bands: Tuple[_Band, ...]  # in operand order
 
 
+def _rows(
+    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...],
+    signature: Tuple[int, int, int, int, int],
+    k: int,
+) -> Iterator[Tuple[_Kind, _Row]]:
+    """Each wanted bound of the running groups ``runs`` at ``signature`` and
+    ``k``, in BOUND_IDS order: its kind and its group's row."""
+    for group, kinds in runs:
+        rows = _FORMULAS[group](*signature, k)
+        for kind in kinds:
+            yield kind, rows[kind[0]]
+
+
 @lru_cache(maxsize=None)
-def _plan(
+def _bands(
     runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], signature: Tuple[int, int, int, int, int]
-) -> Tuple[_Step, ...]:
-    """The checks of the running groups ``runs`` at ``signature`` for every k,
-    computed once: entry k holds each wanted bound at k, in BOUND_IDS order,
-    and the open integer band of each operand they read (entries 0 and 1
-    are empty).
+) -> Tuple[Tuple[_Band, ...], ...]:
+    """The open integer band of each operand the running groups ``runs``
+    read at ``signature``, for every k: entry k holds them in operand order
+    (entries 0 and 1 are empty).  Only the bands' integers are kept, so a
+    caller that decides graphs by their degrees alone holds no check.
 
     An operand's band (lo, hi) has lo the largest floor(num/den) over its
     lower bounds, isqrt(floor(num/den)) for the root row, or -1 with none,
@@ -370,23 +387,36 @@ def _plan(
     and none is tight.  The root row is a lower bound (amgm's).
     """
     used = sorted({operand for _, kinds in runs for _, _, operand, _ in kinds})
-    plan: List[_Step] = [_Step((), ())] * 2
+    out: List[Tuple[_Band, ...]] = [()] * 2
     for k in range(2, signature[0] + 1):
-        bounds = []
         lows: List[int] = [-1] * 3  # per operand
         highs: List[Optional[int]] = [None] * 3
-        for group, kinds in runs:
-            rows = _FORMULAS[group](*signature, k)
-            for row, bound_id, operand, upper in kinds:
-                case, num, den, root = rows[row]
-                bounds.append(_Bound(bound_id, case, num, den, root, operand, upper))
-                if upper:
-                    cap = -(-num // den)
-                    if highs[operand] is None or cap < highs[operand]:
-                        highs[operand] = cap
-                else:
-                    lows[operand] = max(lows[operand], isqrt(num // den) if root else num // den)
-        plan.append(_Step(tuple(bounds), tuple((op, lows[op], highs[op]) for op in used)))
+        for (_, _, operand, upper), (_, num, den, root) in _rows(runs, signature, k):
+            if upper:
+                cap = -(-num // den)
+                if highs[operand] is None or cap < highs[operand]:
+                    highs[operand] = cap
+            else:
+                lows[operand] = max(lows[operand], isqrt(num // den) if root else num // den)
+        out.append(tuple((op, lows[op], highs[op]) for op in used))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _plan(
+    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], signature: Tuple[int, int, int, int, int]
+) -> Tuple[_Step, ...]:
+    """The checks of the running groups ``runs`` at ``signature`` for every k,
+    computed once: entry k holds each wanted bound at k, in BOUND_IDS order,
+    and the operands' bands there (``_bands``); entries 0 and 1 are empty."""
+    bands = _bands(runs, signature)
+    plan = [_Step((), ())] * 2
+    for k in range(2, signature[0] + 1):
+        bounds = tuple(
+            _Bound(bound_id, *row, operand, upper)
+            for (_, bound_id, operand, upper), row in _rows(runs, signature, k)
+        )
+        plan.append(_Step(bounds, bands[k]))
     return tuple(plan)
 
 
@@ -404,13 +434,11 @@ def _elementary(values: Sequence[int]) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _certified(
-    runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], degrees: Tuple[int, ...]
-) -> FrozenSet[int]:
-    """The k at which every operand of the running groups ``runs`` lies
-    strictly inside its band (``_plan``) on every connected graph with the
-    sorted degrees ``degrees`` and, where a paired group runs, a connected
-    complement.
+def _certified(runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], degrees: Tuple[int, ...]) -> int:
+    """The k, as a bitmask with bit k set, at which every operand of the
+    running groups ``runs`` lies strictly inside its band (``_bands``) on
+    every connected graph with the sorted degrees ``degrees`` and, where a
+    paired group runs, a connected complement.
 
     For a connected order-n graph and a k-set S, k - 1 <= d(S) <= n - 1: a
     Steiner tree of S spans at least its k vertices and at most all n.
@@ -423,14 +451,15 @@ def _certified(
     and the product's brackets are the sum and the product of the two,
     every end being non-negative.  A k is certified when each operand's
     closed bracket lies inside its open band, so by integers alone every
-    check there holds strictly, whatever the graph's sums.
+    check there holds strictly, whatever the graph's sums.  With nothing
+    running every k is certified: there is nothing to check.
     """
     n = len(degrees)
-    plan = _plan(runs, _signature(degrees))
+    bands = _bands(runs, _signature(degrees))
     e = _elementary(degrees)
     paired = any(group in PAIRED_GROUPS for group, _ in runs)
     co = _elementary([n - 1 - d for d in degrees]) if paired else []
-    certified = []
+    certified = 0
     for k in range(2, n + 1):
         lo, hi = (k - 1) * e[k], (n - 1) * e[k]
         brackets = [(lo, hi)]
@@ -439,10 +468,10 @@ def _certified(
             brackets += [(lo + co_lo, hi + co_hi), (lo * co_lo, hi * co_hi)]
         if all(
             band_lo < brackets[op][0] and (band_hi is None or brackets[op][1] < band_hi)
-            for op, band_lo, band_hi in plan[k].bands
+            for op, band_lo, band_hi in bands[k]
         ):
-            certified.append(k)
-    return frozenset(certified)
+            certified |= 1 << k
+    return certified
 
 
 def _value(bound: _Bound) -> Scalar:
@@ -495,26 +524,21 @@ class GraphContext:
 
     @classmethod
     def batch(
-        cls,
-        graphs: Sequence[Graph],
-        wanted: Sequence[str] = (),
-        coconnected: bool = False,
-        ks: Optional[Sequence[int]] = None,
+        cls, graphs: Sequence[Graph], wanted: Sequence[str] = (), coconnected: bool = False
     ) -> List["GraphContext"]:
         """The contexts of ``graphs``, all of one order, their sums read at
         once: G's where a group runs on a connected G, and the complement's
         where a paired group runs, all from one batched table pass.  With
         ``coconnected``, only the contexts of the graphs whose complement is
-        connected, so each complement is built and flooded once.  With
-        ``ks``, the k a banded sweep decides, a context whose every k in
-        ``ks`` is ``certified`` is left out of the pass: its sums are read
-        only if a caller asks for them."""
+        connected, so each complement is built and flooded once.  A sweep
+        without a CSV sends here only the graphs whose degree brackets leave
+        some k open: its caller counts the others (``verify._settle``)."""
         ctxs = [cls(g, wanted) for g in graphs]
         if coconnected:
             ctxs = [ctx for ctx in ctxs if ctx.co_connected]
         wants = []
         for ctx in ctxs:
-            if ctx.connected and ctx.runs and (ks is None or not ctx.certified.issuperset(ks)):
+            if ctx.connected and ctx.runs:
                 wants.append((ctx, "sums", ctx.g))
                 if ctx._paired:
                     wants.append((ctx, "co_sums", ctx.gbar))
@@ -536,16 +560,6 @@ class GraphContext:
         """The running groups' checks at every k, shared by every graph of
         this signature that runs the same groups."""
         return _plan(self.runs, self.signature)
-
-    @cached_property
-    def certified(self) -> FrozenSet[int]:
-        """The k at which the degree brackets (``_certified``) put every
-        operand strictly inside its band, so every check holds strictly
-        whatever the sums; empty on a disconnected G or where nothing runs.
-        Shared by every graph of these degrees that runs the same groups."""
-        if not (self.connected and self.runs):
-            return frozenset()
-        return _certified(self.runs, tuple(sorted(self.g.degrees)))
 
     def checks(self, k: int, banded: bool = False) -> List[_Verdict]:
         """The checks at ``k`` of the wanted bounds that run, in BOUND_IDS order.

@@ -450,7 +450,10 @@ def _cmd_verify(args, out, err) -> int:
             },
             "reports": [report_to_dict(r) for r in reports],
         }
-        print(json.dumps(doc, indent=2), file=report_fh)
+        # streamed: with an indent the encoder is the pure-Python one, and
+        # json.dumps would join the whole report into one string first
+        json.dump(doc, report_fh, indent=2)
+        report_fh.write("\n")
     return 2 if total_viol else 0
 
 

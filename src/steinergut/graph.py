@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import EmptySet, IndexOutOfRange, KOutOfRange, LoopEdge, OrderTooLarge
 
@@ -199,6 +199,25 @@ def edge_mask(g: Graph) -> int:
         col = g.adj[j] & ((1 << j) - 1)
         em |= col << (j * (j - 1) // 2)
     return em
+
+
+def _edge_mask_connected(n: int, em: int) -> bool:
+    """Whether the order-n graph with edge mask ``em`` (``edge_mask``'s
+    layout) is connected, read off its columns with no rows built: vertex j
+    joins the parts that hold a neighbour of j below it."""
+    parts: List[int] = []
+    for j in range(n):
+        col = em >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        joined = 1 << j
+        apart = []
+        for part in parts:
+            if part & col:
+                joined |= part
+            else:
+                apart.append(part)
+        apart.append(joined)
+        parts = apart
+    return len(parts) <= 1
 
 
 def from_edge_mask(n: int, em: int) -> Graph:

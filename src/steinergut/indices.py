@@ -56,10 +56,15 @@ def _require_k(n: int, k: int, lo: int = 2) -> None:
         raise KOutOfRange(f"k must satisfy {lo} <= k <= {n}, got {k}")
 
 
-def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
-    """The guards of every index, in order: Disconnected, then KOutOfRange."""
+def _require_connected(connected: bool) -> None:
+    """Refuse a disconnected graph, on which no index is defined."""
     if not connected:
         raise Disconnected("invariant defined for connected graphs only")
+
+
+def _guard(connected: bool, g: Graph, k: int, lo: int = 2) -> None:
+    """The guards of every index, in order: Disconnected, then KOutOfRange."""
+    _require_connected(connected)
     _require_k(g.n, k, lo)
 
 

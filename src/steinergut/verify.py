@@ -36,14 +36,20 @@ batches of up to ``BATCH`` masks with the caller's ``map`` (the builtin one
 in process, or a process pool's, which sends each batch as one task):
 ``_children`` maps a batch of parents to the canonical masks of their
 accepted children, and ``_sweep_batch`` maps a batch of graph masks, whose
-Steiner tables it builds in one pass (without a CSV, only for the graphs
-whose degree brackets leave some k open), to its graphs scanned, checks
-run, violations, tight cases and CSV rows.  A co-connected sweep is handed
-the connected graphs and keeps, in each batch, the ones whose complement
-is connected, so each complement is built and flooded once, where its sums
-are read.  Results are joined in input order; a class's canonical
-form does not depend on which child found it and a level is sorted, so
-neither the map nor the batches change a level or a report.  ``sweep``
+Steiner tables it builds in one pass, to its graphs scanned, checks run,
+violations, tight cases and CSV rows.  A sweep without a CSV first
+settles, in its caller's process (``_settle``), every graph whose degree
+brackets (``bounds._certified``) decide each swept k: its sorted degrees
+and, where they matter, its complement's connectivity are read off its
+edge mask, and it is counted there, never built, batched or sent to a
+worker.  Only the graphs with an open k reach a batch: 17 of the 11,117
+order-8 ones under ``lem22``.  A co-connected sweep is handed the
+connected graphs; its caller drops the ones whose complement is
+disconnected, and with a CSV each batch does, so each batched complement
+is built and flooded once, where its sums are read.  Results are joined
+in input order; a class's canonical form does not depend on which child
+found it and a level is sorted, so neither the map nor the batches change
+a level or a report.  ``sweep``
 writes a batch's CSV rows as the batch comes back, so no check outlives its
 batch's text.  Built levels are kept in one cache for the life of the
 process, whichever map built them; the formula audit runs once, in the
@@ -67,14 +73,19 @@ from functools import partial
 from operator import add, mul
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
-from .bounds import EqualityWitness, GraphContext, _value, expand_bound_ids
+from .bounds import (
+    EqualityWitness, GraphContext, _certified, _decide, _value, expand_bound_ids
+)
 from .canon import _key_mask, _search
 from .errors import Disconnected, NoCaseApplies, OrderTooLarge
 from .exact import Scalar, value_str
 from .families import FormulaAudit, audit_for_order
-from .graph import Graph, _flood, complement, edge_mask, from_edge_mask, is_connected, iter_bits
+from .graph import (
+    Graph, _edge_mask_connected, _flood, complement, edge_mask, from_edge_list, from_edge_mask,
+    is_connected, iter_bits,
+)
 from .graph6 import graph6_encode
-from .indices import OBJECTIVES, _guard, _require_k, _sums
+from .indices import OBJECTIVES, _require_connected, _require_k, _sums
 
 ENUMERATION_CAP = 8
 LABELED_CAP = 6
@@ -452,12 +463,12 @@ def _sweep_batch(
     a violation or a tight case first needs it, and a bound's value is
     built only for a CSV row or a violation.
 
-    Without ``want_csv``, a k in the context's ``certified`` (its degree
-    brackets put every operand strictly inside its band, so every check
-    holds strictly) is guarded and counted and builds nothing, and a graph
-    whose every k in ``ks`` is certified is left out of the table pass.
-    With ``want_csv`` every check is evaluated and written, so every
-    swept graph's sums are read.
+    Without ``want_csv`` a k where every operand lies strictly inside its
+    band builds no check (``GraphContext.checks`` with ``banded``); the
+    caller counted the graphs whose every k the degree brackets decide
+    (``_settle``) and sent only the others here.  With ``want_csv``
+    every check is evaluated and written, so every swept graph's sums are
+    read.
     """
     scanned = checks_run = 0
     violations: List[Violation] = []
@@ -465,7 +476,7 @@ def _sweep_batch(
     text = io.StringIO()
     writerow = csv.writer(text).writerow
     graphs = [from_edge_mask(n, em) for em in masks]
-    for ctx in GraphContext.batch(graphs, ids, coconnected, None if want_csv else ks):
+    for ctx in GraphContext.batch(graphs, ids, coconnected):
         scanned += 1
         if not ctx.runs:
             continue
@@ -473,13 +484,8 @@ def _sweep_batch(
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
         plan = ctx.plan
-        certified = frozenset() if want_csv else ctx.certified
         for k in ks:
             checks_run += len(plan[k].bounds)
-            if k in certified:
-                # the degree brackets decide every check there, with no sums
-                _guard(ctx.connected, g, k)
-                continue
             # without a CSV, a k whose checks all hold strictly builds none
             for bound, actual, holds, tight in ctx.checks(k, banded=not want_csv):
                 if g6 is None and (want_csv or not holds or tight):
@@ -510,12 +516,12 @@ def sweep(
     """Run every requested bound check over every enumerated graph.
 
     ``graphs``, of order ``spec.n``, overrides enumeration but not the
-    spec's co-connected filter (they reach the batches as edge masks, and a
-    batch keeps the graphs whose complement is connected when the spec asks
-    for them); a graph of another order raises ValueError before any batch
-    is built.  Without ``graphs``, the order, then a spec that admits
-    disconnected graphs, then the spec's k are refused before any
-    enumeration.  ``mapper`` (the builtin ``map``, or a process pool's
+    spec's co-connected filter (they reach the sweep as edge masks, which
+    keeps the graphs whose complement is connected when the spec asks for
+    them); a graph of another order raises ValueError, and a disconnected
+    one Disconnected, before any batch is built.  Without ``graphs``, the
+    order, then a spec that admits disconnected graphs, then the spec's k
+    are refused before any enumeration.  ``mapper`` (the builtin ``map``, or a process pool's
     ``map``) sweeps the graphs in batches of up to ``BATCH``, and their
     results are joined in graph order, so the report does not depend on
     it; enumeration, when needed, uses the same map.  With ``csv_out``,
@@ -529,6 +535,7 @@ def sweep(
         for g in graphs:
             if g.n != spec.n:
                 raise ValueError(f"a sweep of order {spec.n} got a graph of order {g.n}")
+            _require_connected(is_connected(g))
     _k_values(spec)
     masks = _masks(spec, mapper) if graphs is None else [edge_mask(g) for g in graphs]
     return _sweep(spec, ids, masks, csv_out, mapper)
@@ -541,14 +548,17 @@ def _sweep(
     csv_out: Optional[IO[str]],
     mapper: Callable,
 ) -> VerificationReport:
-    """``sweep`` over the order-``spec.n`` graphs with edge masks ``masks``,
-    checked bound ids ``ids``; each batch builds its own graphs."""
+    """``sweep`` over the connected order-``spec.n`` graphs with edge masks
+    ``masks``, checked bound ids ``ids``; each batch builds its own graphs.
+    Without a CSV, the graphs whose every swept k the degree brackets
+    decide are counted here (``_settle``) and only the others are batched."""
+    ks = _k_values(spec)
     scanned = checks_run = 0
+    if csv_out is None:
+        masks, scanned, checks_run = _settle(spec, ids, ks, masks)
     violations: List[Violation] = []
     tights: List[TightCase] = []
-    batch = partial(
-        _sweep_batch, ids, _k_values(spec), csv_out is not None, spec.require_coconnected, spec.n
-    )
+    batch = partial(_sweep_batch, ids, ks, csv_out is not None, spec.require_coconnected, spec.n)
     for graphs, runs, found, tight, rows in mapper(batch, _batches(masks)):
         scanned += graphs
         checks_run += runs
@@ -565,6 +575,51 @@ def _sweep(
         tight_cases=tuple(tights),
         formula_audit_findings=_audit_findings(spec.n),
     )
+
+
+def _settle(
+    spec: EnumerationSpec, ids: Tuple[str, ...], ks: List[int], masks: Sequence[int]
+) -> Tuple[List[int], int, int]:
+    """The masks, of connected order-``spec.n`` graphs, that a banded sweep
+    must batch, and the graphs scanned and checks run by all the others.
+
+    A graph is settled when the degree brackets certify every k of ``ks``
+    (``bounds._certified``): every check there holds strictly whatever its
+    sums, so the graph is counted with no graph, table or guard built.  It
+    needs no guard: a mask of ``_masks`` is connected by construction (a
+    child joins a connected parent by a non-empty mask), ``sweep`` refuses
+    a disconnected given graph, and ``_k_values`` checked each k.  Its
+    sorted degrees are read off its mask with one star mask per vertex, and
+    its complement's connectivity, which decides which groups run
+    (``bounds._decide``), only where the spec or a paired group needs it;
+    a graph the co-connected filter drops is neither kept nor counted.
+    Each (degrees, complement connected) is decided once, and only
+    integers are kept for it: the checks a settled graph counts, or None.
+    """
+    n = spec.n
+    full = (1 << n * (n - 1) // 2) - 1
+    stars = [edge_mask(from_edge_list(n, [(v, u) for u in range(n) if u != v])) for v in range(n)]
+    want = sum(1 << k for k in ks)
+    flood = spec.require_coconnected or _decide(ids, n, True).paired
+    counts: Dict[Tuple[Tuple[int, ...], bool], Optional[int]] = {}
+    kept: List[int] = []
+    scanned = checks_run = 0
+    for em in masks:
+        co = not flood or _edge_mask_connected(n, em ^ full)
+        if not co and spec.require_coconnected:
+            continue
+        key = (tuple(sorted([(em & star).bit_count() for star in stars])), co)
+        if key not in counts:
+            runs = _decide(ids, n, co).runs
+            settled = _certified(runs, key[0]) & want == want
+            counts[key] = len(ks) * sum(len(kinds) for _, kinds in runs) if settled else None
+        count = counts[key]
+        if count is None:
+            kept.append(em)
+        else:
+            scanned += 1
+            checks_run += count
+    return kept, scanned, checks_run
 
 
 @dataclass(frozen=True)

@@ -156,3 +156,12 @@ def test_edge_mask_is_column_major():
 def test_from_edge_mask_rejects_stray_bits():
     with pytest.raises(IndexOutOfRange):
         from_edge_mask(3, 1 << 3)
+
+
+def test_connectivity_read_off_an_edge_mask_matches_the_flood():
+    # every labeled graph through order 6, and the order-1 graph
+    from steinergut.graph import _edge_mask_connected
+
+    for n in range(1, 7):
+        for em in range(1 << n * (n - 1) // 2):
+            assert _edge_mask_connected(n, em) == is_connected(from_edge_mask(n, em)), (n, em)

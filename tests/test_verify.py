@@ -220,20 +220,26 @@ def test_sweep_skips_inapplicable_groups_quietly():
     assert report.bound_set == BOUND_IDS
 
 
-def test_sweep_decides_applicability_once_per_cell():
+def test_sweep_decides_applicability_once_per_cell(count_calls):
     from steinergut.bounds import _decide
 
     graphs = enumerate_graphs(EnumerationSpec(n=6))
+    batches = count_calls(verify, "_sweep_batch")
     _decide.cache_clear()
     sweep(EnumerationSpec(n=6), graphs=graphs)
     info = _decide.cache_info()
-    # one bound set at one order: a cell per complement connectivity, looked
-    # up once per graph (and again when its complement is disconnected) and
-    # evaluated once per cell, never per (graph, k)
-    co_disconnected = sum(not is_connected(complement(g)) for g in graphs)
-    assert 0 < co_disconnected < len(graphs) == 112
+    # one bound set at one order: a cell per complement connectivity,
+    # evaluated once per cell, never per (graph, k).  The caller looks one
+    # up once, for whether a paired group runs, and once per (sorted
+    # degrees, complement connected) it meets; each of the 15 graphs it
+    # batches looks its cell up once more, when its context is built, and
+    # again when its complement is disconnected
+    keys = {(tuple(sorted(g.degrees)), is_connected(complement(g))) for g in graphs}
+    batched = [from_edge_mask(6, em) for *_, masks in batches for em in masks]
+    co_disconnected = sum(not is_connected(complement(g)) for g in batched)
+    assert (len(graphs), len(keys), len(batched), co_disconnected) == (112, 73, 15, 3)
     assert info.misses == 2
-    assert info.hits + info.misses == len(graphs) + co_disconnected
+    assert info.hits + info.misses == 1 + len(keys) + len(batched) + co_disconnected == 92
 
 
 def test_sweep_order_four_coconnected():
@@ -327,8 +333,8 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
 
     class Recorded(GraphContext):
         @classmethod
-        def batch(cls, graphs, wanted=(), coconnected=False, ks=None):
-            ctxs = super().batch(graphs, wanted, coconnected, ks)
+        def batch(cls, graphs, wanted=(), coconnected=False):
+            ctxs = super().batch(graphs, wanted, coconnected)
             events.append(("batch", {graph6_encode(ctx.g) for ctx in ctxs}))
             return ctxs
 
@@ -709,41 +715,49 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
         count_calls(indices, name)
         for name in ("steiner_gutman", "steiner_wiener", "steiner_degree_distance")
     )
-    batches = sum(-(-len(pool) // verify.BATCH) for pool in pools)
+    batched = count_calls(verify, "_sweep_batch")
     for with_csv in (True, False):
-        for calls in counted:
+        for calls in counted + (batched,):
             calls.clear()
-        scanned = checks = graph_ks = witnesses = audits = 0
+        scanned = checks = witnesses = audits = 0
         for spec, pool in zip(specs, pools):
             report = sweep(spec, ["all"], graphs=pool, csv_out=io.StringIO() if with_csv else None)
             scanned += report.graphs_scanned
             checks += report.checks_run
-            graph_ks += report.graphs_scanned * (spec.n - 1)
             witnesses += len({(t.graph6, t.k) for t in report.tight_cases})
             audits += len(families._PRINTED_FORMS)
         assert (scanned, checks) == (739, 69552)
-        # with a CSV, G's and the complement's table block per graph, plus one
-        # per formula audit family member; each block's all-k sums are
-        # computed once, a sweep builds all the blocks of a batch in one pass,
-        # and an order's audit its three family members in one.  Without a
-        # CSV, a graph whose every k the degree brackets decide (577 of the
-        # 739) builds no block: 162 graphs and their complements remain
+        # the graphs that reach a batch: with a CSV every swept one; without
+        # one, only the 162 of the 739 with a k that the degree brackets
+        # leave open (1, 3, 12 and 146 at orders 4 to 7), in 6 batches
+        masks = [len(ms) for *_, ms in batched]
+        opened = sum(masks)
+        graph_ks = sum(len(ms) * (n - 1) for (*_, n, ms) in batched)
+        if with_csv:
+            assert opened == sum(map(len, pools)) == 739 and len(masks) == 15
+        else:
+            assert opened == 162 and len(masks) == 6
+        # G's and the complement's table block per batched graph, plus one per
+        # formula audit family member; each block's all-k sums are computed
+        # once, a sweep builds all the blocks of a batch in one pass, and an
+        # order's audit its three family members in one
         blocks = [g for batch, in tables for g in batch]
-        opened = scanned if with_csv else 162
         assert len(blocks) == len(sums) == 2 * opened + audits == (1496 if with_csv else 342)
-        assert len(tables) == len(specs) + batches == 6 + 15
-        assert len(complements) == scanned
-        # one guard per (graph, k), certified or not, and per tight (graph,
-        # k)'s witness; the checks and the audit read their graph's sums,
-        # never a public index function
+        assert len(tables) == len(specs) + len(masks) == (6 + 15 if with_csv else 6 + 6)
+        assert len(complements) == opened
+        # one guard per batched (graph, k) and per tight (graph, k)'s witness,
+        # and none for a graph the caller settles; the checks and the audit
+        # read their graph's sums, never a public index function
         assert [len(calls) for calls in counted[4:]] == [0, 0, 0]
-        assert len(guards) == graph_ks + witnesses
+        assert len(guards) == graph_ks + witnesses == (4347 if with_csv else 951) + witnesses
 
 
 def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls, monkeypatch):
-    # through order 7 the batches get the 995 connected classes and keep the
-    # 739 co-connected ones: each graph is built once from its mask, and each
-    # complement once, by its context, which floods it once
+    # through order 7 the caller reads the connectivity of each of the 995
+    # connected classes' complements off its mask, keeps the 739 co-connected
+    # ones and batches only the 162 whose degree brackets leave a k open: each
+    # of those is built once from its mask, and its complement once, by its
+    # context, which floods it once
     from steinergut import bounds, graph
 
     for n in range(1, 8):
@@ -759,13 +773,15 @@ def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls,
         monkeypatch.setattr(module, "complement", recorded)
     masks = count_calls(graph, "from_edge_mask")
     floods = count_calls(graph, "is_connected")
+    read = count_calls(graph, "_edge_mask_connected")
     scanned = sum(
         sweep(EnumerationSpec(n=n, require_coconnected=True), ["all"]).graphs_scanned
         for n in range(2, 8)
     )
     candidates = sum(CONNECTED_COUNTS[n] for n in range(2, 8))
     assert (scanned, candidates) == (739, 995)
-    assert len(masks) == len(made) == candidates
+    assert len(read) == candidates
+    assert len(masks) == len(made) == 162
     flooded = [id(h) for (h,) in floods]
     assert all(flooded.count(id(h)) == 1 for h in made)
 
@@ -803,12 +819,54 @@ def test_a_sweep_without_the_coconnected_filter_tables_connected_graphs_only(cou
         blocks = [g for batch, in tables for g in batch]
         assert all(is_connected(g) for g in blocks)
         # with a CSV, 112 graphs, the 68 connected complements and 3 formula
-        # audit tables; without one, only the 15 graphs and 12 complements
-        # whose checks the degree brackets leave open, and the audit; in 2
-        # sweep batches and 1 audit pass
+        # audit tables, in 2 sweep batches and 1 audit pass; without one,
+        # only the 15 graphs and 12 complements whose checks the degree
+        # brackets leave open, in 1 batch, and the audit
         opened = len(pool) + coconnected if with_csv else 15 + 12
         assert len(blocks) == opened + 3 == expected
-        assert len(tables) == 3
+        assert len(tables) == (3 if with_csv else 2)
+
+
+@pytest.mark.parametrize("coconnected", [False, True], ids=["connected", "coconnected"])
+def test_the_caller_batches_a_graph_only_where_a_check_is_not_strict(count_calls, coconnected):
+    # through order 7, for `all` and for each group: a graph the caller
+    # leaves out of the batches holds every full check strictly at every
+    # swept k, and each graph with a failed or tight check is batched.  The
+    # brackets miss one strict graph only: the star K1,3 ("CF"), whose
+    # bracket at k = 2 reaches the lower end of prop21's band (15 lies
+    # inside (12, 81), its bracket [12, 36] does not); its complement is
+    # disconnected, so the co-connected sweep never meets it
+    from steinergut import BOUND_GROUPS
+    from steinergut.bounds import GraphContext
+
+    batches = count_calls(verify, "_sweep_batch")
+    sets = ("all",) + BOUND_GROUPS
+    batched = {s: 0 for s in sets}
+    for n in range(2, 8):
+        graphs = enumerate_graphs(EnumerationSpec(n=n))
+        # a group's full checks are the `all` checks with its ids
+        open_by = {s: set() for s in sets}
+        for ctx in GraphContext.batch(graphs, BOUND_IDS, coconnected):
+            for k in range(2, n + 1):
+                for bound, _, holds, tight in ctx.checks(k):
+                    if not holds or tight:
+                        open_by["all"].add(edge_mask(ctx.g))
+                        open_by[bound.bound_id.split(".")[0]].add(edge_mask(ctx.g))
+        for bound_set in sets:
+            batches.clear()
+            sweep(EnumerationSpec(n=n, require_coconnected=coconnected), [bound_set])
+            masks = [em for *_, ms in batches for em in ms]
+            assert len(masks) == len(set(masks))
+            assert open_by[bound_set] <= set(masks), (n, bound_set)
+            strict = set(masks) - open_by[bound_set]
+            missed = {graph6_encode(from_edge_mask(n, em)) for em in strict}
+            star = not coconnected and (n, bound_set) in {(4, "all"), (4, "prop21")}
+            assert missed == ({"CF"} if star else set()), (n, bound_set)
+            batched[bound_set] += len(masks)
+    expected = {"all": 162, "prop21": 9, "lem22": 5, "thm32": 5, "cor41": 135, "ps": 32, "amgm": 6}
+    if not coconnected:
+        expected.update({"all": 174, "prop21": 20, "lem22": 15})
+    assert batched == expected
 
 
 def test_an_order_eight_lem22_sweep_tables_only_what_its_degree_brackets_leave_open(count_calls):
@@ -818,8 +876,11 @@ def test_an_order_eight_lem22_sweep_tables_only_what_its_degree_brackets_leave_o
 
     verify._level(8)
     tables = count_calls(steiner, "_tables")
+    batches = count_calls(verify, "_sweep_batch")
     report = sweep(EnumerationSpec(n=8), ["lem22"])
     assert (report.graphs_scanned, report.checks_run) == (11117, 155638)
+    # only those 17 reach a batch: the caller counts the other 11,100
+    assert [len(masks) for *_, masks in batches] == [17]
     assert not report.violations
     tight = {t.graph6 for t in report.tight_cases}
     assert len(tight) == len(report.tight_cases) == 17
@@ -894,6 +955,19 @@ def test_a_sweep_refuses_given_graphs_of_another_order(count_calls, order):
     with pytest.raises(ValueError) as err:
         sweep(EnumerationSpec(n=6), graphs=[path, complete])
     assert str(err.value) == f"a sweep of order 6 got a graph of order {order}"
+    assert len(batches) == 0
+
+
+@pytest.mark.parametrize("coconnected", [False, True], ids=["connected", "coconnected"])
+def test_a_sweep_refuses_a_disconnected_given_graph_before_any_batch(count_calls, coconnected):
+    # the caller settles graphs without building them, so a given graph's
+    # connectivity is refused up front, with the index layer's one text
+    batches = count_calls(verify, "_sweep_batch")
+    path = from_edge_list(6, [(v, v + 1) for v in range(5)])
+    apart = from_edge_list(6, [(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(Disconnected) as err:
+        sweep(EnumerationSpec(n=6, require_coconnected=coconnected), graphs=[path, apart])
+    assert str(err.value) == "invariant defined for connected graphs only"
     assert len(batches) == 0
 
 
