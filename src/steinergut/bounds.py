@@ -75,7 +75,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ComplementDisconnected, KOutOfRange, NotTight
 from .exact import Scalar, SquareRoot
-from .graph import Graph, complement, is_connected, is_k_connected, is_regular
+from .graph import Graph, complement, is_connected, is_regular
 from .indices import _guard, _Sums, _sums
 
 BOUND_IDS = (
@@ -523,19 +523,12 @@ class GraphContext:
         return is_connected(self.gbar)
 
     @classmethod
-    def batch(
-        cls, graphs: Sequence[Graph], wanted: Sequence[str] = (), coconnected: bool = False
-    ) -> List["GraphContext"]:
+    def batch(cls, graphs: Sequence[Graph], wanted: Sequence[str] = ()) -> List["GraphContext"]:
         """The contexts of ``graphs``, all of one order, their sums read at
         once: G's where a group runs on a connected G, and the complement's
-        where a paired group runs, all from one batched table pass.  With
-        ``coconnected``, only the contexts of the graphs whose complement is
-        connected, so each complement is built and flooded once.  A sweep
-        without a CSV sends here only the graphs whose degree brackets leave
-        some k open: its caller counts the others (``verify._settle``)."""
+        where a paired group runs, all from one batched table pass.  A sweep
+        filters and counts its graphs first (``verify._settle``)."""
         ctxs = [cls(g, wanted) for g in graphs]
-        if coconnected:
-            ctxs = [ctx for ctx in ctxs if ctx.co_connected]
         wants = []
         for ctx in ctxs:
             if ctx.connected and ctx.runs:
@@ -595,11 +588,17 @@ class GraphContext:
         return out
 
     def witness(self, k: int) -> EqualityWitness:
-        """Every tightness predicate at ``k``; no bound needs to be involved."""
+        """Every tightness predicate at ``k``; no bound needs to be involved.
+
+        A k-set has Steiner distance at least k - 1, with equality exactly
+        when it induces a connected subgraph, so SW_k decides whether all
+        do.  On a connected G that is whether G is (n-k+1)-connected:
+        deleting at most n-k vertices leaves each k-set or a larger set X,
+        connected when its k-subsets are, since any two of its vertices lie
+        in one of them.
+        """
         g, n = self.g, self.g.n
         _guard(self.connected, g, k)
-        # every k-set has Steiner distance at least k - 1, with equality exactly
-        # when it induces a connected subgraph, so one cached sum decides all
         all_minimal = (k - 1) * comb(n, k)
         minimal = self.sums.sw[k] == all_minimal
         both_minimal = minimal and self.co_connected and self.co_sums.sw[k] == all_minimal
@@ -607,7 +606,7 @@ class GraphContext:
         return EqualityWitness(
             regular=is_regular(g),
             k_equals_n=(k == n),
-            n_minus_k_plus_1_connected=is_k_connected(g, n - k + 1),
+            n_minus_k_plus_1_connected=minimal,
             all_k_subsets_induce_connected=minimal,
             steiner_minimal_in_both=both_minimal,
             path_with_k_equals_n=(path and k == n),

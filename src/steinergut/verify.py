@@ -36,27 +36,24 @@ batches of up to ``BATCH`` masks with the caller's ``map`` (the builtin one
 in process, or a process pool's, which sends each batch as one task):
 ``_children`` maps a batch of parents to the canonical masks of their
 accepted children, and ``_sweep_batch`` maps a batch of graph masks, whose
-Steiner tables it builds in one pass, to its graphs scanned, checks run,
-violations, tight cases and CSV rows.  A sweep without a CSV first
-settles, in its caller's process (``_settle``), every graph whose degree
-brackets (``bounds._certified``) decide each swept k: its sorted degrees
-and, where they matter, its complement's connectivity are read off its
-edge mask, and it is counted there, never built, batched or sent to a
-worker.  Only the graphs with an open k reach a batch: 17 of the 11,117
-order-8 ones under ``lem22``.  A co-connected sweep is handed the
-connected graphs; its caller drops the ones whose complement is
-disconnected, and with a CSV each batch does, so each batched complement
-is built and flooded once, where its sums are read.  Results are joined
-in input order; a class's canonical form does not depend on which child
-found it and a level is sorted, so neither the map nor the batches change
-a level or a report.  ``sweep``
-writes a batch's CSV rows as the batch comes back, so no check outlives its
-batch's text.  Built levels are kept in one cache for the life of the
-process, whichever map built them; the formula audit runs once, in the
-caller's process.
+Steiner tables it builds in one pass, to their violations, tight cases and
+CSV rows.  Every sweep first makes one pass over its masks in its caller's
+process (``_settle``): it drops each graph whose complement the spec needs
+connected and is not, read off the mask (``_co_connected``, the one
+co-connected test of every pick here), and counts every graph scanned and
+check run.  Without a CSV it also settles there every graph whose degree
+brackets (``bounds._certified``) decide each swept k, its sorted degrees
+read off its mask, so only the graphs with an open k reach a batch: 17 of
+the 11,117 order-8 ones under ``lem22``.  Results are joined in input
+order; a class's canonical form does not depend on which child found it
+and a level is sorted, so neither the map nor the batches change a level
+or a report.  ``sweep`` writes a batch's CSV rows as the batch comes back,
+so no check outlives its batch's text.  Built levels are kept in one cache
+for the life of the process, whichever map built them; the formula audit
+runs once, in the caller's process.
 
-Labeled enumeration builds one graph per edge bitmask, in ascending order,
-so it is capped at order 6 (2^15 masks); order 7 would take 2^21.
+Labeled enumeration reads every edge bitmask, in ascending order, so it
+is capped at order 6 (2^15 masks); order 7 would take 2^21.
 
 Requests are refused before any enumeration: the order by
 ``_require_order``, each k by the index layer's one k rule,
@@ -70,8 +67,9 @@ import io
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse
 from operator import add, mul
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bounds import (
     EqualityWitness, GraphContext, _certified, _decide, _value, expand_bound_ids
@@ -368,25 +366,29 @@ def _require_sweepable(spec: EnumerationSpec) -> None:
         raise Disconnected("sweeps and extremal searches need require_connected=True")
 
 
+def _co_connected(n: int) -> Callable[[int], bool]:
+    """Whether an order-n edge mask's complement is connected; no graph built."""
+    full = (1 << n * (n - 1) // 2) - 1
+    return lambda em: _edge_mask_connected(n, em ^ full)
+
+
 def _masks(spec: EnumerationSpec, mapper: Callable = map) -> Sequence[int]:
     """The edge masks of the graphs ``enumerate_graphs(spec, mapper)`` picks
-    from, in its order, before the co-connected filter: a sweep applies that
-    filter where it builds each complement.  The order is refused before
-    any work."""
+    from, in its order, before the co-connected filter, which each caller
+    applies to them (``_co_connected``).  The order is refused first."""
     n = spec.n
     _require_order(spec)
-    full = (1 << n * (n - 1) // 2) - 1
     masks: Sequence[int]
     if spec.dedup_isomorphism:
         masks = _level(n, mapper)
         if not spec.require_connected:
-            apart = (from_edge_mask(n, em ^ full) for em in masks)
-            masks = _in_order([*masks, *(_key_mask(_search(h.adj)[0]) for h in apart
-                                         if not is_connected(h))])
+            apart = filterfalse(_co_connected(n), masks)
+            canon = (_key_mask(_search(complement(from_edge_mask(n, em)).adj)[0]) for em in apart)
+            masks = _in_order([*masks, *canon])
     else:
-        masks = range(full + 1)
+        masks = range(1 << n * (n - 1) // 2)
         if spec.require_connected:
-            masks = [em for em in masks if is_connected(from_edge_mask(n, em))]
+            masks = [em for em in masks if _edge_mask_connected(n, em)]
     return masks
 
 
@@ -399,11 +401,12 @@ def enumerate_graphs(spec: EnumerationSpec, mapper: Callable = map) -> List[Grap
     mode orders by ascending edge bitmask.  Connected levels not yet cached
     are built with ``mapper`` (the builtin ``map``, or a process pool's
     ``map``), a batch of parents per item; the result does not depend on it.
+    The co-connected filter reads each mask (``_co_connected``).
     """
-    graphs = [from_edge_mask(spec.n, em) for em in _masks(spec, mapper)]
+    masks: Iterable[int] = _masks(spec, mapper)
     if spec.require_coconnected:
-        graphs = [g for g in graphs if is_connected(complement(g))]
-    return graphs
+        masks = filter(_co_connected(spec.n), masks)
+    return [from_edge_mask(spec.n, em) for em in masks]
 
 
 @dataclass(frozen=True)
@@ -449,43 +452,27 @@ CSV_HEADER = (
 
 
 def _sweep_batch(
-    ids: Tuple[str, ...], ks: List[int], want_csv: bool, coconnected: bool, n: int,
-    masks: Sequence[int],
-) -> Tuple[int, int, List[Violation], List[TightCase], str]:
-    """A batch of order-n graphs, given by edge masks: graphs scanned, checks
-    run, violations, tight cases, CSV rows.
-
-    With ``coconnected`` only the graphs whose complement is connected are
-    scanned; each complement is built and flooded once, by its context.
-    The batch's contexts read their sums from one batched table pass.  The
+    ids: Tuple[str, ...], ks: List[int], want_csv: bool, n: int, masks: Sequence[int]
+) -> Tuple[List[Violation], List[TightCase], str]:
+    """A batch of order-n graphs, given by edge masks, that the caller's pass
+    (``_settle``) picked and counted: their violations, tight cases and CSV
+    rows.  The contexts read their sums from one batched table pass.  The
     rows (bound values in exact notation) are one text, empty unless
-    ``want_csv``.  A graph's graph6 name is encoded only when a CSV row,
-    a violation or a tight case first needs it, and a bound's value is
-    built only for a CSV row or a violation.
-
-    Without ``want_csv`` a k where every operand lies strictly inside its
-    band builds no check (``GraphContext.checks`` with ``banded``); the
-    caller counted the graphs whose every k the degree brackets decide
-    (``_settle``) and sent only the others here.  With ``want_csv``
-    every check is evaluated and written, so every swept graph's sums are
-    read.
+    ``want_csv``.  A graph's graph6 name is encoded only when a CSV row, a
+    violation or a tight case first needs it, and a bound's value is built
+    only for a CSV row or a violation.  Without ``want_csv`` a k where every
+    operand lies strictly inside its band builds no check
+    (``GraphContext.checks`` with ``banded``).
     """
-    scanned = checks_run = 0
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    graphs = [from_edge_mask(n, em) for em in masks]
-    for ctx in GraphContext.batch(graphs, ids, coconnected):
-        scanned += 1
-        if not ctx.runs:
-            continue
+    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids):
         g = ctx.g
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
-        plan = ctx.plan
         for k in ks:
-            checks_run += len(plan[k].bounds)
             # without a CSV, a k whose checks all hold strictly builds none
             for bound, actual, holds, tight in ctx.checks(k, banded=not want_csv):
                 if g6 is None and (want_csv or not holds or tight):
@@ -502,7 +489,7 @@ def _sweep_batch(
                         witness_cache[k] = ctx.witness(k)
                     tights.append(TightCase(g6, k, bound.bound_id, bound.case, witness_cache[k]))
 
-    return scanned, checks_run, violations, tights, text.getvalue()
+    return violations, tights, text.getvalue()
 
 
 def sweep(
@@ -549,19 +536,16 @@ def _sweep(
     mapper: Callable,
 ) -> VerificationReport:
     """``sweep`` over the connected order-``spec.n`` graphs with edge masks
-    ``masks``, checked bound ids ``ids``; each batch builds its own graphs.
-    Without a CSV, the graphs whose every swept k the degree brackets
-    decide are counted here (``_settle``) and only the others are batched."""
+    ``masks``, checked bound ids ``ids``: one pass (``_settle``) filters
+    and counts them all, and only the masks it keeps are batched, each
+    batch building its own graphs."""
     ks = _k_values(spec)
-    scanned = checks_run = 0
-    if csv_out is None:
-        masks, scanned, checks_run = _settle(spec, ids, ks, masks)
+    want_csv = csv_out is not None
+    masks, scanned, checks_run = _settle(spec, ids, ks, masks, want_csv)
     violations: List[Violation] = []
     tights: List[TightCase] = []
-    batch = partial(_sweep_batch, ids, ks, csv_out is not None, spec.require_coconnected, spec.n)
-    for graphs, runs, found, tight, rows in mapper(batch, _batches(masks)):
-        scanned += graphs
-        checks_run += runs
+    batch = partial(_sweep_batch, ids, ks, want_csv, spec.n)
+    for found, tight, rows in mapper(batch, _batches(masks)):
         violations += found
         tights += tight
         if csv_out is not None:
@@ -578,47 +562,51 @@ def _sweep(
 
 
 def _settle(
-    spec: EnumerationSpec, ids: Tuple[str, ...], ks: List[int], masks: Sequence[int]
+    spec: EnumerationSpec,
+    ids: Tuple[str, ...],
+    ks: List[int],
+    masks: Sequence[int],
+    want_csv: bool,
 ) -> Tuple[List[int], int, int]:
-    """The masks, of connected order-``spec.n`` graphs, that a banded sweep
-    must batch, and the graphs scanned and checks run by all the others.
+    """A sweep's one pass over the masks of its connected order-``spec.n``
+    graphs, in the process that holds them: the masks to batch, and the
+    graphs scanned and checks run, counted here for all of them.
 
-    A graph is settled when the degree brackets certify every k of ``ks``
-    (``bounds._certified``): every check there holds strictly whatever its
-    sums, so the graph is counted with no graph, table or guard built.  It
-    needs no guard: a mask of ``_masks`` is connected by construction (a
-    child joins a connected parent by a non-empty mask), ``sweep`` refuses
-    a disconnected given graph, and ``_k_values`` checked each k.  Its
-    sorted degrees are read off its mask with one star mask per vertex, and
-    its complement's connectivity, which decides which groups run
-    (``bounds._decide``), only where the spec or a paired group needs it;
-    a graph the co-connected filter drops is neither kept nor counted.
-    Each (degrees, complement connected) is decided once, and only
-    integers are kept for it: the checks a settled graph counts, or None.
+    A graph's complement connectivity is read off its mask only where the
+    spec or a paired group needs it; a graph the co-connected filter drops
+    is neither kept nor counted.  Which groups run decides a graph's checks
+    (``bounds._decide``).  A graph with none is not batched, nor, without
+    ``want_csv``, one whose degree brackets (``bounds._certified``), read
+    off its mask with one star mask per vertex, certify every k of ``ks``:
+    each check there holds strictly whatever its sums, so it gets no graph,
+    table or guard.  It needs no guard: a mask of ``_masks`` is connected by
+    construction (a child joins a connected parent by a non-empty mask),
+    ``sweep`` refuses a disconnected given graph, and ``_k_values`` checked
+    each k.  Each (degrees, complement connected), the degrees left out
+    with a CSV, is decided once and keeps only a bool: whether it is settled.
     """
     n = spec.n
-    full = (1 << n * (n - 1) // 2) - 1
     stars = [edge_mask(from_edge_list(n, [(v, u) for u in range(n) if u != v])) for v in range(n)]
     want = sum(1 << k for k in ks)
+    co_connected = _co_connected(n)
     flood = spec.require_coconnected or _decide(ids, n, True).paired
-    counts: Dict[Tuple[Tuple[int, ...], bool], Optional[int]] = {}
+    checks: Dict[bool, int] = {}  # per complement connected
+    settled: Dict[Tuple[Tuple[int, ...], bool], bool] = {}
     kept: List[int] = []
     scanned = checks_run = 0
     for em in masks:
-        co = not flood or _edge_mask_connected(n, em ^ full)
+        co = not flood or co_connected(em)
         if not co and spec.require_coconnected:
             continue
-        key = (tuple(sorted([(em & star).bit_count() for star in stars])), co)
-        if key not in counts:
+        key = (() if want_csv else tuple(sorted([(em & star).bit_count() for star in stars])), co)
+        if key not in settled:
             runs = _decide(ids, n, co).runs
-            settled = _certified(runs, key[0]) & want == want
-            counts[key] = len(ks) * sum(len(kinds) for _, kinds in runs) if settled else None
-        count = counts[key]
-        if count is None:
+            checks[co] = count = len(ks) * sum(len(kinds) for _, kinds in runs)
+            settled[key] = not count or not want_csv and _certified(runs, key[0]) & want == want
+        scanned += 1
+        checks_run += checks[co]
+        if not settled[key]:
             kept.append(em)
-        else:
-            scanned += 1
-            checks_run += count
     return kept, scanned, checks_run
 
 
@@ -636,9 +624,11 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     The sum and product objectives compare a graph with its complement and
     silently restrict to graphs whose complement is connected.  The order is
     checked first, then connectivity, then k, all before any enumeration.
-    The graphs are read in batches of up to ``BATCH``: where the spec or the
-    objective needs it each complement is built and flooded once, and a
-    batch's sums, the complements' included, come from one table pass.
+    Where the spec or the objective asks for it, the co-connected filter
+    (``_co_connected``) drops masks before any graph is built, and only a
+    sum or product objective builds the complements, each once.  The graphs
+    are read in batches of up to ``BATCH``, and a batch's sums, the
+    complements' included, come from one table pass.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -646,16 +636,14 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     _require_k(spec.n, k)
     sense, quantity = objective.split("-", 1)
     paired = quantity != "sgut"
+    masks = _masks(spec)
+    if paired or spec.require_coconnected:
+        masks = list(filter(_co_connected(spec.n), masks))
     best: Optional[int] = None
     hits: List[str] = []
-    for batch in _batches(_masks(spec)):
+    for batch in _batches(masks):
         graphs = [from_edge_mask(spec.n, em) for em in batch]
-        cos: List[Graph] = []
-        if paired or spec.require_coconnected:
-            kept = [(g, h) for g in graphs for h in (complement(g),) if is_connected(h)]
-            graphs = [g for g, _ in kept]
-            if paired:
-                cos = [h for _, h in kept]
+        cos = list(map(complement, graphs)) if paired else []
         sgut = [sums.sgut[k] for sums in _sums(graphs + cos, sdd=False)]
         values = sgut[: len(graphs)]
         if paired:

@@ -26,6 +26,7 @@ from steinergut import (
     graph6_decode,
     induced_connected,
     is_connected,
+    is_k_connected,
     steiner_gutman,
 )
 from strategies import connected_graphs
@@ -535,11 +536,14 @@ def _band_findings_agree(graphs, coconnected):
     """Over every context of ``graphs`` and every k: the banded checks are
     empty only where every check holds strictly, and otherwise are the full
     checks, and every k the degree brackets certify holds strictly; returns
-    the checks run and the findings, in order."""
+    the checks run and the findings, in order.  With ``coconnected`` only
+    the graphs whose complement is connected are checked."""
     from steinergut.bounds import GraphContext, _certified
 
+    if coconnected:
+        graphs = [g for g in graphs if is_connected(complement(g))]
     runs, findings = 0, []
-    for ctx in GraphContext.batch(graphs, BOUND_IDS, coconnected):
+    for ctx in GraphContext.batch(graphs, BOUND_IDS):
         if not ctx.runs:
             continue
         certified = _certified(ctx.runs, tuple(sorted(ctx.g.degrees)))
@@ -579,6 +583,24 @@ def test_degree_brackets_hold_on_every_class_and_its_complement_through_order_se
         graphs = enumerate_graphs(EnumerationSpec(n=n))
         _assert_degree_brackets(graphs)
         _assert_degree_brackets([h for h in map(complement, graphs) if is_connected(h)])
+
+
+def test_the_witness_reads_its_vertex_connectivity_off_the_minimal_sum():
+    # on a connected G with 2 <= k <= n, G is (n-k+1)-connected exactly when
+    # every k-set induces a connected subgraph: checked against the deletion
+    # oracle on every connected class through order 7 at every k
+    from steinergut import EnumerationSpec, enumerate_graphs
+
+    pairs = 0
+    for n in range(2, 8):
+        for g in enumerate_graphs(EnumerationSpec(n=n)):
+            for k in range(2, n + 1):
+                witness = diagnose_equality(g, k)
+                oracle = is_k_connected(g, n - k + 1)
+                assert witness.n_minus_k_plus_1_connected == oracle, (g, k)
+                assert witness.all_k_subsets_induce_connected == oracle, (g, k)
+                pairs += 1
+    assert pairs == 5785
 
 
 @given(connected_graphs(min_n=8, max_n=12))

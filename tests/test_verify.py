@@ -333,17 +333,18 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
 
     class Recorded(GraphContext):
         @classmethod
-        def batch(cls, graphs, wanted=(), coconnected=False):
-            ctxs = super().batch(graphs, wanted, coconnected)
+        def batch(cls, graphs, wanted=()):
+            ctxs = super().batch(graphs, wanted)
             events.append(("batch", {graph6_encode(ctx.g) for ctx in ctxs}))
             return ctxs
 
     monkeypatch.setattr(verify, "GraphContext", Recorded)
     monkeypatch.setattr(verify, "BATCH", 3)
     report = sweep(EnumerationSpec(n=5, require_coconnected=True), csv_out=Recorder())
-    # the 21 connected graphs in batches of 3, each keeping its co-connected ones
+    # the caller keeps the 8 co-connected graphs of the 21 connected ones,
+    # and only those are batched, 3 at a time
     batches = [names for kind, names in events if kind == "batch"]
-    assert [len(names) for names in batches] == [2, 3, 1, 2, 0, 0, 0]
+    assert [len(names) for names in batches] == [3, 3, 2]
     assert sum(map(len, batches)) == report.graphs_scanned == 8
     # each batch's contexts are built only once the previous batch's rows are out
     assert events == [event for names in batches for event in (("batch", names), ("rows", names))]
@@ -395,8 +396,9 @@ def test_find_extremal_guards():
 
 
 def test_a_coconnected_extremal_search_builds_each_complement_once(count_calls):
-    # the 853 connected order-7 classes: one complement each, and the sums
-    # of each batch of graphs and complements from one table pass
+    # of the 853 connected order-7 classes, the 662 whose complement is
+    # connected, read off their masks: one complement each, and the sums of
+    # each batch of graphs and complements from one table pass
     from steinergut import graph, steiner
 
     spec = EnumerationSpec(n=7, require_coconnected=True)
@@ -404,10 +406,25 @@ def test_a_coconnected_extremal_search_builds_each_complement_once(count_calls):
     complements = count_calls(graph, "complement")
     tables = count_calls(steiner, "_tables")
     res = find_extremal(spec, 3, "max-sum")
-    assert len(complements) == CONNECTED_COUNTS[7] == 853
-    assert len(tables) == -(-853 // verify.BATCH)
+    assert len(complements) == 662
+    assert len(tables) == -(-662 // verify.BATCH) == 11
     g = graph6_decode(res.graph6s[0])
     assert res.value == steiner_gutman(g, 3) + steiner_gutman(complement(g), 3)
+
+
+def test_a_coconnected_sgut_search_builds_no_complement(count_calls):
+    # max-sgut reads no complement's sums, so the co-connected filter reads
+    # each complement's connectivity off its mask and none is built
+    from steinergut import graph
+
+    spec = EnumerationSpec(n=7, require_coconnected=True)
+    verify._level(7)
+    complements = count_calls(graph, "complement")
+    res = find_extremal(spec, 3, "max-sgut")
+    assert complements == []
+    values = {graph6_encode(g): steiner_gutman(g, 3) for g in enumerate_graphs(spec)}
+    assert res.value == max(values.values())
+    assert list(res.graph6s) == [name for name, v in values.items() if v == res.value]
 
 
 def test_the_canonical_mask_is_read_off_the_search_key():
@@ -786,6 +803,23 @@ def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls,
     assert all(flooded.count(id(h)) == 1 for h in made)
 
 
+def test_a_coconnected_csv_sweep_batches_and_counts_only_coconnected_graphs(count_calls):
+    # all 112 connected order-6 classes given to a co-connected CSV sweep:
+    # the caller's one pass drops the 44 whose complement is disconnected,
+    # so only the 68 others reach a batch, and the checks it counts are the
+    # rows the batches write
+    graphs = enumerate_graphs(EnumerationSpec(n=6))
+    batches = count_calls(verify, "_sweep_batch")
+    rows = io.StringIO()
+    spec = EnumerationSpec(n=6, require_coconnected=True)
+    report = sweep(spec, ["all"], graphs=graphs, csv_out=rows)
+    masks = [em for *_, ms in batches for em in ms]
+    coconnected = [edge_mask(g) for g in graphs if is_connected(complement(g))]
+    assert masks == coconnected
+    assert len(masks) == report.graphs_scanned == 68
+    assert rows.getvalue().count("\n") == report.checks_run == 68 * 5 * 16
+
+
 def test_a_sweep_encodes_graph6_only_for_what_it_writes(count_calls):
     # without a CSV only the graphs with a violation or a tight case are
     # named; with one, every swept graph is named once
@@ -846,7 +880,9 @@ def test_the_caller_batches_a_graph_only_where_a_check_is_not_strict(count_calls
         graphs = enumerate_graphs(EnumerationSpec(n=n))
         # a group's full checks are the `all` checks with its ids
         open_by = {s: set() for s in sets}
-        for ctx in GraphContext.batch(graphs, BOUND_IDS, coconnected):
+        if coconnected:
+            graphs = [g for g in graphs if is_connected(complement(g))]
+        for ctx in GraphContext.batch(graphs, BOUND_IDS):
             for k in range(2, n + 1):
                 for bound, _, holds, tight in ctx.checks(k):
                     if not holds or tight:
