@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 clean, 1 usage or input errors, 2 completed but found bound
 violations (verify, bounds) or formula disagreements (audit-formulas).
+``verify`` refuses a bad request before it opens either file, then prints
+the document ``verify.sweep_orders`` returns.
 
 Exact values are printed as "num/den" strings (denominator omitted when 1)
 or "sqrt(num/den)" for the one square-root bound; --decimal adds a truncated
@@ -28,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import IO, List, Optional, Tuple
 
@@ -368,28 +369,28 @@ def _cmd_bounds(args, out, err) -> int:
     return 2 if found_violation else 0
 
 
-def _cmd_verify(args, out, err) -> int:
-    import csv
-    from dataclasses import replace
+def _one_file(report: str, rows: str, out: IO[str]) -> bool:
+    """Whether ``--out`` and ``--csv`` name one file, by device and inode where
+    both exist, else by resolved path; ``-`` is ``out``, where it has a descriptor."""
+    try:
+        a, b = (os.fstat(out.fileno()) if p == "-" else os.stat(p) for p in (report, rows))
+    except OSError:  # a file not made yet, or an ``out`` with no descriptor
+        return len({p if p == "-" else os.path.realpath(p) for p in (report, rows)}) == 1
+    return os.path.samestat(a, b)
 
-    from .verify import (
-        CSV_HEADER,
-        EnumerationSpec,
-        _k_values,
-        _masks,
-        _require_order,
-        _sweep,
-        report_to_dict,
-    )
+
+def _cmd_verify(args, out, err) -> int:
+    from .verify import EnumerationSpec, _require_sweepable, sweep_orders
 
     ids = _bound_ids(args.bound_set)
     k_range = "all" if args.k == "all" else tuple(_k_list(args.k, args.n_max))
     top = EnumerationSpec(n=args.n_max, require_coconnected=args.coconnected,
                           dedup_isomorphism=args.dedup, k_range=k_range)
-    _require_order(top)
+    _require_sweepable(top)
     if not 1 <= args.jobs <= MAX_JOBS:
         raise _UsageError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
-    _k_values(top)
+    if args.csv is not None and _one_file(args.out, args.csv, out):
+        raise _UsageError("--out and --csv name the same file")
     with ExitStack() as files:
         # - is stdout for either; files are opened before any order runs, so
         # an unwritable path fails at once
@@ -401,14 +402,6 @@ def _cmd_verify(args, out, err) -> int:
             csv_fh = out
             if args.csv != "-":
                 csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
-            if csv_fh is report_fh or (
-                out not in (report_fh, csv_fh)
-                and os.path.sameopenfile(report_fh.fileno(), csv_fh.fileno())
-            ):
-                raise _UsageError("--out and --csv name the same file")
-            # each order's sweep appends its rows as it runs
-            csv.writer(csv_fh).writerow(CSV_HEADER)
-        reports = []
         # one pool serves every order's enumeration levels and sweep; its class
         # is read off this module, so a caller's rebinding of it is used
         pooling = nullcontext()
@@ -417,44 +410,12 @@ def _cmd_verify(args, out, err) -> int:
         with pooling as pool:
             # the library batches the graphs, so each batch is one pool task
             mapper = map if pool is None else pool.map
-            for n in range(2, args.n_max + 1):
-                ks = "all" if k_range == "all" else tuple(k for k in k_range if k <= n)
-                spec = replace(top, n=n, k_range=ks)
-                start = time.perf_counter()
-                masks = _masks(spec, mapper)
-                enumerated = time.perf_counter()
-                report = _sweep(spec, tuple(ids), masks, csv_fh, mapper)
-                swept = time.perf_counter()
-                reports.append(report)
-                print(
-                    f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
-                    f"{len(report.violations)} violations, {len(report.tight_cases)} tight "
-                    f"(enumerate {enumerated - start:.2f} s, sweep {swept - enumerated:.2f} s)",
-                    file=err,
-                )
-
-        total_viol = sum(len(r.violations) for r in reports)
-        doc = {
-            "n_max": args.n_max,
-            "bound_set": list(ids),
-            "k": args.k,
-            "require_connected": True,
-            "require_coconnected": args.coconnected,
-            "dedup_isomorphism": args.dedup,
-            "totals": {
-                "graphs_scanned": sum(r.graphs_scanned for r in reports),
-                "checks_run": sum(r.checks_run for r in reports),
-                "violations": total_viol,
-                "tight_cases": sum(len(r.tight_cases) for r in reports),
-                "formula_audit_findings": sum(len(r.formula_audit_findings) for r in reports),
-            },
-            "reports": [report_to_dict(r) for r in reports],
-        }
+            doc = sweep_orders(top, ids, csv_out=csv_fh, mapper=mapper, progress=err)
         # streamed: with an indent the encoder is the pure-Python one, and
         # json.dumps would join the whole report into one string first
         json.dump(doc, report_fh, indent=2)
         report_fh.write("\n")
-    return 2 if total_viol else 0
+    return 2 if doc["totals"]["violations"] else 0
 
 
 def _cmd_audit(args, out, err) -> int:

@@ -50,13 +50,15 @@ and a level is sorted, so neither the map nor the batches change a level
 or a report.  ``sweep`` writes a batch's CSV rows as the batch comes back,
 so no check outlives its batch's text.  Built levels are kept in one cache
 for the life of the process, whichever map built them; the formula audit
-runs once, in the caller's process.
+runs once, in the caller's process.  ``sweep_orders``, the one loop over
+orders, sweeps each order up to a spec's and returns the ``verify`` document.
 
 Labeled enumeration reads every edge bitmask, in ascending order, so it
 is capped at order 6 (2^15 masks); order 7 would take 2^21.
 
-Requests are refused before any enumeration: the order by
-``_require_order``, each k by the index layer's one k rule,
+Requests are refused before any enumeration by ``_require_sweepable``, the
+one rule of every sweep, search and the CLI: the order (``_require_order``),
+then disconnected graphs, then each k by the index layer's one k rule,
 ``indices._require_k`` (``_k_values`` runs it over a spec's k).
 """
 
@@ -64,8 +66,9 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import filterfalse
 from operator import add, mul
@@ -360,10 +363,11 @@ def _require_order(spec: EnumerationSpec) -> None:
 
 def _require_sweepable(spec: EnumerationSpec) -> None:
     """Refuse an order enumeration does not handle, then disconnected graphs,
-    which no index or bound is defined for, before any enumeration."""
+    which no index or bound is defined for, then a k outside 2..n, before any enumeration."""
     _require_order(spec)
     if not spec.require_connected:
         raise Disconnected("sweeps and extremal searches need require_connected=True")
+    _k_values(spec)
 
 
 def _co_connected(n: int) -> Callable[[int], bool]:
@@ -523,7 +527,6 @@ def sweep(
             if g.n != spec.n:
                 raise ValueError(f"a sweep of order {spec.n} got a graph of order {g.n}")
             _require_connected(is_connected(g))
-    _k_values(spec)
     masks = _masks(spec, mapper) if graphs is None else [edge_mask(g) for g in graphs]
     return _sweep(spec, ids, masks, csv_out, mapper)
 
@@ -632,8 +635,7 @@ def find_extremal(spec: EnumerationSpec, k: int, objective: str) -> ExtremalResu
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    _require_sweepable(spec)
-    _require_k(spec.n, k)
+    _require_sweepable(replace(spec, k_range=(k,)))
     sense, quantity = objective.split("-", 1)
     paired = quantity != "sgut"
     masks = _masks(spec)
@@ -676,4 +678,50 @@ def report_to_dict(report: VerificationReport) -> Dict[str, object]:
         ],
         "tight_cases": [{**vars(t), "witness": dict(vars(t.witness))} for t in report.tight_cases],
         "formula_audit_findings": [dict(vars(a)) for a in report.formula_audit_findings],
+    }
+
+
+def sweep_orders(
+    top: EnumerationSpec, bound_set: Optional[Sequence[str]] = None, *,
+    csv_out: Optional[IO[str]] = None, mapper: Callable = map, progress: Optional[IO[str]] = None,
+) -> Dict[str, object]:
+    """The ``verify`` document: ``sweep`` at each order 2..``top.n`` over
+    ``top``'s k up to that order, after ``sweep``'s refusals.  ``CSV_HEADER``
+    and every order's rows go to ``csv_out``, and a line of each order's counts
+    and seconds spent enumerating and sweeping to ``progress``, if given.  The
+    document holds the request, the totals and each order's ``report_to_dict``."""
+    ids = tuple(expand_bound_ids(list(bound_set) if bound_set is not None else None))
+    _require_sweepable(top)
+    if csv_out is not None:
+        csv.writer(csv_out).writerow(CSV_HEADER)
+    reports = []
+    for n in range(2, top.n + 1):
+        ks = "all" if top.k_range == "all" else tuple(k for k in top.k_range if k <= n)
+        spec = replace(top, n=n, k_range=ks)
+        start = time.perf_counter()
+        masks = _masks(spec, mapper)
+        enumerated = time.perf_counter()
+        report = _sweep(spec, ids, masks, csv_out, mapper)
+        swept = time.perf_counter()
+        reports.append(report)
+        if progress is not None:
+            print(f"n={n}: {report.graphs_scanned} graphs, {report.checks_run} checks, "
+                  f"{len(report.violations)} violations, {len(report.tight_cases)} tight "
+                  f"(enumerate {enumerated - start:.2f} s, sweep {swept - enumerated:.2f} s)",
+                  file=progress)
+    return {
+        "n_max": top.n,
+        "bound_set": list(ids),
+        "k": "all" if top.k_range == "all" else ",".join(map(str, top.k_range)),
+        "require_connected": top.require_connected,
+        "require_coconnected": top.require_coconnected,
+        "dedup_isomorphism": top.dedup_isomorphism,
+        "totals": {
+            "graphs_scanned": sum(r.graphs_scanned for r in reports),
+            "checks_run": sum(r.checks_run for r in reports),
+            "violations": sum(len(r.violations) for r in reports),
+            "tight_cases": sum(len(r.tight_cases) for r in reports),
+            "formula_audit_findings": sum(len(r.formula_audit_findings) for r in reports),
+        },
+        "reports": [report_to_dict(r) for r in reports],
     }

@@ -407,27 +407,34 @@ def test_non_ascii_input_is_an_input_error(tmp_path):
         assert "not ASCII" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--n-max", "4", "--jobs", "0"],
-        ["verify", "--n-max", "4", "--jobs", "-2"],
-        ["verify", "--n-max", "9"],
-        ["verify", "--n-max", "9", "--coconnected", "--jobs", "2"],
-    ],
-)
-def test_verify_limits_fail_before_any_order_runs(argv):
-    code, out, err = run(argv)
+# each refusal verify makes before it runs, and its one stderr line: the
+# order and k in the library's words, as extremal gives them, --jobs and
+# --set by the CLI
+VERIFY_REFUSALS = {
+    "--n-max 4 --jobs 0": "usage error: --jobs must lie in 1..64, got 0",
+    "--n-max 4 --jobs -2": "usage error: --jobs must lie in 1..64, got -2",
+    "--n-max 9": "error: enumeration handles orders 1..8, got 9",
+    "--n-max 9 --coconnected --jobs 2": "error: enumeration handles orders 1..8, got 9",
+    "--labeled --n-max 7": "error: labeled enumeration handles orders 1..6, got 7",
+    "--n-max 5 --k 9": "error: k must satisfy 2 <= k <= 5, got 9",
+    "--n-max 4 --set x": "usage error: unknown bound id 'x'",
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", *request.split()] for request in VERIFY_REFUSALS])
+def test_verify_limits_fail_before_any_order_runs(argv, tmp_path, monkeypatch):
+    # both outputs name existing files, which a refusal must neither open nor truncate
+    monkeypatch.chdir(tmp_path)
+    for name in ("r.json", "c.csv"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    code, out, err = run(argv + ["--out", "r.json", "--csv", "c.csv"])
     assert code == 1
     assert out == ""
-    assert "Traceback" not in err
-    # one line and no per-order progress line: nothing was swept; the order
-    # is refused by the enumeration cap, in extremal's words, --jobs by the CLI
-    (line,) = err.splitlines()
-    if "9" in argv:
-        assert line == "error: enumeration handles orders 1..8, got 9"
-    else:
-        assert line.startswith("usage error: --jobs")
+    # one line and no per-order progress line: nothing was swept
+    assert err.splitlines() == [VERIFY_REFUSALS[" ".join(argv[1:])]]
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "r.json"]
+    for name in ("r.json", "c.csv"):
+        assert (tmp_path / name).read_text() == f"old {name}\n"
 
 
 @pytest.mark.parametrize("jobs", ["65", "5000"])
@@ -536,11 +543,29 @@ def test_verify_unwritable_output_fails_before_any_order_runs(tmp_path, monkeypa
 
 
 def test_verify_rejects_one_file_for_report_and_csv(tmp_path):
-    path = str(tmp_path / "both")
-    code, out, err = run(["verify", "--n-max", "3", "--out", path, "--csv", path])
+    # refused before either is opened: the file keeps its bytes, whether it
+    # is named twice, through a symbolic or a hard link, or is stdout's file
+    path = tmp_path / "both"
+    path.write_bytes(b"123456789")
+    (tmp_path / "symlink").symlink_to(path)
+    os.link(path, tmp_path / "hardlink")
+    for other in ("both", "symlink", "hardlink"):
+        argv = ["verify", "--n-max", "3", "--out", str(path), "--csv", str(tmp_path / other)]
+        code, out, err = run(argv)
+        assert (code, out) == (1, ""), other
+        assert err == "usage error: --out and --csv name the same file\n", other
+        assert path.read_bytes() == b"123456789", other
+    with open(path, "a") as stdout:
+        err = io.StringIO()
+        code = run_cli(["verify", "--n-max", "3", "--csv", str(path)], stdout=stdout, stderr=err)
     assert code == 1
-    assert out == ""
-    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+    assert err.getvalue() == "usage error: --out and --csv name the same file\n"
+    assert path.read_bytes() == b"123456789"
+    # a missing file named twice is refused by its resolved path, and not made
+    code, _, err = run(["verify", "--n-max", "3", "--out", str(tmp_path / "new"),
+                        "--csv", str(tmp_path / "." / "new")])
+    assert code == 1 and "same file" in err
+    assert not (tmp_path / "new").exists()
 
 
 def test_verify_csv_dash_writes_the_rows_to_stdout(tmp_path, monkeypatch):

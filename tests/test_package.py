@@ -35,13 +35,13 @@ EXPORTS = {
     "steiner": "INF DreyfusWagner SteinerTable pairwise_distances steiner_all_subsets "
     "steiner_oracle steiner_single",
     "verify": "ENUMERATION_CAP LABELED_CAP EnumerationSpec ExtremalResult TightCase "
-    "VerificationReport Violation enumerate_graphs find_extremal report_to_dict sweep",
+    "VerificationReport Violation enumerate_graphs find_extremal report_to_dict sweep sweep_orders",
 }
 HOMES = {name: module for module, names in EXPORTS.items() for name in names.split()}
 
 
 def test_exports_are_the_pinned_names():
-    assert len(HOMES) == 80
+    assert len(HOMES) == 81
     assert sorted(steinergut.__all__) == sorted(HOMES)
     assert len(set(steinergut.__all__)) == len(steinergut.__all__)
 
@@ -127,4 +127,4 @@ def test_the_readme_examples_run_as_written():
     test = doctest.DocTestParser().get_doctest(text, names, "README.md", "README.md", 0)
     runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
     runner.run(test)
-    assert runner.summarize(verbose=False) == doctest.TestResults(0, 5)
+    assert runner.summarize(verbose=False) == doctest.TestResults(0, 7)

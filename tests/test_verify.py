@@ -6,6 +6,7 @@ import multiprocessing
 import random
 import re
 from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given
 
 import brute
+import polya
 from steinergut import (
     BOUND_IDS,
     Disconnected,
@@ -40,6 +42,7 @@ from steinergut import (
     run_cli,
     steiner_gutman,
     sweep,
+    sweep_orders,
 )
 from steinergut import cli, verify
 from strategies import connected_graphs
@@ -123,6 +126,23 @@ def test_connected_class_counts(universe):
         assert len(universe[n]) == expected
 
 
+def _by_edge_count(edge_counts, n):
+    """How many of ``edge_counts`` equal each m in 0..n(n-1)/2, as a tuple."""
+    seen = Counter(edge_counts)
+    return tuple(seen[m] for m in range(n * (n - 1) // 2 + 1))
+
+
+def test_the_polya_counts_match_oeis():
+    # A001349 and A000088, the oracle's totals, through order 10
+    connected = {**CONNECTED_COUNTS, 9: 261080, 10: 11716571}
+    everything = {**ALL_COUNTS, 9: 274668, 10: 12005168}
+    for n in range(1, 11):
+        assert sum(polya.connected(n)) == connected[n], n
+        assert sum(polya.graphs(n)) == everything[n], n
+        # a disconnected graph has a connected complement
+        assert sum(polya.coconnected(n)) == 2 * connected[n] - everything[n], n
+
+
 def test_levels_hold_each_class_once_as_sorted_masks():
     # the cache holds each connected level as an array of canonical edge
     # masks sorted by (m, edge mask), in which no class repeats
@@ -132,12 +152,14 @@ def test_levels_hold_each_class_once_as_sorted_masks():
         assert isinstance(level, array) and level.typecode == "Q", n
         assert len(set(level)) == len(level) == expected, n
         assert list(level) == sorted(level, key=lambda em: (em.bit_count(), em)), n
+        assert _by_edge_count(map(int.bit_count, level), n) == polya.connected(n), n
 
 
 def test_all_class_counts():
     for n, expected in ALL_COUNTS.items():
         got = enumerate_graphs(EnumerationSpec(n=n, require_connected=False))
         assert len(got) == expected
+        assert _by_edge_count((g.m for g in got), n) == polya.graphs(n), n
 
 
 def test_connected_representatives_match_golden_digests(universe):
@@ -187,6 +209,9 @@ def test_coconnected_filter():
     for n in range(4, 7):
         for g in enumerate_graphs(EnumerationSpec(n=n, require_coconnected=True)):
             assert is_connected(g) and is_connected(complement(g))
+    for n in range(1, 9):
+        got = enumerate_graphs(EnumerationSpec(n=n, require_coconnected=True))
+        assert _by_edge_count((g.m for g in got), n) == polya.coconnected(n), n
 
 
 def test_enumeration_is_deterministic(connected_by_order):
@@ -471,6 +496,10 @@ def test_report_to_dict_copies_what_asdict_copies():
     assert report.tight_cases[0].witness.regular is not None
 
 
+# each order's progress line of a verify run
+PROGRESS_LINE = r"n=\d+: .* tight \(enumerate \d+\.\d\d s, sweep \d+\.\d\d s\)"
+
+
 def test_verify_report_bytes_match_golden_digests(tmp_path):
     # the order-7 co-connected all-bounds sweep: JSON on stdout, CSV to a file
     csv_path = tmp_path / "checks.csv"
@@ -479,6 +508,16 @@ def test_verify_report_bytes_match_golden_digests(tmp_path):
     assert run_cli(argv, stdout=out, stderr=err) == 2
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == ORDER_SEVEN_CSV_SHA256
+    # sweep_orders gives the same document, CSV and progress lines
+    rows, progress = io.StringIO(), io.StringIO()
+    spec = EnumerationSpec(n=7, require_coconnected=True)
+    doc = sweep_orders(spec, ["all"], csv_out=rows, progress=progress)
+    text = json.dumps(doc, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
+    assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == ORDER_SEVEN_CSV_SHA256
+    lines = progress.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"n={n}" for n in range(2, 8)]
+    assert all(re.fullmatch(PROGRESS_LINE, line) for line in lines)
 
 
 def test_pooled_verify_matches_golden_digests_with_one_pool(tmp_path, fresh_levels, counted_pools):
@@ -514,7 +553,15 @@ def test_verify_opens_at_most_one_pool_per_run(jobs, pools, fresh_levels, counte
     lines = err.getvalue().splitlines()
     assert [line.split(":")[0] for line in lines] == ["n=2", "n=3", "n=4", "n=5"]
     for line in lines:
-        assert re.fullmatch(r"n=\d+: .* tight \(enumerate \d+\.\d\d s, sweep \d+\.\d\d s\)", line)
+        assert re.fullmatch(PROGRESS_LINE, line)
+
+
+def test_a_coconnected_sweep_scans_the_polya_count_at_each_order():
+    doc = sweep_orders(EnumerationSpec(n=8, require_coconnected=True), ["lem22"])
+    scanned = [report["graphs_scanned"] for report in doc["reports"]]
+    assert scanned == [sum(polya.coconnected(n)) for n in range(2, 9)]
+    assert scanned == [0, 0, 1, 8, 68, 662, 9888]
+    assert doc["totals"]["graphs_scanned"] == sum(scanned)
 
 
 def test_pool_enumeration_matches_golden_digests(fresh_levels):
@@ -714,6 +761,7 @@ def test_order_nine_level_matches_its_golden_digest(chunksize, fresh_levels):
         level = verify._level(9, mapper)
     assert level.typecode == "Q"
     assert len(level) == 261080
+    assert _by_edge_count(map(int.bit_count, level), 9) == polya.connected(9)
     assert _names_digest(from_edge_mask(9, em) for em in level) == (
         "ecaa74d8e3822ff8af5ef9bbc0f57044d74d41bc8c54d50531b30c6754dc643f"
     )
