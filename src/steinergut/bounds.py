@@ -50,9 +50,9 @@ k-set S of a connected order-n graph spans at least k and at most n
 vertices, so k - 1 <= d(S) <= n - 1 and (k-1) e_k <= SGut_k(G) <=
 (n-1) e_k, e_k the k-th elementary symmetric polynomial of the degrees;
 the complement's bracket comes the same way from the degrees n-1-d.
-``_certified`` memoizes, per (running groups, sorted degrees), the k at
-which each operand's bracket lies inside its band, as a bitmask.  A sweep
-without a CSV reads it in the process that holds the level
+``_certified`` gives the k at which each operand's bracket lies inside its
+band, as a bitmask, uncached: a sweep without a CSV asks it once per (sorted
+degrees, complement connected), in the process that holds the level
 (``verify._settle``), with each graph's degrees read off its edge mask: a
 graph whose every swept k is certified is only counted there, so it gets
 no ``Graph``, context, guard or table, and only the others reach a batch.
@@ -433,7 +433,6 @@ def _elementary(values: Sequence[int]) -> List[int]:
     return e
 
 
-@lru_cache(maxsize=None)
 def _certified(runs: Tuple[Tuple[str, Tuple[_Kind, ...]], ...], degrees: Tuple[int, ...]) -> int:
     """The k, as a bitmask with bit k set, at which every operand of the
     running groups ``runs`` lies strictly inside its band (``_bands``) on

@@ -392,16 +392,19 @@ def _cmd_verify(args, out, err) -> int:
     if args.csv is not None and _one_file(args.out, args.csv, out):
         raise _UsageError("--out and --csv name the same file")
     with ExitStack() as files:
-        # - is stdout for either; files are opened before any order runs, so
-        # an unwritable path fails at once
+        # - is stdout for either; files are opened before any order runs, so an
+        # unwritable path fails at once, and are emptied only once both are open
         report_fh = out
         if args.out != "-":
-            report_fh = files.enter_context(open(args.out, "w", encoding="utf-8"))
+            report_fh = files.enter_context(open(args.out, "a", encoding="utf-8"))
         csv_fh = None
         if args.csv is not None:
             csv_fh = out
             if args.csv != "-":
-                csv_fh = files.enter_context(open(args.csv, "w", encoding="utf-8", newline=""))
+                csv_fh = files.enter_context(open(args.csv, "a", encoding="utf-8", newline=""))
+        for fh in {report_fh, csv_fh} - {out, None}:
+            if os.path.isfile(fh.name):  # as "w" would, a device or a pipe is not emptied
+                fh.truncate(0)
         # one pool serves every order's enumeration levels and sweep; its class
         # is read off this module, so a caller's rebinding of it is used
         pooling = nullcontext()

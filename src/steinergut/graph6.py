@@ -1,35 +1,25 @@
 """graph6 text codec for simple graphs on at most 62 vertices.
 
-Format: one header character ``chr(63 + n)`` followed by the upper-triangle
-adjacency bits in column-major order (pair (i, j) with i < j comes at
-position j(j-1)/2 + i), packed six bits per character most significant bit
-first, zero padded to a multiple of six, every character offset by 63.
+The payload's bit layout is ``graph.edge_mask``'s: pair (i, j) with i < j at
+position j(j-1)/2 + i.  graph6 adds only a header character ``chr(63 + n)``
+and the packing: the mask's bits, least significant first, zero padded to a
+multiple of six and packed six per character most significant bit first,
+every character offset by 63.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedHeader, NonCanonicalPadding, TrailingGarbage
-from .graph import MAX_ORDER, Graph
+from .graph import MAX_ORDER, Graph, edge_mask, from_edge_mask
 
 
 def graph6_encode(g: Graph) -> str:
     n = g.n
-    out = [chr(63 + n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(63 + acc))
-    return "".join(out)
+    width = 6 * ((n * (n - 1) // 2 + 5) // 6)
+    # the mask's bits least significant first, as one number: padding at its low end
+    payload = int(f"{edge_mask(g):0{width}b}"[::-1], 2)
+    chars = [chr(63 + (payload >> s & 63)) for s in range(width - 6, -1, -6)]
+    return chr(63 + n) + "".join(chars)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -44,25 +34,11 @@ def graph6_decode(text: str) -> Graph:
         raise MalformedHeader(f"payload truncated: need {expected} characters, got {len(text)}")
     if len(text) > expected:
         raise TrailingGarbage(f"{len(text) - expected} extra characters after payload")
-
-    rows = [0] * n
-    pos = 0
-    i, j = 0, 1
-    for ch in text[1:]:
-        v = ord(ch) - 63
-        if not 0 <= v < 64:
+    payload = text[1:]
+    for ch in payload:
+        if not "?" <= ch <= "~":
             raise TrailingGarbage(f"payload character {ch!r} out of range")
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = v >> shift & 1
-            if pos < npairs:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise NonCanonicalPadding("nonzero padding bits")
-            pos += 1
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), m)
+    em = int("0" + "".join(f"{ord(ch) - 63:06b}" for ch in payload)[::-1], 2)
+    if em >> npairs:
+        raise NonCanonicalPadding("nonzero padding bits")
+    return from_edge_mask(n, em)

@@ -85,11 +85,12 @@ def _half_weights(degs: Sequence[int]) -> Tuple[List[int], List[int]]:
     return prod, total
 
 
-# Graphs share their degree halves often (the 1,478 sums of the co-connected
-# sweep through order 7 meet 210 low halves), so through order _KEPT_ORDER each
-# half's weights are kept, up to _HALVES halves per cache: at most about
-# 3 MiB in all.  Past it a table costs far more than its weights, and 1,024
-# kept halves would take 125 MiB at order 18, so they are made per call.
+# Graphs share their degree halves often (the 342 sums of the co-connected
+# sweep through order 7 meet 111 low and 61 high halves, hitting them 231 and
+# 281 times), so through order _KEPT_ORDER each half's weights are kept, up to
+# _HALVES halves per cache: at most about 3 MiB in all.  Past it a table costs
+# far more than its weights, and 1,024 kept halves would take 125 MiB at
+# order 18, so they are made per call.
 _KEPT_ORDER = 9
 _HALVES = 1024
 

@@ -532,14 +532,34 @@ def test_verify_unwritable_output_fails_before_any_order_runs(tmp_path, monkeypa
 
     made = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **kw: made.append(kw))
-    target = str(tmp_path / "missing" / "x.out")
-    code, out, err = run(["verify", "--n-max", "3", "--jobs", "2", flag, target])
-    assert code == 1
-    assert out == ""
-    # one error line, no per-order progress line and no pool: nothing ran
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "missing" in err
-    assert made == []
+    # the other output names an existing file, which must keep its bytes
+    # whichever of the two fails to open
+    other = {"--out": "--csv", "--csv": "--out"}[flag]
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"123456789")
+    (tmp_path / "directory").mkdir()
+    for target in (tmp_path / "missing" / "x.out", tmp_path / "directory"):
+        argv = ["verify", "--n-max", "3", "--jobs", "2", flag, str(target), other, str(kept)]
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        # one error line, no per-order progress line and no pool: nothing ran
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(target) in err
+        assert made == []
+        assert kept.read_bytes() == b"123456789"
+
+
+def test_verify_writes_either_output_to_a_device(tmp_path):
+    # only a regular file is emptied before the run, so a device such as
+    # the null device takes either output, as a file opened with "w" would
+    report = tmp_path / "r.json"
+    code, out, _ = run(["verify", "--n-max", "3", "--out", str(report), "--csv", os.devnull])
+    assert (code, out) == (0, "")
+    assert json.loads(report.read_text())["totals"]["graphs_scanned"] == 3
+    code, out, _ = run(["verify", "--n-max", "3", "--out", os.devnull, "--csv", "-"])
+    assert code == 0
+    assert out.splitlines()[0] == "n,graph6,k,bound_id,case_label,bound_value,actual,holds,tight"
 
 
 def test_verify_rejects_one_file_for_report_and_csv(tmp_path):
