@@ -489,6 +489,9 @@ class GraphContext:
 
     G's connectivity is found at once.  The complement and its connectivity
     are found when first read, which a sweep of unpaired groups never does.
+    A caller that already knows both facts, a sweep's batch of connected
+    graphs whose complements it read off their masks, passes
+    ``co_connected``: then neither graph is flooded to decide.
     ``sums`` and ``co_sums``, the all-k sgut and sw of G and the
     complement, are computed when first read, after the guards, so a
     disconnected G or a bad k costs no Steiner table; ``batch`` fills them
@@ -500,9 +503,16 @@ class GraphContext:
     the complement turns out disconnected.
     """
 
-    def __init__(self, g: Graph, wanted: Sequence[str] = ()) -> None:
+    def __init__(
+        self, g: Graph, wanted: Sequence[str] = (), co_connected: Optional[bool] = None
+    ) -> None:
         self.g = g
-        self.connected = is_connected(g)
+        if co_connected is None:
+            self.connected = is_connected(g)
+        else:
+            # the caller's facts: G connected, and the complement as given
+            self.connected = True
+            self.co_connected = co_connected  # fills the cached_property
         self.signature = _signature(g.degrees)
         # the complement matters only to a paired group that would run
         wanted = tuple(wanted)
@@ -522,12 +532,20 @@ class GraphContext:
         return is_connected(self.gbar)
 
     @classmethod
-    def batch(cls, graphs: Sequence[Graph], wanted: Sequence[str] = ()) -> List["GraphContext"]:
+    def batch(
+        cls,
+        graphs: Sequence[Graph],
+        wanted: Sequence[str] = (),
+        co_connected: Optional[Sequence[bool]] = None,
+    ) -> List["GraphContext"]:
         """The contexts of ``graphs``, all of one order, their sums read at
         once: G's where a group runs on a connected G, and the complement's
         where a paired group runs, all from one batched table pass.  A sweep
-        filters and counts its graphs first (``verify._settle``)."""
-        ctxs = [cls(g, wanted) for g in graphs]
+        filters and counts its graphs first (``verify._settle``), so its
+        graphs are connected, and it passes each complement's connectivity
+        as ``co_connected``; without it each context floods its own."""
+        facts = [None] * len(graphs) if co_connected is None else co_connected
+        ctxs = [cls(g, wanted, co) for g, co in zip(graphs, facts)]
         wants = []
         for ctx in ctxs:
             if ctx.connected and ctx.runs:

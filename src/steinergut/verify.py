@@ -20,11 +20,17 @@ over the whole group.  A child is kept only if no non-cut vertex is
 smaller than the new vertex by (degree, sorted neighbour degrees), an
 isomorphism invariant, so most children that would repeat a class are
 dropped before they cost a canon; the masks whose child a parent's least
-non-cut degree already rules out are never built (``_children``).  Each
-kept child gets one lex-min canon, and McKay's canonical-deletion test
+non-cut degree already rules out are never built (``_children``).  A
+kept child is searched once, and McKay's canonical-deletion test
 (``_accepts``) reads that search to accept each class from exactly one
 child, with no map of the classes seen; the accepted child's canonical
-edge mask is read off the same search's key (``canon._key_mask``).
+edge mask is read off the same search's key (``canon._key_mask``).  A
+kept child whose new vertex ties with no other is accepted whatever its
+search returns, so the search only names it: at the top order of a sweep
+without a CSV, where no child is a parent, such a child is not searched
+and its own edge mask stands for its class (``_sweep_masks``).  Only the
+graphs the sweep's pass (below) keeps are then named, which cuts the
+searches of an order-8 ``lem22`` run from 13,854 to 5,427.
 A disconnected graph has a connected complement, so the disconnected
 classes of an order are the canonical forms of the disconnected
 complements of its connected level, each read off its key the same way.
@@ -45,10 +51,12 @@ check run.  Without a CSV it also settles there every graph whose degree
 brackets (``bounds._certified``) decide each swept k, its sorted degrees
 read off its mask, so only the graphs with an open k reach a batch: 17 of
 the 11,117 order-8 ones under ``lem22``.  Results are joined in input
-order; a class's canonical form does not depend on which child found it
-and a level is sorted, so neither the map nor the batches change a level
-or a report.  ``sweep`` writes a batch's CSV rows as the batch comes back,
-so no check outlives its batch's text.  Built levels are kept in one cache
+order; a class's canonical form does not depend on which child found it,
+a level is sorted, and an unnamed top order's kept graphs are named and
+sorted the same way before they are batched, so neither the map, the
+batches nor the naming change a level or a report.  ``sweep`` writes a
+batch's CSV rows as the batch comes back, so no check outlives its
+batch's text.  Built levels are kept in one cache
 for the life of the process, whichever map built them; the formula audit
 runs once, in the caller's process.  ``sweep_orders``, the one loop over
 orders, sweeps each order up to a spec's and returns the ``verify`` document.
@@ -70,7 +78,7 @@ import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from operator import add, mul
 from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -257,6 +265,12 @@ def _accepts(
     the order below, and some tried mask of it gives a child isomorphic to
     C by a map taking the new vertex to c.  That vertex passes ``_keeps``,
     and c's orbit in the child holds it, so the child is accepted.
+
+    Sole tie: when ``ties`` holds the new vertex alone, no other vertex of
+    any ordering is in ``ties``, so c is the new vertex and the walk below
+    meets it first.  Such a child is accepted whatever its search returns,
+    which is what lets ``_children`` skip that search when no name is
+    wanted.
     """
     new = len(rows) - 1
     full = (1 << len(rows)) - 1
@@ -271,13 +285,20 @@ def _accepts(
     return any(seq[j] in twins for seq in orderings)
 
 
-def _children(n: int, parents: Sequence[int]) -> List[int]:
-    """A batch of parents' accepted children, as canonical edge masks.
+def _children(n: int, parents: Sequence[int], named: bool = True) -> List[int]:
+    """A batch of parents' accepted children, as canonical edge masks, or,
+    unless ``named``, as edge masks of their classes that need not be
+    canonical.
 
     Each parent comes as the edge mask of a canonical order-(n-1) graph.
     Only the least attachment mask of each orbit of a parent's automorphism
     group is tried, the masks whose child ``_keeps`` must reject are never
-    built, and only the children that ``_keeps`` are canonised.
+    built, and only the children that ``_keeps`` are canonised.  A kept
+    child whose new vertex ties with no other (``ties`` the new vertex
+    alone) is accepted whatever its search returns (``_accepts``), so the
+    search serves only its canonical mask; unless ``named`` that child is
+    not searched, and its own edge mask, the parent's with the new vertex's
+    column on top, stands for its class.
 
     The masks skipped: let m0 be the least degree of a non-cut vertex of
     the parent P and u such a vertex.  The new vertex v, joined to a mask M
@@ -295,6 +316,7 @@ def _children(n: int, parents: Sequence[int]) -> List[int]:
     """
     top = 1 << (n - 1)
     full = top - 1
+    column = (n - 1) * (n - 2) // 2  # the new vertex's column in an edge mask
     found: List[int] = []
     for em in parents:
         graph = from_edge_mask(n - 1, em)
@@ -317,7 +339,9 @@ def _children(n: int, parents: Sequence[int]) -> List[int]:
                 adj[v] |= top
             rows = tuple(adj)
             ties = _keeps(rows)
-            if ties:
+            if ties == top and not named:
+                found.append(em | mask << column)
+            elif ties:
                 key, orderings, classes = _search(rows)
                 if _accepts(rows, ties, orderings, classes):
                     found.append(_key_mask(key))
@@ -351,6 +375,25 @@ def _level(n: int, mapper: Callable = map) -> array:
     if n not in _LEVELS:
         _LEVELS[n] = array("Q", [0]) if n == 1 else _build_level(_level(n - 1, mapper), n, mapper)
     return _LEVELS[n]
+
+
+def _sweep_masks(
+    spec: EnumerationSpec, want_csv: bool, mapper: Callable, top: bool = True
+) -> Tuple[Sequence[int], bool]:
+    """The masks a sweep of ``spec`` settles, and whether they are canonical.
+
+    They are ``_masks``' unless this is the ``top`` order of a run that
+    writes no CSV, deduped, and its level is not cached: then they are the
+    level's children kept unnamed (``_children`` with ``named`` false), in
+    an ``array('Q')`` that never enters the cache, and ``_sweep`` names
+    only the ones its pass keeps.  A lower order of a run is a parent level
+    anyway, and a cached level is named already.
+    """
+    n = spec.n
+    if want_csv or not top or not spec.dedup_isomorphism or n < 2 or n in _LEVELS:
+        return _masks(spec, mapper), True
+    found = mapper(partial(_children, n, named=False), _batches(_level(n - 1, mapper)))
+    return array("Q", chain.from_iterable(found)), False
 
 
 def _require_order(spec: EnumerationSpec) -> None:
@@ -466,13 +509,17 @@ def _sweep_batch(
     violation or a tight case first needs it, and a bound's value is built
     only for a CSV row or a violation.  Without ``want_csv`` a k where every
     operand lies strictly inside its band builds no check
-    (``GraphContext.checks`` with ``banded``).
+    (``GraphContext.checks`` with ``banded``).  The pass picked connected
+    graphs, and each complement's connectivity is read off its mask
+    (``_co_connected``), so no context floods G, or builds and floods its
+    complement, to decide which groups run.
     """
     violations: List[Violation] = []
     tights: List[TightCase] = []
     text = io.StringIO()
     writerow = csv.writer(text).writerow
-    for ctx in GraphContext.batch([from_edge_mask(n, em) for em in masks], ids):
+    graphs = [from_edge_mask(n, em) for em in masks]
+    for ctx in GraphContext.batch(graphs, ids, list(map(_co_connected(n), masks))):
         g = ctx.g
         g6: Optional[str] = None
         witness_cache: Dict[int, EqualityWitness] = {}
@@ -515,7 +562,9 @@ def sweep(
     are refused before any enumeration.  ``mapper`` (the builtin ``map``, or a process pool's
     ``map``) sweeps the graphs in batches of up to ``BATCH``, and their
     results are joined in graph order, so the report does not depend on
-    it; enumeration, when needed, uses the same map.  With ``csv_out``,
+    it; enumeration, when needed, uses the same map, and without ``csv_out``
+    an uncached level is generated unnamed (``_sweep_masks``), so only the
+    graphs that reach a batch are canonized.  With ``csv_out``,
     each check's row in the ``CSV_HEADER`` layout is written there, a
     batch's rows as that batch comes back.
     """
@@ -527,24 +576,32 @@ def sweep(
             if g.n != spec.n:
                 raise ValueError(f"a sweep of order {spec.n} got a graph of order {g.n}")
             _require_connected(is_connected(g))
-    masks = _masks(spec, mapper) if graphs is None else [edge_mask(g) for g in graphs]
-    return _sweep(spec, ids, masks, csv_out, mapper)
+    if graphs is None:
+        masks, named = _sweep_masks(spec, csv_out is not None, mapper)
+    else:
+        masks, named = [edge_mask(g) for g in graphs], True
+    return _sweep(spec, ids, masks, named, csv_out, mapper)
 
 
 def _sweep(
     spec: EnumerationSpec,
     ids: Tuple[str, ...],
     masks: Sequence[int],
+    named: bool,
     csv_out: Optional[IO[str]],
     mapper: Callable,
 ) -> VerificationReport:
     """``sweep`` over the connected order-``spec.n`` graphs with edge masks
     ``masks``, checked bound ids ``ids``: one pass (``_settle``) filters
     and counts them all, and only the masks it keeps are batched, each
-    batch building its own graphs."""
+    batch building its own graphs.  Unless ``named`` (``_sweep_masks``),
+    the kept masks are first replaced by their canonical ones and sorted
+    by (m, mask), so the findings join in a level's order."""
     ks = _k_values(spec)
     want_csv = csv_out is not None
     masks, scanned, checks_run = _settle(spec, ids, ks, masks, want_csv)
+    if not named:
+        masks = _in_order([_key_mask(_search(from_edge_mask(spec.n, em).adj)[0]) for em in masks])
     violations: List[Violation] = []
     tights: List[TightCase] = []
     batch = partial(_sweep_batch, ids, ks, want_csv, spec.n)
@@ -699,9 +756,9 @@ def sweep_orders(
         ks = "all" if top.k_range == "all" else tuple(k for k in top.k_range if k <= n)
         spec = replace(top, n=n, k_range=ks)
         start = time.perf_counter()
-        masks = _masks(spec, mapper)
+        masks, named = _sweep_masks(spec, csv_out is not None, mapper, top=n == top.n)
         enumerated = time.perf_counter()
-        report = _sweep(spec, ids, masks, csv_out, mapper)
+        report = _sweep(spec, ids, masks, named, csv_out, mapper)
         swept = time.perf_counter()
         reports.append(report)
         if progress is not None:

@@ -358,8 +358,8 @@ def test_sweep_writes_each_graphs_rows_before_sweeping_the_next(monkeypatch):
 
     class Recorded(GraphContext):
         @classmethod
-        def batch(cls, graphs, wanted=()):
-            ctxs = super().batch(graphs, wanted)
+        def batch(cls, graphs, wanted=(), co_connected=None):
+            ctxs = super().batch(graphs, wanted, co_connected)
             events.append(("batch", {graph6_encode(ctx.g) for ctx in ctxs}))
             return ctxs
 
@@ -640,6 +640,78 @@ def test_enumeration_canonises_each_class_once(monkeypatch):
         assert found == {n: CONNECTED_COUNTS[n] for n in range(2, 9)}, chunksize
 
 
+def _canonical_masks(n, masks):
+    """``masks``' canonical edge masks, sorted by (m, edge mask) as a level is."""
+    from steinergut import canonical_graph
+
+    canon = [edge_mask(canonical_graph(from_edge_mask(n, em))) for em in masks]
+    return sorted(canon, key=lambda em: (em.bit_count(), em))
+
+
+@pytest.mark.parametrize(
+    "spec,ids,searches,cached",
+    [
+        # through order 7 the named parent levels cost 2,024 searches, and of
+        # the 11,830 order-8 children the deletion rule keeps, 8,444 tie with
+        # no other vertex and are accepted unsearched; the other 3,386 are
+        # searched, and the 17 graphs that reach a batch are named afterwards
+        # (13,854 searches when the order-8 level is named)
+        (EnumerationSpec(n=8), ["lem22"], 2024 + 3386 + 17, range(1, 8)),
+        # 1,171 searches when the order-7 level is named
+        (EnumerationSpec(n=7, require_coconnected=True), ["all"], 752, range(1, 7)),
+    ],
+)
+def test_a_sweeps_top_order_skips_the_search_of_each_sole_tie_child(
+    spec, ids, searches, cached, fresh_levels, count_calls
+):
+    calls = count_calls(verify, "_search")
+    sweep_orders(spec, ids)
+    assert len(calls) == searches
+    # the unnamed top order never enters the cache
+    assert sorted(verify._LEVELS) == list(cached)
+
+
+@pytest.mark.parametrize("chunksize", CHUNKSIZES, ids=["map", "chunk1", "chunk3"])
+def test_an_unnamed_top_order_holds_each_class_of_the_level_once(chunksize, monkeypatch):
+    # orders 7 and 8 generated unnamed: the per-m counts are the Polya
+    # counts, and canonizing every mask gives exactly the named level
+    for n in (7, 8):
+        monkeypatch.setattr(verify, "_LEVELS", {})
+        with mapping(chunksize) as mapper:
+            masks, named = verify._sweep_masks(EnumerationSpec(n=n), False, mapper)
+        assert not named and n not in verify._LEVELS
+        assert isinstance(masks, array) and masks.typecode == "Q"
+        assert _by_edge_count(map(int.bit_count, masks), n) == polya.connected(n), n
+        assert _canonical_masks(n, masks) == list(verify._level(n)), n
+    # a cached level, a CSV, a lower order and labeled mode stay named
+    for args in ((8, False, True), (8, True, True), (7, False, False)):
+        spec = EnumerationSpec(n=args[0])
+        assert verify._sweep_masks(spec, args[1], map, top=args[2]) == (verify._level(args[0]), True)
+    labeled = EnumerationSpec(n=5, dedup_isomorphism=False)
+    assert verify._sweep_masks(labeled, False, map)[1]
+
+
+def test_unnamed_sweeps_leave_the_named_outputs_as_pinned(fresh_levels):
+    # an unnamed order-7 sweep, then the CSV run that needs the order named
+    coconnected = EnumerationSpec(n=7, require_coconnected=True)
+    unnamed = json.dumps(sweep_orders(coconnected, ["all"]), indent=2) + "\n"
+    assert hashlib.sha256(unnamed.encode()).hexdigest() == ORDER_SEVEN_REPORT_SHA256
+    assert sorted(verify._LEVELS) == list(range(1, 7))
+    top = report_to_dict(sweep(coconnected, ["all"]))
+    rows = io.StringIO()
+    named = json.dumps(sweep_orders(coconnected, ["all"], csv_out=rows), indent=2) + "\n"
+    assert named == unnamed
+    assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == ORDER_SEVEN_CSV_SHA256
+    # sweep's own top order: unnamed above, named now that 7 is cached
+    assert report_to_dict(sweep(coconnected, ["all"])) == top
+    # an unnamed order-8 sweep leaves the order-8 names to enumerate_graphs
+    sweep(EnumerationSpec(n=8), ["lem22"])
+    assert 8 not in verify._LEVELS
+    everything = enumerate_graphs(EnumerationSpec(n=8, require_connected=False))
+    assert _names_digest(everything) == ALL_SHA256[8]
+    assert _names_digest(enumerate_graphs(EnumerationSpec(n=8))) == CONNECTED_SHA256[8]
+
+
 def _full_group_minima(auts, width):
     """The non-empty masks below 2^width that no automorphism maps below themselves."""
     least = list(range(1 << width))
@@ -817,12 +889,13 @@ def test_sweep_builds_each_invariant_once_per_graph(count_calls):
         assert len(guards) == graph_ks + witnesses == (4347 if with_csv else 951) + witnesses
 
 
-def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls, monkeypatch):
+def test_a_coconnected_sweep_builds_each_complement_once_and_floods_none(count_calls, monkeypatch):
     # through order 7 the caller reads the connectivity of each of the 995
     # connected classes' complements off its mask, keeps the 739 co-connected
     # ones and batches only the 162 whose degree brackets leave a k open: each
-    # of those is built once from its mask, and its complement once, by its
-    # context, which floods it once
+    # of those is built once from its mask, its batch reads its complement's
+    # connectivity off that mask and hands it to its context, which builds
+    # the complement once, for its sums, and floods neither graph
     from steinergut import bounds, graph
 
     for n in range(1, 8):
@@ -845,10 +918,9 @@ def test_a_coconnected_sweep_builds_and_floods_each_complement_once(count_calls,
     )
     candidates = sum(CONNECTED_COUNTS[n] for n in range(2, 8))
     assert (scanned, candidates) == (739, 995)
-    assert len(read) == candidates
+    assert len(read) == candidates + 162
     assert len(masks) == len(made) == 162
-    flooded = [id(h) for (h,) in floods]
-    assert all(flooded.count(id(h)) == 1 for h in made)
+    assert floods == []
 
 
 def test_a_coconnected_csv_sweep_batches_and_counts_only_coconnected_graphs(count_calls):
@@ -988,10 +1060,18 @@ def test_a_sweep_of_unpaired_bounds_builds_a_complement_only_for_a_witness(count
     graphs = enumerate_graphs(spec)
     complements = count_calls(graph, "complement")
     report = sweep(spec, ["lem22"], graphs=graphs)
-    # lem22 never reads the complement; only the equality witness of each
-    # tight graph asks whether its complement is connected
+    # lem22 never reads the complement, and a batch reads the complement's
+    # connectivity off each mask; only the equality witness of a tight graph
+    # that is (n-k+1)-connected with a connected complement reads the
+    # complement's sums, so only 2 of the 4 tight graphs build one
+    built = len(complements)
     assert report.graphs_scanned == 853
-    assert len(complements) == len({t.graph6 for t in report.tight_cases}) == 4
+    assert len({t.graph6 for t in report.tight_cases}) == 4
+    summed = {
+        t.graph6 for t in report.tight_cases
+        if t.witness.n_minus_k_plus_1_connected and is_connected(complement(graph6_decode(t.graph6)))
+    }
+    assert built == len(summed) == 2
 
 
 @pytest.mark.parametrize(
